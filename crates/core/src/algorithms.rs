@@ -13,7 +13,13 @@
 //! when the donating side cannot spare the time — backward to settle the
 //! actual ready times of nodes on slow paths, then forward to settle the
 //! actual required times.
+//!
+//! Algorithm 1 is written once over the value [`Algebra`]: the numeric
+//! analyzer runs it over [`Time`](hb_units::Time), the parametric
+//! analysis over affine values in the clock period, where a positive
+//! partial division may split the period region (`A::Split`).
 
+use hb_sta::{Algebra, Numeric};
 use hb_units::Time;
 
 use crate::analysis::{Prepared, SlackView};
@@ -44,34 +50,65 @@ pub struct Algorithm2Stats {
     pub backward_snatch_cycles: usize,
     /// Forward snatch cycles (iteration 2).
     pub forward_snatch_cycles: usize,
+    /// Whether either snatch loop stopped at the cycle cap
+    /// ([`AnalysisOptions::max_cycles`](crate::AnalysisOptions)) while
+    /// still moving time, so its settled times are not a fixpoint.
+    pub cycle_cap_hit: bool,
 }
 
-/// Runs Algorithm 1, mutating `replicas` in place, and returns the final
-/// slack view plus statistics.
-pub(crate) fn algorithm1(
-    prep: &Prepared<'_>,
-    replicas: &mut [Replica],
-    cache: &mut SlackCache,
-) -> (SlackView, Algorithm1Stats) {
-    let mut stats = Algorithm1Stats::default();
-    let cap = prep.options.max_cycles;
-    let divisor = prep.options.partial_divisor.max(2);
-
-    // Iteration 1: complete forward slack transfer to a fixpoint.
-    loop {
-        let view = prep.compute_slacks(replicas, cache);
-        if view.all_positive() {
-            stats.converged_early = true;
-            return (view, stats);
-        }
-        let mut any = false;
-        for (k, r) in replicas.iter_mut().enumerate() {
-            let n_x = view.replica_in[k];
-            if n_x > Time::ZERO && n_x.is_finite() && r.transfer_forward(n_x) > Time::ZERO {
+/// One slack-transfer cycle: `request` turns each replica's terminal
+/// slack in `slack` into a transfer amount (`None`: no transfer), which
+/// `transfer` applies. Returns whether any time moved.
+fn transfer_cycle<A: Algebra>(
+    alg: &mut A,
+    replicas: &mut [Replica<A::Val>],
+    slack: &[A::Val],
+    mut request: impl FnMut(&mut A, A::Val) -> Result<Option<A::Val>, A::Split>,
+    transfer: impl Fn(&mut Replica<A::Val>, &mut A, A::Val) -> A::Val,
+) -> Result<bool, A::Split> {
+    let mut any = false;
+    for (r, &s) in replicas.iter_mut().zip(slack) {
+        if let Some(amount) = request(alg, s)? {
+            let moved = transfer(r, alg, amount);
+            if alg.gt_zero(moved) {
                 any = true;
             }
         }
-        if !any {
+    }
+    Ok(any)
+}
+
+/// Runs Algorithm 1, mutating `replicas` in place, and returns the final
+/// slack view plus statistics. `evaluate` computes the slack view at the
+/// current offsets. Fails only when the algebra cannot represent a
+/// partial transfer on its current domain.
+pub(crate) fn algorithm1<A: Algebra>(
+    prep: &Prepared<'_>,
+    alg: &mut A,
+    replicas: &mut [Replica<A::Val>],
+    mut evaluate: impl FnMut(&mut A, &[Replica<A::Val>]) -> SlackView<A::Val>,
+) -> Result<(SlackView<A::Val>, Algorithm1Stats), A::Split> {
+    let mut stats = Algorithm1Stats::default();
+    let cap = prep.options.max_cycles;
+    let divisor = prep.options.partial_divisor.max(2);
+    // Only strictly positive, finite slack is transferred: all of it in
+    // the complete iterations, a `divisor`-th of it in the partial ones.
+    let complete = |a: &mut A, s: A::Val| Ok((a.gt_zero(s) && a.is_finite(s)).then_some(s));
+    let partial = |a: &mut A, s: A::Val| match a.gt_zero(s) && a.is_finite(s) {
+        true => a.div_pos(s, divisor).map(Some),
+        false => Ok(None),
+    };
+    let forward = Replica::transfer_forward_in;
+    let backward = Replica::transfer_backward_in;
+
+    // Iteration 1: complete forward slack transfer to a fixpoint.
+    loop {
+        let view = evaluate(alg, replicas);
+        if view.all_positive(alg) {
+            stats.converged_early = true;
+            return Ok((view, stats));
+        }
+        if !transfer_cycle(alg, replicas, &view.replica_in, complete, forward)? {
             break;
         }
         stats.forward_cycles += 1;
@@ -83,19 +120,12 @@ pub(crate) fn algorithm1(
 
     // Iteration 2: complete backward slack transfer to a fixpoint.
     loop {
-        let view = prep.compute_slacks(replicas, cache);
-        if view.all_positive() {
+        let view = evaluate(alg, replicas);
+        if view.all_positive(alg) {
             stats.converged_early = true;
-            return (view, stats);
+            return Ok((view, stats));
         }
-        let mut any = false;
-        for (k, r) in replicas.iter_mut().enumerate() {
-            let n_y = view.replica_out[k];
-            if n_y > Time::ZERO && n_y.is_finite() && r.transfer_backward(n_y) > Time::ZERO {
-                any = true;
-            }
-        }
-        if !any {
+        if !transfer_cycle(alg, replicas, &view.replica_out, complete, backward)? {
             break;
         }
         stats.backward_cycles += 1;
@@ -109,15 +139,8 @@ pub(crate) fn algorithm1(
     // cycle made — returns time to paths that are fast enough so they
     // finish with strictly positive slack.
     for _ in 0..stats.backward_cycles {
-        let view = prep.compute_slacks(replicas, cache);
-        let mut any = false;
-        for (k, r) in replicas.iter_mut().enumerate() {
-            let n_x = view.replica_in[k];
-            if n_x > Time::ZERO && n_x.is_finite() && r.transfer_forward(n_x / divisor) > Time::ZERO
-            {
-                any = true;
-            }
-        }
+        let view = evaluate(alg, replicas);
+        let any = transfer_cycle(alg, replicas, &view.replica_in, partial, forward)?;
         stats.partial_forward_cycles += 1;
         if !any {
             break;
@@ -127,17 +150,8 @@ pub(crate) fn algorithm1(
     // Iteration 4: partial backward transfer, once per complete forward
     // cycle made.
     for _ in 0..stats.forward_cycles {
-        let view = prep.compute_slacks(replicas, cache);
-        let mut any = false;
-        for (k, r) in replicas.iter_mut().enumerate() {
-            let n_y = view.replica_out[k];
-            if n_y > Time::ZERO
-                && n_y.is_finite()
-                && r.transfer_backward(n_y / divisor) > Time::ZERO
-            {
-                any = true;
-            }
-        }
+        let view = evaluate(alg, replicas);
+        let any = transfer_cycle(alg, replicas, &view.replica_out, partial, backward)?;
         stats.partial_backward_cycles += 1;
         if !any {
             break;
@@ -145,8 +159,7 @@ pub(crate) fn algorithm1(
     }
 
     // Final step: find all node slacks.
-    let view = prep.compute_slacks(replicas, cache);
-    (view, stats)
+    Ok((evaluate(alg, replicas), stats))
 }
 
 /// Runs Algorithm 2 starting from Algorithm-1 offsets. Returns the slack
@@ -161,41 +174,40 @@ pub(crate) fn algorithm2(
 ) -> (SlackView, SlackView, Algorithm2Stats) {
     let mut stats = Algorithm2Stats::default();
     let cap = prep.options.max_cycles;
+    // Snatching moves a too-slow terminal (negative, finite slack) by
+    // up to its deficit, whether or not the other side can spare it.
+    let snatch = |_: &mut Numeric, s: Time| Ok((s < Time::ZERO && s.is_finite()).then_some(-s));
 
     // Iteration 1: snatch time backward until no time is snatched, then
-    // record ready times at all cell inputs. Backward snatching: when a
-    // replica's *input* terminal is too slow (negative slack), move its
-    // closure later by up to the deficit, regardless of the output side.
+    // record ready times at all cell inputs: a replica whose *input*
+    // terminal is too slow moves its closure later.
     let ready_view = loop {
         let view = prep.compute_slacks(replicas, cache);
-        let mut any = false;
-        for (k, r) in replicas.iter_mut().enumerate() {
-            let n_x = view.replica_in[k];
-            if n_x < Time::ZERO && n_x.is_finite() && r.transfer_backward(-n_x) > Time::ZERO {
-                any = true;
-            }
-        }
+        let backward = Replica::transfer_backward_in;
+        let Ok(any) = transfer_cycle(&mut Numeric, replicas, &view.replica_in, snatch, backward);
         stats.backward_snatch_cycles += 1;
-        if !any || stats.backward_snatch_cycles >= cap {
+        if !any {
+            break view;
+        }
+        if stats.backward_snatch_cycles >= cap {
+            stats.cycle_cap_hit = true;
             break view;
         }
     };
 
     // Iteration 2: snatch time forward until no time is snatched, then
-    // record required times at all cell outputs. Forward snatching: when
-    // a replica's *output* terminal is too slow, move its assertion
-    // earlier by up to the deficit.
+    // record required times at all cell outputs: a replica whose
+    // *output* terminal is too slow moves its assertion earlier.
     let required_view = loop {
         let view = prep.compute_slacks(replicas, cache);
-        let mut any = false;
-        for (k, r) in replicas.iter_mut().enumerate() {
-            let n_y = view.replica_out[k];
-            if n_y < Time::ZERO && n_y.is_finite() && r.transfer_forward(-n_y) > Time::ZERO {
-                any = true;
-            }
-        }
+        let forward = Replica::transfer_forward_in;
+        let Ok(any) = transfer_cycle(&mut Numeric, replicas, &view.replica_out, snatch, forward);
         stats.forward_snatch_cycles += 1;
-        if !any || stats.forward_snatch_cycles >= cap {
+        if !any {
+            break view;
+        }
+        if stats.forward_snatch_cycles >= cap {
+            stats.cycle_cap_hit = true;
             break view;
         }
     };

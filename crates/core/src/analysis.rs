@@ -20,13 +20,14 @@ use hb_netlist::{Design, ModuleId, NetId, PinDir};
 use hb_sta::analysis::{
     propagate_ready_max, propagate_required, scalar_slack, slack_table, table, TimeTable,
 };
-use hb_sta::TimingGraph;
+use hb_sta::{Algebra, Numeric, TimingGraph};
 use hb_units::{RiseFall, Sense, Time};
 
-use crate::engine::{Engine, ItemTables, SlackCache};
+use crate::engine::{pos_assert, pos_close, Engine, ItemTables, SlackCache};
 use crate::error::AnalyzeError;
+use crate::report::TerminalKind;
 use crate::spec::{AnalysisOptions, EdgeSpec, EngineKind, LatchModel, Spec};
-use crate::sync::{Replica, ReplicaTiming};
+use crate::sync::{offsets, Replica, ReplicaTiming};
 
 /// A boundary timing point: a primary input (source) or primary output
 /// (sink) with its reference edge and offset.
@@ -87,120 +88,116 @@ pub(crate) struct Prepared<'a> {
 }
 
 /// The backing storage of a [`SlackView`]'s ready/required tables.
-pub(crate) enum SlackStorage {
-    /// Dense whole-graph tables, one pair per global pass (the
-    /// reference engine's native format).
+pub(crate) enum SlackStorage<V> {
+    /// Dense whole-graph tables, one pair per global pass, plus the
+    /// per-net slacks (the reference engine's native format; numeric
+    /// only).
     Dense {
         ready: Vec<TimeTable>,
         required: Vec<TimeTable>,
+        net_slack: Vec<Time>,
     },
     /// Per-work-item local tables (the sharded engine's native format),
     /// positionally parallel to `Prepared::engine.items`. Nets outside
     /// an item keep their sentinel values, exactly as in the dense
     /// format.
-    Sharded { items: Vec<Arc<ItemTables>> },
+    Sharded { items: Vec<Arc<ItemTables<V>>> },
 }
 
-/// The result of one full multi-pass slack evaluation at fixed offsets.
-pub(crate) struct SlackView {
+/// The result of one full multi-pass slack evaluation at fixed offsets,
+/// in the value algebra `V` (numeric unless stated).
+pub(crate) struct SlackView<V = Time> {
     /// Ready/required tables, in engine-native form; use
     /// [`SlackView::ready_for_pass`] / [`SlackView::dense_ready`] to
     /// view them densely.
-    pub storage: SlackStorage,
-    /// Per net: the smallest scalar slack over all passes.
-    pub net_slack: Vec<Time>,
+    pub storage: SlackStorage<V>,
     /// Per replica: node slack at the data-input terminal.
-    pub replica_in: Vec<Time>,
+    pub replica_in: Vec<V>,
     /// Per replica: node slack at the output terminal (`INF` when the
     /// output is unconnected).
-    pub replica_out: Vec<Time>,
+    pub replica_out: Vec<V>,
     /// Per primary input: node slack at the source terminal.
-    pub pi_slack: Vec<Time>,
+    pub pi_slack: Vec<V>,
     /// Per primary output: node slack at the sink terminal.
-    pub po_slack: Vec<Time>,
+    pub po_slack: Vec<V>,
+}
+
+impl<V: Copy> SlackView<V> {
+    /// Every terminal slack: replica inputs, replica outputs, primary
+    /// inputs, primary outputs.
+    pub fn terminals(&self) -> impl Iterator<Item = &V> {
+        self.replica_in
+            .iter()
+            .chain(&self.replica_out)
+            .chain(&self.pi_slack)
+            .chain(&self.po_slack)
+    }
+
+    /// The paper's global stop condition: every terminal slack strictly
+    /// positive (decided in terminal order, short-circuiting).
+    pub fn all_positive<A: Algebra<Val = V>>(&self, alg: &mut A) -> bool {
+        self.terminals().all(|&s| alg.gt_zero(s))
+    }
 }
 
 impl SlackView {
-    /// The paper's global stop condition: every terminal slack strictly
-    /// positive.
-    pub fn all_positive(&self) -> bool {
-        self.replica_in
-            .iter()
-            .chain(&self.replica_out)
-            .chain(&self.pi_slack)
-            .chain(&self.po_slack)
-            .all(|&s| s > Time::ZERO)
-    }
-
     /// The worst terminal slack.
     pub fn worst(&self) -> Time {
-        self.replica_in
-            .iter()
-            .chain(&self.replica_out)
-            .chain(&self.pi_slack)
-            .chain(&self.po_slack)
-            .copied()
-            .min()
-            .unwrap_or(Time::INF)
+        self.terminals().copied().min().unwrap_or(Time::INF)
+    }
+
+    /// Per net: the smallest scalar slack over all passes.
+    pub fn net_slacks(&self, prep: &Prepared<'_>) -> Vec<Time> {
+        match &self.storage {
+            SlackStorage::Dense { net_slack, .. } => net_slack.clone(),
+            SlackStorage::Sharded { items } => prep.net_slacks(&mut Numeric, items),
+        }
     }
 
     /// Materialises the dense forward ready table of one pass.
     pub fn ready_for_pass(&self, prep: &Prepared<'_>, pass: usize) -> TimeTable {
-        match &self.storage {
-            SlackStorage::Dense { ready, .. } => ready[pass].clone(),
-            SlackStorage::Sharded { items } => {
-                let mut out = table(&prep.graph, Time::NEG_INF);
-                self.scatter_pass(prep, items, pass, &mut out, |t| &t.ready);
-                out
-            }
-        }
+        self.pass_table(prep, pass, false)
     }
 
     /// Materialises the dense ready tables of every pass.
     pub fn dense_ready(&self, prep: &Prepared<'_>) -> Vec<TimeTable> {
-        match &self.storage {
-            SlackStorage::Dense { ready, .. } => ready.clone(),
-            SlackStorage::Sharded { .. } => (0..prep.passes.len())
-                .map(|p| self.ready_for_pass(prep, p))
-                .collect(),
-        }
+        (0..prep.passes.len())
+            .map(|p| self.pass_table(prep, p, false))
+            .collect()
     }
 
     /// Materialises the dense required tables of every pass.
     pub fn dense_required(&self, prep: &Prepared<'_>) -> Vec<TimeTable> {
-        match &self.storage {
-            SlackStorage::Dense { required, .. } => required.clone(),
-            SlackStorage::Sharded { items } => (0..prep.passes.len())
-                .map(|p| {
-                    let mut out = table(&prep.graph, Time::INF);
-                    self.scatter_pass(prep, items, p, &mut out, |t| &t.required);
-                    out
-                })
-                .collect(),
-        }
+        (0..prep.passes.len())
+            .map(|p| self.pass_table(prep, p, true))
+            .collect()
     }
 
-    fn scatter_pass<'t>(
-        &self,
-        prep: &Prepared<'_>,
-        items: &'t [Arc<ItemTables>],
-        pass: usize,
-        out: &mut TimeTable,
-        select: impl Fn(&'t ItemTables) -> &'t [RiseFall<Time>],
-    ) {
-        for (i, item) in prep.engine.items.iter().enumerate() {
-            if item.pass != pass {
-                continue;
-            }
-            let shard = prep
-                .engine
-                .sharded
-                .shard(hb_sta::ClusterId::from_raw(item.cluster));
-            let local = select(&items[i]);
-            for (l, &net) in shard.nets().iter().enumerate() {
-                out[net.as_raw() as usize] = local[l];
+    /// The dense ready (or, with `required`, required) table of one
+    /// pass; nets outside the pass keep their sentinel.
+    fn pass_table(&self, prep: &Prepared<'_>, pass: usize, required: bool) -> TimeTable {
+        let items = match &self.storage {
+            SlackStorage::Dense { ready, .. } if !required => return ready[pass].clone(),
+            SlackStorage::Dense { required: req, .. } => return req[pass].clone(),
+            SlackStorage::Sharded { items } => items,
+        };
+        let mut out = table(
+            &prep.graph,
+            if required { Time::INF } else { Time::NEG_INF },
+        );
+        for (item, t) in prep.engine.items.iter().zip(items) {
+            if item.pass == pass {
+                let shard = prep
+                    .engine
+                    .sharded
+                    .shard(hb_sta::ClusterId::from_raw(item.cluster));
+                let local = if required { &t.required } else { &t.ready };
+                for (&net, &v) in shard.nets().iter().zip(local) {
+                    out[net.as_raw() as usize] = v;
+                }
             }
         }
+        out
     }
 }
 
@@ -614,15 +611,30 @@ pub(crate) fn prepare<'a>(
 }
 
 impl Prepared<'_> {
-    /// The window position of an assertion at `edge` in the pass with
-    /// window start `start`.
-    fn pos_assert(&self, start: Time, edge: EdgeId) -> Time {
-        (self.timeline.edge_time(edge) - start).rem_euclid(self.timeline.overall_period())
-    }
-
-    /// The window position of a closure at `edge` (end-biased).
-    fn pos_close(&self, start: Time, edge: EdgeId) -> Time {
-        (self.timeline.edge_time(edge) - start).rem_euclid_end(self.timeline.overall_period())
+    /// Every reported terminal in report order — each replica's data
+    /// input, then its output when connected; primary inputs; primary
+    /// outputs — as `(kind, name, pulse, index)`, `index` being the
+    /// terminal's position in [`SlackView::terminals`].
+    pub fn terminals(&self) -> Vec<(TerminalKind, String, u32, usize)> {
+        let module = self.design.module(self.module);
+        let (n, n_pi) = (self.replicas.len(), self.pis.len());
+        let mut out = Vec::new();
+        let mut push =
+            |kind, name: &str, pulse, index| out.push((kind, name.to_owned(), pulse, index));
+        for (k, r) in self.replicas.iter().enumerate() {
+            let name = module.instance(r.inst).name();
+            push(TerminalKind::SyncInput, name, r.pulse_index, k);
+            if r.output_net.is_some() {
+                push(TerminalKind::SyncOutput, name, r.pulse_index, n + k);
+            }
+        }
+        for (k, pi) in self.pis.iter().enumerate() {
+            push(TerminalKind::PrimaryInput, &pi.port, 0, 2 * n + k);
+        }
+        for (k, po) in self.pos.iter().enumerate() {
+            push(TerminalKind::PrimaryOutput, &po.port, 0, 2 * n + n_pi + k);
+        }
+        out
     }
 
     /// Whether `net`'s cluster participates in global pass `p`.
@@ -636,71 +648,89 @@ impl Prepared<'_> {
     pub fn compute_slacks(&self, replicas: &[Replica], cache: &mut SlackCache) -> SlackView {
         match self.options.engine {
             EngineKind::Reference => self.compute_slacks_reference(replicas),
-            EngineKind::Sharded => self.compute_slacks_sharded(replicas, cache),
+            EngineKind::Sharded => {
+                // Every participating `(cluster, pass)` pair is swept
+                // over its compact shard — in parallel when
+                // `AnalysisOptions::threads` allows, and skipped
+                // entirely when `cache` still holds its tables.
+                let offs = offsets(&mut Numeric, replicas);
+                let threads = self.options.effective_threads();
+                let items = self.engine.evaluate(&offs, cache, threads);
+                self.sharded_view(&mut Numeric, &offs, items)
+            }
         }
     }
 
-    /// The sharded evaluation: every participating `(cluster, pass)`
-    /// pair is swept over its compact shard — in parallel when
-    /// [`AnalysisOptions::threads`] allows, and skipped entirely when
-    /// `cache` still holds tables for the item's seed signature.
-    fn compute_slacks_sharded(&self, replicas: &[Replica], cache: &mut SlackCache) -> SlackView {
-        let tables = self
-            .engine
-            .evaluate(replicas, cache, self.options.effective_threads());
-        let mut view = SlackView {
-            storage: SlackStorage::Sharded { items: tables },
-            net_slack: vec![Time::INF; self.graph.node_count()],
-            replica_in: vec![Time::INF; replicas.len()],
-            replica_out: vec![Time::INF; replicas.len()],
-            pi_slack: vec![Time::INF; self.pis.len()],
-            po_slack: vec![Time::INF; self.pos.len()],
-        };
-        let SlackStorage::Sharded { items } = &view.storage else {
-            unreachable!("just constructed sharded storage");
-        };
-        for (i, item) in self.engine.items.iter().enumerate() {
-            let t = &items[i];
+    /// The terminal slacks of one sharded evaluation at the replica
+    /// offsets `offs`, gated exactly as in the reference engine (the
+    /// seed lists were built from the same gates).
+    pub fn sharded_view<A: Algebra>(
+        &self,
+        alg: &mut A,
+        offs: &[(A::Val, A::Val)],
+        items: Vec<Arc<ItemTables<A::Val>>>,
+    ) -> SlackView<A::Val> {
+        let mut replica_in = vec![A::INF; offs.len()];
+        let mut replica_out = vec![A::INF; offs.len()];
+        let mut pi_slack = vec![A::INF; self.pis.len()];
+        let mut po_slack = vec![A::INF; self.pos.len()];
+        for (item, t) in self.engine.items.iter().zip(&items) {
+            for s in &item.close_replica_seeds {
+                let k = s.k as usize;
+                let close = s.at(alg, offs[k].1);
+                let arrive = alg.worst(t.ready[s.local as usize]);
+                let sl = alg.sub(close, arrive);
+                replica_in[k] = alg.min(replica_in[k], sl);
+            }
+            for s in &item.ready_replica_seeds {
+                let l = s.local as usize;
+                let sl = alg.slack(t.required[l], t.ready[l]);
+                let k = s.k as usize;
+                replica_out[k] = alg.min(replica_out[k], sl);
+            }
+            for s in &item.ready_pi_seeds {
+                let l = s.local as usize;
+                let sl = alg.slack(t.required[l], t.ready[l]);
+                let k = s.k as usize;
+                pi_slack[k] = alg.min(pi_slack[k], sl);
+            }
+            for s in &item.close_po_seeds {
+                let arrive = alg.worst(t.ready[s.local as usize]);
+                let sl = alg.sub(s.at(alg), arrive);
+                let k = s.k as usize;
+                po_slack[k] = alg.min(po_slack[k], sl);
+            }
+        }
+        SlackView {
+            storage: SlackStorage::Sharded { items },
+            replica_in,
+            replica_out,
+            pi_slack,
+            po_slack,
+        }
+    }
+
+    /// Per net: the smallest scalar slack `required − ready` over every
+    /// item (pass) the net's cluster takes part in. Assembled once, from
+    /// the final view — no intermediate view of Algorithm 1 reads it.
+    pub fn net_slacks<A: Algebra>(
+        &self,
+        alg: &mut A,
+        items: &[Arc<ItemTables<A::Val>>],
+    ) -> Vec<A::Val> {
+        let mut out = vec![A::INF; self.graph.node_count()];
+        for (item, t) in self.engine.items.iter().zip(items) {
             let shard = self
                 .engine
                 .sharded
                 .shard(hb_sta::ClusterId::from_raw(item.cluster));
-            // Node slacks: `required − ready` exactly as in
-            // `slack_table`, minimised over passes.
             for (l, &net) in shard.nets().iter().enumerate() {
-                let s = scalar_slack(t.required[l].zip_with(t.ready[l], Time::saturating_sub));
-                let slot = &mut view.net_slack[net.as_raw() as usize];
-                if s < *slot {
-                    *slot = s;
-                }
-            }
-            // Terminal slacks, gated exactly as in the reference
-            // engine: the seed lists were built from the same gates.
-            for s in &item.close_replica_seeds {
-                let k = s.k as usize;
-                let close = s.base + replicas[k].input_close_offset();
-                let arrive = t.ready[s.local as usize].worst();
-                view.replica_in[k] = view.replica_in[k].min(close.saturating_sub(arrive));
-            }
-            for s in &item.ready_replica_seeds {
-                let k = s.k as usize;
-                let l = s.local as usize;
-                let sl = scalar_slack(t.required[l].zip_with(t.ready[l], Time::saturating_sub));
-                view.replica_out[k] = view.replica_out[k].min(sl);
-            }
-            for s in &item.ready_pi_seeds {
-                let k = s.k as usize;
-                let l = s.local as usize;
-                let sl = scalar_slack(t.required[l].zip_with(t.ready[l], Time::saturating_sub));
-                view.pi_slack[k] = view.pi_slack[k].min(sl);
-            }
-            for s in &item.close_po_seeds {
-                let k = s.k as usize;
-                let arrive = t.ready[s.local as usize].worst();
-                view.po_slack[k] = view.po_slack[k].min(s.at.saturating_sub(arrive));
+                let s = alg.slack(t.required[l], t.ready[l]);
+                let slot = &mut out[net.as_raw() as usize];
+                *slot = alg.min(*slot, s);
             }
         }
-        view
+        out
     }
 
     /// The reference evaluation: dense whole-graph sweeps per pass,
@@ -710,12 +740,13 @@ impl Prepared<'_> {
         let pass_count = self.passes.len();
         let mut ready_tables: Vec<TimeTable> = Vec::with_capacity(pass_count);
         let mut required_tables: Vec<TimeTable> = Vec::with_capacity(pass_count);
+        let mut net_slack = vec![Time::INF; self.graph.node_count()];
         let mut view = SlackView {
             storage: SlackStorage::Dense {
                 ready: Vec::new(),
                 required: Vec::new(),
+                net_slack: Vec::new(),
             },
-            net_slack: vec![Time::INF; self.graph.node_count()],
             replica_in: vec![Time::INF; replicas.len()],
             replica_out: vec![Time::INF; replicas.len()],
             pi_slack: vec![Time::INF; self.pis.len()],
@@ -726,7 +757,8 @@ impl Prepared<'_> {
             for r in replicas {
                 for out in [r.output_net, r.output_bar_net].into_iter().flatten() {
                     if self.in_pass(out, p) {
-                        let at = self.pos_assert(start, r.assert_edge) + r.output_assert_offset();
+                        let at = pos_assert(&self.timeline, start, r.assert_edge)
+                            + r.output_assert_offset();
                         let slot = &mut ready[out.as_raw() as usize];
                         *slot = (*slot).max(RiseFall::splat(at));
                     }
@@ -734,7 +766,7 @@ impl Prepared<'_> {
             }
             for pi in &self.pis {
                 if self.in_pass(pi.net, p) {
-                    let at = self.pos_assert(start, pi.edge) + pi.offset;
+                    let at = pos_assert(&self.timeline, start, pi.edge) + pi.offset;
                     let slot = &mut ready[pi.net.as_raw() as usize];
                     *slot = (*slot).max(RiseFall::splat(at));
                 }
@@ -744,14 +776,15 @@ impl Prepared<'_> {
             let mut required = table(&self.graph, Time::INF);
             for (k, r) in replicas.iter().enumerate() {
                 if self.replica_pass[k] == p {
-                    let at = self.pos_close(start, r.close_edge) + r.input_close_offset();
+                    let at =
+                        pos_close(&self.timeline, start, r.close_edge) + r.input_close_offset();
                     let slot = &mut required[r.data_net.as_raw() as usize];
                     *slot = (*slot).min(RiseFall::splat(at));
                 }
             }
             for (k, po) in self.pos.iter().enumerate() {
                 if self.po_pass[k] == p {
-                    let at = self.pos_close(start, po.edge) + po.offset;
+                    let at = pos_close(&self.timeline, start, po.edge) + po.offset;
                     let slot = &mut required[po.net.as_raw() as usize];
                     *slot = (*slot).min(RiseFall::splat(at));
                 }
@@ -761,8 +794,8 @@ impl Prepared<'_> {
             let slacks = slack_table(&ready, &required);
             for (i, s) in slacks.iter().enumerate() {
                 let sc = scalar_slack(*s);
-                if sc < view.net_slack[i] {
-                    view.net_slack[i] = sc;
+                if sc < net_slack[i] {
+                    net_slack[i] = sc;
                 }
             }
             // Terminal slacks: sinks use their own closure seed against
@@ -770,7 +803,8 @@ impl Prepared<'_> {
             // output in participating passes.
             for (k, r) in replicas.iter().enumerate() {
                 if self.replica_pass[k] == p {
-                    let close = self.pos_close(start, r.close_edge) + r.input_close_offset();
+                    let close =
+                        pos_close(&self.timeline, start, r.close_edge) + r.input_close_offset();
                     let arrive = ready[r.data_net.as_raw() as usize].worst();
                     let s = close.saturating_sub(arrive);
                     view.replica_in[k] = view.replica_in[k].min(s);
@@ -790,7 +824,7 @@ impl Prepared<'_> {
             }
             for (k, po) in self.pos.iter().enumerate() {
                 if self.po_pass[k] == p {
-                    let close = self.pos_close(start, po.edge) + po.offset;
+                    let close = pos_close(&self.timeline, start, po.edge) + po.offset;
                     let arrive = ready[po.net.as_raw() as usize].worst();
                     view.po_slack[k] = view.po_slack[k].min(close.saturating_sub(arrive));
                 }
@@ -802,6 +836,7 @@ impl Prepared<'_> {
         view.storage = SlackStorage::Dense {
             ready: ready_tables,
             required: required_tables,
+            net_slack,
         };
         view
     }

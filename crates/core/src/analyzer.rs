@@ -7,6 +7,7 @@ use hb_cells::Library;
 use hb_clock::ClockSet;
 use hb_netlist::{Design, ModuleId};
 use hb_sta::paths::critical_path;
+use hb_sta::Numeric;
 use hb_units::{Time, Transition};
 
 use crate::algorithms::{algorithm1, algorithm2, Algorithm1Stats, Algorithm2Stats};
@@ -14,9 +15,7 @@ use crate::analysis::{prepare, PrepStats, Prepared, SlackView};
 use crate::engine::SlackCache;
 use crate::error::AnalyzeError;
 use crate::mindelay::check_min_delays;
-use crate::report::{
-    SlowPath, SlowStep, TerminalKind, TerminalSlack, TimingConstraints, TimingReport,
-};
+use crate::report::{SlowPath, SlowStep, TerminalSlack, TimingConstraints, TimingReport};
 use crate::spec::{AnalysisOptions, Spec};
 use crate::sync::Replica;
 
@@ -167,7 +166,9 @@ impl<'a> Analyzer<'a> {
         let start = Instant::now();
         let before = cache.stats();
         let mut replicas = self.prep.replicas.clone();
-        let (view, alg1) = algorithm1(&self.prep, &mut replicas, cache);
+        let Ok((view, alg1)) = algorithm1(&self.prep, &mut Numeric, &mut replicas, |_, r| {
+            self.prep.compute_slacks(r, cache)
+        });
         let min_delay = if self.prep.options.check_min_delays {
             check_min_delays(&self.prep, &replicas)
         } else {
@@ -212,7 +213,9 @@ impl<'a> Analyzer<'a> {
         let start = Instant::now();
         let before = cache.stats();
         let mut replicas = self.prep.replicas.clone();
-        let (view, alg1) = algorithm1(&self.prep, &mut replicas, cache);
+        let Ok((view, alg1)) = algorithm1(&self.prep, &mut Numeric, &mut replicas, |_, r| {
+            self.prep.compute_slacks(r, cache)
+        });
         let min_delay = if self.prep.options.check_min_delays {
             check_min_delays(&self.prep, &replicas)
         } else {
@@ -239,39 +242,17 @@ impl<'a> Analyzer<'a> {
         let prep = &self.prep;
         let module = prep.design.module(prep.module);
 
-        let mut terminal_slacks = Vec::new();
-        for (k, r) in replicas.iter().enumerate() {
-            terminal_slacks.push(TerminalSlack {
-                kind: TerminalKind::SyncInput,
-                name: module.instance(r.inst).name().to_owned(),
-                pulse: r.pulse_index,
-                slack: view.replica_in[k],
-            });
-            if r.output_net.is_some() {
-                terminal_slacks.push(TerminalSlack {
-                    kind: TerminalKind::SyncOutput,
-                    name: module.instance(r.inst).name().to_owned(),
-                    pulse: r.pulse_index,
-                    slack: view.replica_out[k],
-                });
-            }
-        }
-        for (k, pi) in prep.pis.iter().enumerate() {
-            terminal_slacks.push(TerminalSlack {
-                kind: TerminalKind::PrimaryInput,
-                name: pi.port.clone(),
-                pulse: 0,
-                slack: view.pi_slack[k],
-            });
-        }
-        for (k, po) in prep.pos.iter().enumerate() {
-            terminal_slacks.push(TerminalSlack {
-                kind: TerminalKind::PrimaryOutput,
-                name: po.port.clone(),
-                pulse: 0,
-                slack: view.po_slack[k],
-            });
-        }
+        let slacks: Vec<Time> = view.terminals().copied().collect();
+        let terminal_slacks = prep
+            .terminals()
+            .into_iter()
+            .map(|(kind, name, pulse, i)| TerminalSlack {
+                kind,
+                name,
+                pulse,
+                slack: slacks[i],
+            })
+            .collect();
 
         // Slow endpoints, worst first.
         let mut endpoints: Vec<(Time, usize, bool)> = Vec::new(); // (slack, index, is_replica)
@@ -329,10 +310,11 @@ impl<'a> Analyzer<'a> {
             }
         }
 
+        let net_slacks = view.net_slacks(prep);
         let slow_nets = module
             .nets()
             .filter(|(id, _)| {
-                let s = view.net_slack[id.as_raw() as usize];
+                let s = net_slacks[id.as_raw() as usize];
                 s <= Time::ZERO && s.is_finite()
             })
             .map(|(id, _)| id)
@@ -340,13 +322,13 @@ impl<'a> Analyzer<'a> {
 
         TimingReport {
             module: prep.module,
-            ok: view.all_positive(),
+            ok: view.all_positive(&mut Numeric),
             worst_slack: view.worst(),
             overall_period: prep.timeline.overall_period(),
             terminal_slacks,
             slow_paths,
             slow_nets,
-            net_slacks: view.net_slack.clone(),
+            net_slacks,
             prep_stats: prep.stats,
             alg1: Default::default(),
             alg2: None,

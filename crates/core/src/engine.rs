@@ -22,6 +22,12 @@
 //!   last evaluation — the incremental layer exploited heavily by
 //!   Algorithms 1 and 2, which move only a few replica offsets per
 //!   cycle.
+//!
+//! Seeding, sweeping and the cache are written once over the value
+//! [`Algebra`]: [`Engine::evaluate_with`] serves both the numeric
+//! driver [`Engine::evaluate`] (metrics, fault hook, worker pool) and
+//! the symbolic parametric analysis, which sweeps its misses one at a
+//! time, in item order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,7 +36,7 @@ use std::sync::{Arc, OnceLock};
 use hb_clock::{EdgeId, Timeline};
 use hb_netlist::NetId;
 use hb_obs::{Counter, Histogram};
-use hb_sta::{ShardedGraph, TimingGraph};
+use hb_sta::{Algebra, Numeric, ShardedGraph, TimingGraph};
 use hb_units::{RiseFall, Time};
 
 use crate::analysis::Boundary;
@@ -48,6 +54,13 @@ pub(crate) struct ReplicaSeed {
     pub base: Time,
 }
 
+impl ReplicaSeed {
+    /// The seed value at the replica's current offset.
+    pub fn at<A: Algebra>(&self, alg: &A, offset: A::Val) -> A::Val {
+        alg.add(alg.lift(self.base), offset)
+    }
+}
+
 /// A fully static boundary seed (primary input or output).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BoundarySeed {
@@ -55,8 +68,17 @@ pub(crate) struct BoundarySeed {
     pub k: u32,
     /// Local node index within the item's shard.
     pub local: u32,
-    /// The seed value (fully resolved at build time).
-    pub at: Time,
+    /// The pass-window position of the reference edge.
+    pub base: Time,
+    /// The boundary's constant offset from that edge.
+    pub offset: Time,
+}
+
+impl BoundarySeed {
+    /// The seed value.
+    pub fn at<A: Algebra>(&self, alg: &A) -> A::Val {
+        alg.add_c(alg.lift(self.base), self.offset)
+    }
 }
 
 /// One `(cluster, pass)` unit of sweep work.
@@ -68,7 +90,7 @@ pub(crate) struct WorkItem {
     pub pass: usize,
     /// Hash of everything static that the sweep result depends on:
     /// the shard's timing content plus every resolved seed position.
-    /// Combined with the dynamic [`Engine::signature`], it makes cached
+    /// Combined with the dynamic seed signature, it makes cached
     /// tables reusable across design edits, not just across cycles of
     /// one analysis.
     pub fingerprint: u64,
@@ -85,12 +107,16 @@ pub(crate) struct WorkItem {
 
 /// The swept local tables of one work item.
 #[derive(Clone, Debug)]
-pub(crate) struct ItemTables {
+pub(crate) struct ItemTables<V = Time> {
     /// Local forward ready times.
-    pub ready: Vec<RiseFall<Time>>,
+    pub ready: Vec<RiseFall<V>>,
     /// Local backward required times.
-    pub required: Vec<RiseFall<Time>>,
+    pub required: Vec<RiseFall<V>>,
 }
+
+/// Sweeps a batch of missed items (indices, in item order), returning
+/// their tables in the same order.
+pub(crate) type BatchSweep<'f, V> = &'f dyn Fn(&[usize]) -> Vec<ItemTables<V>>;
 
 /// The static schedule: shards plus one work item per participating
 /// `(cluster, pass)` pair, largest shards first.
@@ -130,11 +156,14 @@ fn engine_obs() -> &'static EngineObs {
     })
 }
 
-fn pos_assert(timeline: &Timeline, start: Time, edge: EdgeId) -> Time {
+/// The window position of an assertion at `edge` in the pass with
+/// window start `start`.
+pub(crate) fn pos_assert(timeline: &Timeline, start: Time, edge: EdgeId) -> Time {
     (timeline.edge_time(edge) - start).rem_euclid(timeline.overall_period())
 }
 
-fn pos_close(timeline: &Timeline, start: Time, edge: EdgeId) -> Time {
+/// The window position of a closure at `edge` (end-biased).
+pub(crate) fn pos_close(timeline: &Timeline, start: Time, edge: EdgeId) -> Time {
     (timeline.edge_time(edge) - start).rem_euclid_end(timeline.overall_period())
 }
 
@@ -199,7 +228,8 @@ impl Engine {
                 item.ready_pi_seeds.push(BoundarySeed {
                     k: k as u32,
                     local: sharded.local_of(pi.net),
-                    at: pos_assert(timeline, passes[p], pi.edge) + pi.offset,
+                    base: pos_assert(timeline, passes[p], pi.edge),
+                    offset: pi.offset,
                 });
             }
         }
@@ -210,7 +240,8 @@ impl Engine {
             item.close_po_seeds.push(BoundarySeed {
                 k: k as u32,
                 local: sharded.local_of(po.net),
-                at: pos_close(timeline, passes[p], po.edge) + po.offset,
+                base: pos_close(timeline, passes[p], po.edge),
+                offset: po.offset,
             });
         }
         // Resolve each item's static fingerprint: shard content plus
@@ -228,7 +259,7 @@ impl Engine {
             for s in &item.ready_pi_seeds {
                 h = hb_rng::mix64(h, 2);
                 h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
-                h = hb_rng::mix64(h, s.at.as_ps() as u64);
+                h = hb_rng::mix64(h, s.at(&Numeric).as_ps() as u64);
             }
             for s in &item.close_replica_seeds {
                 h = hb_rng::mix64(h, 3);
@@ -238,7 +269,7 @@ impl Engine {
             for s in &item.close_po_seeds {
                 h = hb_rng::mix64(h, 4);
                 h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
-                h = hb_rng::mix64(h, s.at.as_ps() as u64);
+                h = hb_rng::mix64(h, s.at(&Numeric).as_ps() as u64);
             }
             item.fingerprint = h;
         }
@@ -253,75 +284,116 @@ impl Engine {
         Engine { sharded, items }
     }
 
-    fn shard_of(&self, item: &WorkItem) -> &hb_sta::ClusterShard {
-        self.sharded
-            .shard(hb_sta::ClusterId::from_raw(item.cluster))
-    }
-
-    /// The dynamic seed values of an item — the cache key. Two calls
-    /// with equal signatures are guaranteed to sweep to equal tables.
-    pub fn signature(&self, item: &WorkItem, replicas: &[Replica]) -> Vec<Time> {
-        let mut sig =
-            Vec::with_capacity(item.ready_replica_seeds.len() + item.close_replica_seeds.len());
-        for s in &item.ready_replica_seeds {
-            sig.push(s.base + replicas[s.k as usize].output_assert_offset());
-        }
-        for s in &item.close_replica_seeds {
-            sig.push(s.base + replicas[s.k as usize].input_close_offset());
-        }
-        sig
-    }
-
-    /// [`Engine::compute_item`] under an optional per-pass span timer.
-    /// Timing is observational only — the sweep result is untouched.
-    fn timed_item(
+    /// Seeds and sweeps one item at the replica offsets `offs`. In the
+    /// numeric instance this is the reference engine's per-pass seeding
+    /// and the dense sweeps, operation for operation.
+    pub fn compute_item<A: Algebra>(
         &self,
+        alg: &mut A,
         item: &WorkItem,
-        replicas: &[Replica],
-        hists: Option<&HashMap<usize, Histogram>>,
-    ) -> ItemTables {
-        let _span = hists.map(|h| h[&item.pass].span());
-        self.compute_item(item, replicas)
-    }
-
-    /// Seeds and sweeps one item. Mirrors the reference engine's
-    /// per-pass seeding and the dense sweeps operation for operation.
-    pub fn compute_item(&self, item: &WorkItem, replicas: &[Replica]) -> ItemTables {
-        let shard = self.shard_of(item);
-        let mut ready = shard.table(Time::NEG_INF);
+        offs: &[(A::Val, A::Val)],
+    ) -> ItemTables<A::Val> {
+        let shard = self
+            .sharded
+            .shard(hb_sta::ClusterId::from_raw(item.cluster));
+        let mut ready = shard.table(A::NEG_INF);
         for s in &item.ready_replica_seeds {
-            let at = s.base + replicas[s.k as usize].output_assert_offset();
+            let at = RiseFall::splat(s.at(alg, offs[s.k as usize].0));
             let slot = &mut ready[s.local as usize];
-            *slot = (*slot).max(RiseFall::splat(at));
+            *slot = alg.max_rf(*slot, at);
         }
         for s in &item.ready_pi_seeds {
+            let at = RiseFall::splat(s.at(alg));
             let slot = &mut ready[s.local as usize];
-            *slot = (*slot).max(RiseFall::splat(s.at));
+            *slot = alg.max_rf(*slot, at);
         }
-        shard.sweep_ready_max(&mut ready);
+        shard.sweep_ready_max(alg, &mut ready);
 
-        let mut required = shard.table(Time::INF);
+        let mut required = shard.table(A::INF);
         for s in &item.close_replica_seeds {
-            let at = s.base + replicas[s.k as usize].input_close_offset();
+            let at = RiseFall::splat(s.at(alg, offs[s.k as usize].1));
             let slot = &mut required[s.local as usize];
-            *slot = (*slot).min(RiseFall::splat(at));
+            *slot = alg.min_rf(*slot, at);
         }
         for s in &item.close_po_seeds {
+            let at = RiseFall::splat(s.at(alg));
             let slot = &mut required[s.local as usize];
-            *slot = (*slot).min(RiseFall::splat(s.at));
+            *slot = alg.min_rf(*slot, at);
         }
-        shard.sweep_required(&mut required);
+        shard.sweep_required(alg, &mut required);
 
         ItemTables { ready, required }
     }
 
-    /// Evaluates every item, reusing cached tables for items whose seed
-    /// signature did not change, and computing the rest on `threads`
-    /// workers. Results are positionally indexed by item, so the merge
-    /// is deterministic regardless of which worker computed what.
+    /// Evaluates every item at the replica offsets `offs`, reusing
+    /// cached tables for items whose seed signature did not change.
+    /// Misses are swept in item order as they are met; with `batch`,
+    /// they are collected and handed over at once instead (`batch`
+    /// returns their tables in the order given). Results are positionally
+    /// indexed by item.
+    pub fn evaluate_with<A: Algebra>(
+        &self,
+        alg: &mut A,
+        offs: &[(A::Val, A::Val)],
+        cache: &mut SlackCache<A::Val>,
+        batch: Option<BatchSweep<'_, A::Val>>,
+    ) -> Vec<Arc<ItemTables<A::Val>>> {
+        let n = self.items.len();
+        let mut tables: Vec<Option<Arc<ItemTables<A::Val>>>> = Vec::with_capacity(n);
+        let mut todo: Vec<(usize, Vec<A::Val>)> = Vec::new();
+        let mut swept = 0;
+        for (i, item) in self.items.iter().enumerate() {
+            // The dynamic seed values — the cache key: two items with
+            // equal signatures are guaranteed to sweep to equal tables.
+            let assert = item
+                .ready_replica_seeds
+                .iter()
+                .map(|s| s.at(alg, offs[s.k as usize].0));
+            let close = item
+                .close_replica_seeds
+                .iter()
+                .map(|s| s.at(alg, offs[s.k as usize].1));
+            let sig: Vec<A::Val> = assert.chain(close).collect();
+            match cache.entries.get(&(item.cluster, item.pass as u32)) {
+                Some(e) if e.fingerprint == item.fingerprint && e.sig == sig => {
+                    tables.push(Some(e.tables.clone()));
+                }
+                _ if batch.is_some() => {
+                    tables.push(None);
+                    todo.push((i, sig));
+                }
+                _ => {
+                    let t = Arc::new(self.compute_item(alg, item, offs));
+                    cache.insert(item, sig, t.clone());
+                    tables.push(Some(t));
+                    swept += 1;
+                }
+            }
+        }
+        if let Some(batch) = batch {
+            let misses: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
+            for ((i, sig), t) in todo.into_iter().zip(batch(&misses)) {
+                let t = Arc::new(t);
+                cache.insert(&self.items[i], sig, t.clone());
+                tables[i] = Some(t);
+                swept += 1;
+            }
+        }
+        cache.scheduled += n as u64;
+        cache.reused += (n - swept) as u64;
+        tables
+            .into_iter()
+            .map(|t| t.expect("every item evaluated"))
+            .collect()
+    }
+
+    /// The numeric evaluation: [`Engine::evaluate_with`] in the
+    /// [`Numeric`] instance, with the misses swept on `threads`
+    /// work-stealing workers. The merge is positional, so the outcome
+    /// is bit-identical at any thread count.
     pub fn evaluate(
         &self,
-        replicas: &[Replica],
+        offs: &[(Time, Time)],
         cache: &mut SlackCache,
         threads: usize,
     ) -> Vec<Arc<ItemTables>> {
@@ -333,33 +405,31 @@ impl Engine {
         }
         let obs = engine_obs();
         let _eval_span = obs.evaluate.span();
-        let n = self.items.len();
-        let mut sigs: Vec<Vec<Time>> = Vec::with_capacity(n);
-        let mut tables: Vec<Option<Arc<ItemTables>>> = vec![None; n];
-        let mut todo: Vec<usize> = Vec::new();
-        for (i, item) in self.items.iter().enumerate() {
-            let sig = self.signature(item, replicas);
-            if let Some(entry) = cache.entries.get(&(item.cluster, item.pass as u32)) {
-                if entry.fingerprint == item.fingerprint && entry.sig == sig {
-                    tables[i] = Some(entry.tables.clone());
-                }
-            }
-            sigs.push(sig);
-            if tables[i].is_none() {
-                todo.push(i);
-            }
-        }
-        cache.scheduled += n as u64;
-        cache.reused += (n - todo.len()) as u64;
-        obs.scheduled.add(n as u64);
-        obs.reused.add((n - todo.len()) as u64);
+        let before = cache.stats();
+        let sweep = |todo: &[usize]| self.sweep_numeric(offs, todo, threads);
+        let tables = self.evaluate_with(&mut Numeric, offs, cache, Some(&sweep));
+        let delta = cache.stats().since(before);
+        obs.scheduled.add(delta.items_scheduled);
+        obs.reused.add(delta.items_reused);
+        tables
+    }
 
+    /// Sweeps the numeric misses `todo`, on up to `threads` workers
+    /// claiming items off a shared counter, each sweep under its
+    /// per-pass span timer when the process is armed. Tables come back
+    /// in `todo` order.
+    fn sweep_numeric(
+        &self,
+        offs: &[(Time, Time)],
+        todo: &[usize],
+        threads: usize,
+    ) -> Vec<ItemTables> {
         // Per-pass sweep histograms, resolved outside the hot loops and
         // only when the process is armed: the disarmed path never
         // touches the registry or the clock per item.
         let pass_hists: Option<HashMap<usize, Histogram>> = hb_obs::armed().then(|| {
             let mut hists: HashMap<usize, Histogram> = HashMap::new();
-            for &i in &todo {
+            for &i in todo {
                 let p = self.items[i].pass;
                 hists.entry(p).or_insert_with(|| {
                     hb_obs::global().histogram_with(
@@ -371,79 +441,53 @@ impl Engine {
             }
             hists
         });
-        let pass_hists = pass_hists.as_ref();
+        let timed = |i: usize| {
+            let item = &self.items[i];
+            let _span = pass_hists.as_ref().map(|h| h[&item.pass].span());
+            self.compute_item(&mut Numeric, item, offs)
+        };
 
         let threads = threads.min(todo.len()).max(1);
         if threads <= 1 {
-            for &i in &todo {
-                tables[i] = Some(Arc::new(self.timed_item(
-                    &self.items[i],
-                    replicas,
-                    pass_hists,
-                )));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let computed: Vec<Vec<(usize, ItemTables)>> = std::thread::scope(|scope| {
-                let next = &next;
-                let todo = &todo;
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let t = next.fetch_add(1, Ordering::Relaxed);
-                                if t >= todo.len() {
-                                    break;
-                                }
-                                let i = todo[t];
-                                out.push((
-                                    i,
-                                    self.timed_item(&self.items[i], replicas, pass_hists),
-                                ));
+            return todo.iter().map(|&i| timed(i)).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let mut swept: Vec<(usize, ItemTables)> = std::thread::scope(|scope| {
+            let next = &next;
+            let timed = &timed;
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        loop {
+                            let t = next.fetch_add(1, Ordering::Relaxed);
+                            if t >= todo.len() {
+                                break;
                             }
-                            out
-                        })
+                            out.push((t, timed(todo[t])));
+                        }
+                        out
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-            for worker in computed {
-                for (i, t) in worker {
-                    tables[i] = Some(Arc::new(t));
-                }
-            }
-        }
-
-        for &i in &todo {
-            let item = &self.items[i];
-            cache.entries.insert(
-                (item.cluster, item.pass as u32),
-                CacheEntry {
-                    fingerprint: item.fingerprint,
-                    sig: std::mem::take(&mut sigs[i]),
-                    tables: tables[i].as_ref().expect("computed above").clone(),
-                },
-            );
-        }
-        tables
-            .into_iter()
-            .map(|t| t.expect("every item evaluated"))
-            .collect()
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
+        });
+        swept.sort_unstable_by_key(|&(t, _)| t);
+        swept.into_iter().map(|(_, tables)| tables).collect()
     }
 }
 
 /// One memoised `(cluster, pass)` sweep result.
-struct CacheEntry {
+struct CacheEntry<V> {
     /// Static fingerprint of the shard and seed positions that
     /// produced the tables.
     fingerprint: u64,
     /// Dynamic seed signature that produced the tables.
-    sig: Vec<Time>,
-    tables: Arc<ItemTables>,
+    sig: Vec<V>,
+    tables: Arc<ItemTables<V>>,
 }
 
 /// Memo of the last swept tables per `(cluster, pass)` pair, keyed by
@@ -458,13 +502,28 @@ struct CacheEntry {
 /// session can re-prepare an edited design and hand the same cache to
 /// [`Analyzer::analyze_with_cache`](crate::Analyzer::analyze_with_cache),
 /// paying sweeps only for the clusters the edit actually touched.
-#[derive(Default)]
-pub struct SlackCache {
-    entries: HashMap<(u32, u32), CacheEntry>,
+///
+/// The cache is generic over the value type it memoises; the public
+/// instantiation is the numeric one (`V = Time`). The parametric
+/// analysis keeps a symbolic one per parameter region: an affine
+/// identity on a region restricts to any subregion, so its entries stay
+/// valid as the region shrinks.
+pub struct SlackCache<V = Time> {
+    entries: HashMap<(u32, u32), CacheEntry<V>>,
     /// Item evaluations requested over the cache's lifetime.
     pub(crate) scheduled: u64,
     /// Evaluations answered from cache (clean clusters).
     pub(crate) reused: u64,
+}
+
+impl<V> Default for SlackCache<V> {
+    fn default() -> Self {
+        SlackCache {
+            entries: HashMap::new(),
+            scheduled: 0,
+            reused: 0,
+        }
+    }
 }
 
 impl SlackCache {
@@ -474,7 +533,9 @@ impl SlackCache {
     pub fn new() -> SlackCache {
         SlackCache::default()
     }
+}
 
+impl<V> SlackCache<V> {
     /// The number of memoised `(cluster, pass)` sweep results.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -483,6 +544,15 @@ impl SlackCache {
     /// Whether the cache holds no memoised sweeps.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    fn insert(&mut self, item: &WorkItem, sig: Vec<V>, tables: Arc<ItemTables<V>>) {
+        let entry = CacheEntry {
+            fingerprint: item.fingerprint,
+            sig,
+            tables,
+        };
+        self.entries.insert((item.cluster, item.pass as u32), entry);
     }
 
     /// Drops every memoised sweep but keeps the lifetime counters.

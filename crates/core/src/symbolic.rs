@@ -1,69 +1,55 @@
 //! Parametric (what-if) slack analysis: slack as a piecewise-linear
 //! function of the base clock period.
 //!
-//! Every quantity the numeric engine manipulates is either a *cell
-//! constant* (arc delays, setup/hold, control-path delays, boundary
-//! offsets) or a *clock-derived time* (edge positions, pulse widths,
-//! pass-window positions) — and every clock-derived time scales
-//! *linearly* when the whole waveform set is stretched. So instead of
-//! re-running the sweeps per candidate period, this module runs the
-//! multi-pass analysis **once** with arrival/required times represented
-//! as affine expressions `a + b·t` in a grid parameter `t`, mirroring
-//! the numeric engine operation for operation:
+//! Every quantity the analysis manipulates is either a *cell constant*
+//! (arc delays, setup/hold, control-path delays, boundary offsets) or a
+//! *clock-derived time* (edge positions, pulse widths, pass-window
+//! positions), and every clock-derived time scales *linearly* when the
+//! whole waveform set is stretched. So this module does not re-run the
+//! analysis per candidate period: it runs the one analysis — the shard
+//! sweeps, the item cache, the replica offset model and Algorithm 1,
+//! all written once over [`Algebra`] — in a second, symbolic instance
+//! whose values are affine expressions `a + b·t` in a grid parameter:
 //!
 //! * the scaling lattice: with `g = gcd(overall period, edge times)`,
 //!   any uniform scale that keeps the waveforms integral maps the
 //!   overall period `T₀` to `stride·k` where `stride = T₀/g` and
 //!   `k ∈ [1, k_max]` (nominal at `k = g`). Pass planning is scale
-//!   invariant (every planning decision is an order comparison of
-//!   quantities that scale together), so the nominal `(cluster, pass)`
-//!   schedule is reused verbatim;
-//! * affine closure: max/min of two affine functions is affine on each
-//!   side of their crossing. Each comparison is *decided* on the
-//!   current parameter region; when the outcome is not uniform the
-//!   region is split at the switch point and the remainder re-queued.
-//!   Integer division (Algorithm 1's partial transfers) splits the
-//!   region into residue classes so that the floored quotient is again
-//!   affine;
+//!   invariant, so the nominal `(cluster, pass)` schedule is reused;
+//! * the decision context [`Ctx`] is the algebra instance: each
+//!   comparison is decided on the current span of grid points, and when
+//!   the outcome is not uniform the span is split at the switch point
+//!   and the far side deferred. A partial division splits the span into
+//!   residue classes (on each of which the floored quotient is affine)
+//!   and restarts the region. Decisions shrink one shared span, so items
+//!   are swept sequentially, in item order;
 //! * the result is a [`ParametricSlack`]: a partition of a served
-//!   period window `[stride·k_lo, stride·k_max]` into regions, each
-//!   carrying exact affine slack expressions for every terminal and
-//!   net. Evaluating them at a concrete grid period is
-//!   **bit-identical** to a cold numeric analysis at that period, and
-//!   the minimum feasible period drops out of the breakpoint structure
-//!   with no further sweeps.
+//!   period window into regions, each carrying exact affine slack
+//!   expressions for every terminal and net. Evaluating them at a grid
+//!   period is **bit-identical** to a cold numeric analysis there, and
+//!   the minimum feasible period drops out of the breakpoints.
 //!
-//! Carving is *budgeted and nominal-anchored*. Feasible stretches of
-//! the grid settle in a handful of wide regions, while infeasible
-//! stretches force the full transfer schedule and fragment into
-//! residue classes — so carving cost tracks how much infeasible ground
-//! must be covered, and the served domain is whatever contiguous run
-//! of grid points around the nominal period fits the integer work
-//! budgets: a cheap top-feasibility probe decides between a full
-//! top-down carve (max-heap on the span's largest multiplier, stopping
-//! once the nominal period and the sharp feasibility boundary are
-//! interior to the covered suffix) and a narrow anchor window, after
-//! which the domain floor is pushed down in widening chunks until the
-//! point just below the minimum feasible period is served. Queries
-//! outside the served domain are refused rather than answered
-//! approximately, and expensive designs shrink their domain rather
-//! than failing the build or going quadratic.
+//! Carving is *budgeted and nominal-anchored*: feasible stretches of the
+//! grid settle in a few wide regions, infeasible ones fragment, so the
+//! served domain is whatever contiguous run of grid points around the
+//! nominal period fits the work budgets (a top probe, a top-down carve
+//! or a narrow anchor window, then the floor pushed down until the
+//! feasibility boundary is sharp). Queries outside it are refused.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::OnceLock;
 
 use hb_netlist::NetId;
 use hb_obs::{Counter, Histogram};
-use hb_sta::ClusterId;
-use hb_units::{RiseFall, Sense, Time};
+use hb_sta::Algebra;
+use hb_units::Time;
 
-use crate::analysis::Prepared;
-use crate::engine::WorkItem;
+use crate::algorithms::algorithm1;
+use crate::analysis::{Prepared, SlackStorage};
+use crate::engine::SlackCache;
 use crate::report::TerminalKind;
-use crate::sync::Replica;
+use crate::sync::{offsets, Replica};
 
 /// Work budget for the main top-down carve, in item-evaluations (one
 /// unit = one `(cluster, pass)` item visited by one symbolic slack
@@ -143,8 +129,6 @@ struct Aff {
 }
 
 impl Aff {
-    const ZERO: Aff = Aff { a: 0, b: 0 };
-
     /// A constant expression.
     fn cst(ps: i64) -> Aff {
         Aff { a: ps, b: 0 }
@@ -185,46 +169,6 @@ enum Sym {
     Inf,
 }
 
-/// Mirror of [`Time::saturating_add`] with a constant right-hand side.
-fn sadd(x: Sym, c: Time) -> Sym {
-    if matches!(x, Sym::NegInf) || c <= Time::NEG_INF {
-        return Sym::NegInf;
-    }
-    if matches!(x, Sym::Inf) || c >= Time::INF {
-        return Sym::Inf;
-    }
-    let Sym::Fin(f) = x else { unreachable!() };
-    Sym::Fin(f + Aff::cst(c.as_ps()))
-}
-
-/// Mirror of [`Time::saturating_sub`] with a constant right-hand side.
-fn ssub_const(x: Sym, c: Time) -> Sym {
-    if c >= Time::INF {
-        return Sym::NegInf;
-    }
-    if c <= Time::NEG_INF {
-        return Sym::Inf;
-    }
-    match x {
-        Sym::Inf => Sym::Inf,
-        Sym::NegInf => Sym::NegInf,
-        Sym::Fin(f) => Sym::Fin(f - Aff::cst(c.as_ps())),
-    }
-}
-
-/// Mirror of [`Time::saturating_sub`] between two symbolic times.
-fn ssub(x: Sym, y: Sym) -> Sym {
-    match y {
-        Sym::Inf => Sym::NegInf,
-        Sym::NegInf => Sym::Inf,
-        Sym::Fin(g) => match x {
-            Sym::Inf => Sym::Inf,
-            Sym::NegInf => Sym::NegInf,
-            Sym::Fin(f) => Sym::Fin(f - g),
-        },
-    }
-}
-
 /// The concrete time of a symbolic time at parameter `t`.
 fn eval_sym(s: Sym, t: i64) -> Time {
     match s {
@@ -240,7 +184,7 @@ fn eval_sym(s: Sym, t: i64) -> Time {
 
 /// A contiguous arithmetic progression of grid points: the multipliers
 /// `k = r + m·t` for `t ∈ [t_lo, t_hi]` (period `= stride·k`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Span {
     r: i64,
     m: i64,
@@ -253,8 +197,9 @@ struct Span {
 /// of this region must be abandoned.
 struct Restart;
 
-/// The decision context of one region run: the (shrinking) parameter
-/// span plus the queue that receives split-off remainders.
+/// The decision context of one region run — the symbolic instance of
+/// [`Algebra`]: the (shrinking) parameter span plus the queue that
+/// receives split-off remainders.
 struct Ctx<'w> {
     /// Grid granularity: every clock-derived time is `u·g` ps nominal.
     g: i64,
@@ -301,50 +246,56 @@ impl Ctx<'_> {
         self.span.t_hi = good;
         first
     }
+}
 
-    fn ge_zero(&mut self, d: Aff) -> bool {
-        self.holds(d, |v| v >= 0)
+impl Algebra for Ctx<'_> {
+    type Val = Sym;
+    type Split = Restart;
+    const NEG_INF: Sym = Sym::NegInf;
+    const INF: Sym = Sym::Inf;
+
+    #[inline]
+    fn lift(&self, t: Time) -> Sym {
+        Sym::Fin(self.lin(t))
     }
 
-    fn gt_zero(&mut self, d: Aff) -> bool {
-        self.holds(d, |v| v > 0)
-    }
-
-    fn le_zero(&mut self, d: Aff) -> bool {
-        self.holds(d, |v| v <= 0)
-    }
-
-    /// Mirror of `Time::max` on finite values.
-    fn max_aff(&mut self, x: Aff, y: Aff) -> Aff {
-        if x == y {
-            return x;
-        }
-        if self.ge_zero(x - y) {
-            x
+    #[inline]
+    fn cst(&self, c: Time) -> Sym {
+        if c <= Time::NEG_INF {
+            Sym::NegInf
+        } else if c >= Time::INF {
+            Sym::Inf
         } else {
-            y
+            Sym::Fin(Aff::cst(c.as_ps()))
         }
     }
 
-    /// Mirror of `Time::min` on finite values.
-    fn min_aff(&mut self, x: Aff, y: Aff) -> Aff {
-        if x == y {
-            return x;
-        }
-        if self.le_zero(x - y) {
-            x
-        } else {
-            y
+    #[inline]
+    fn add(&self, x: Sym, y: Sym) -> Sym {
+        match (x, y) {
+            (Sym::NegInf, _) | (_, Sym::NegInf) => Sym::NegInf,
+            (Sym::Inf, _) | (_, Sym::Inf) => Sym::Inf,
+            (Sym::Fin(f), Sym::Fin(g)) => Sym::Fin(f + g),
         }
     }
 
-    /// Mirror of `Time::max` (value-wise) on symbolic times.
-    fn smax(&mut self, x: Sym, y: Sym) -> Sym {
+    #[inline]
+    fn sub(&self, x: Sym, y: Sym) -> Sym {
+        match (x, y) {
+            (_, Sym::Inf) => Sym::NegInf,
+            (_, Sym::NegInf) => Sym::Inf,
+            (Sym::Fin(f), Sym::Fin(g)) => Sym::Fin(f - g),
+            (sentinel, Sym::Fin(_)) => sentinel,
+        }
+    }
+
+    #[inline]
+    fn max(&mut self, x: Sym, y: Sym) -> Sym {
         match (x, y) {
             (Sym::Inf, _) | (_, Sym::Inf) => Sym::Inf,
             (Sym::NegInf, o) | (o, Sym::NegInf) => o,
             (Sym::Fin(a), Sym::Fin(b)) => {
-                if a == b || self.ge_zero(a - b) {
+                if a == b || self.holds(a - b, |v| v >= 0) {
                     x
                 } else {
                     y
@@ -353,13 +304,13 @@ impl Ctx<'_> {
         }
     }
 
-    /// Mirror of `Time::min` (value-wise) on symbolic times.
-    fn smin(&mut self, x: Sym, y: Sym) -> Sym {
+    #[inline]
+    fn min(&mut self, x: Sym, y: Sym) -> Sym {
         match (x, y) {
             (Sym::NegInf, _) | (_, Sym::NegInf) => Sym::NegInf,
             (Sym::Inf, o) | (o, Sym::Inf) => o,
             (Sym::Fin(a), Sym::Fin(b)) => {
-                if a == b || self.le_zero(a - b) {
+                if a == b || self.holds(a - b, |v| v <= 0) {
                     x
                 } else {
                     y
@@ -368,82 +319,39 @@ impl Ctx<'_> {
         }
     }
 
-    /// Mirror of [`Sense::propagate`].
-    fn propagate(
-        &mut self,
-        sense: Sense,
-        input: RiseFall<Sym>,
-        delay: RiseFall<Time>,
-    ) -> RiseFall<Sym> {
-        match sense {
-            Sense::Positive => {
-                RiseFall::new(sadd(input.rise, delay.rise), sadd(input.fall, delay.fall))
-            }
-            Sense::Negative => {
-                let sw = input.swapped();
-                RiseFall::new(sadd(sw.rise, delay.rise), sadd(sw.fall, delay.fall))
-            }
-            Sense::NonUnate => {
-                let w = self.smax(input.rise, input.fall);
-                RiseFall::new(sadd(w, delay.rise), sadd(w, delay.fall))
-            }
+    #[inline]
+    fn gt_zero(&mut self, x: Sym) -> bool {
+        match x {
+            Sym::NegInf => false,
+            Sym::Inf => true,
+            Sym::Fin(f) => self.holds(f, |v| v > 0),
         }
     }
 
-    /// Mirror of `hb_sta::analysis::required_backward`.
-    fn required_backward(
-        &mut self,
-        sense: Sense,
-        req_out: RiseFall<Sym>,
-        delay: RiseFall<Time>,
-    ) -> RiseFall<Sym> {
-        let minus = RiseFall::new(
-            ssub_const(req_out.rise, delay.rise),
-            ssub_const(req_out.fall, delay.fall),
-        );
-        match sense {
-            Sense::Positive => minus,
-            Sense::Negative => minus.swapped(),
-            Sense::NonUnate => RiseFall::splat(self.smin(minus.rise, minus.fall)),
-        }
+    #[inline]
+    fn is_finite(&self, x: Sym) -> bool {
+        matches!(x, Sym::Fin(_))
     }
 
-    /// Mirror of `RiseFall::worst`.
-    fn worst(&mut self, rf: RiseFall<Sym>) -> Sym {
-        self.smax(rf.rise, rf.fall)
-    }
-
-    /// Mirror of `scalar_slack(required ⊖ ready)`.
-    fn scalar_slack(&mut self, req: RiseFall<Sym>, rdy: RiseFall<Sym>) -> Sym {
-        let r = ssub(req.rise, rdy.rise);
-        let f = ssub(req.fall, rdy.fall);
-        self.smin(r, f)
-    }
-
-    /// Mirror of the algorithms' `s > ZERO && s.is_finite()` gate,
-    /// returning the finite expression when it passes.
-    fn positive_fin(&mut self, s: Sym) -> Option<Aff> {
-        match s {
-            Sym::NegInf | Sym::Inf => None,
-            Sym::Fin(f) => self.gt_zero(f).then_some(f),
-        }
-    }
-
-    /// Mirror of truncating `Time / i64` for a value known positive on
-    /// the span (so truncation equals floor). When the quotient is not
-    /// affine on the span, the span is split into `d` residue classes
-    /// (on each of which it is) and the run restarts.
-    fn div_pos(&mut self, x: Aff, d: i64) -> Result<Aff, Restart> {
+    /// Floors a value known positive on the span (so truncation equals
+    /// floor). When the quotient is not affine on the span, the span is
+    /// split into `d` residue classes (on each of which it is) and the
+    /// run restarts.
+    #[inline]
+    fn div_pos(&mut self, x: Sym, d: i64) -> Result<Sym, Restart> {
         debug_assert!(d >= 2);
+        let Sym::Fin(x) = x else {
+            unreachable!("positive division of a sentinel");
+        };
         if x.b % d == 0 {
-            return Ok(Aff {
+            return Ok(Sym::Fin(Aff {
                 a: x.a.div_euclid(d),
                 b: x.b / d,
-            });
+            }));
         }
         let span = self.span;
         if span.t_lo == span.t_hi {
-            return Ok(Aff::cst(x.eval(span.t_lo).div_euclid(d)));
+            return Ok(Sym::Fin(Aff::cst(x.eval(span.t_lo).div_euclid(d))));
         }
         for off in 0..d {
             let t0 = span.t_lo + off;
@@ -462,323 +370,7 @@ impl Ctx<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic replica offsets (mirror of `Replica`'s offset algebra)
-// ---------------------------------------------------------------------------
-
-/// The movable-offset model of one replica with the pulse width lifted
-/// to an affine expression (widths scale with the clocks) and `O_dx`
-/// free to become affine through partial transfers.
-struct SymReplica {
-    transparent: bool,
-    width: Aff,
-    setup: i64,
-    d_dx: i64,
-    /// `O_xc = O_ac + D_cx` — constant: `O_ac` never moves under
-    /// Algorithm 1 and the control-path delay does not scale.
-    o_xc: i64,
-    out_extra: i64,
-    o_dx: Aff,
-}
-
-impl SymReplica {
-    fn new(ctx: &Ctx<'_>, r: &Replica) -> SymReplica {
-        let t = r.timing();
-        SymReplica {
-            transparent: r.is_transparent(),
-            width: ctx.lin(t.width),
-            setup: t.setup.as_ps(),
-            d_dx: t.d_dx.as_ps(),
-            o_xc: (t.cdel + t.d_cx).as_ps(),
-            out_extra: t.out_extra.as_ps(),
-            o_dx: if r.is_transparent() {
-                Aff::cst(-t.d_dx.as_ps())
-            } else {
-                Aff::ZERO
-            },
-        }
-    }
-
-    fn o_zd(&self) -> Aff {
-        if self.transparent {
-            self.width + self.o_dx + Aff::cst(self.d_dx)
-        } else {
-            Aff::ZERO
-        }
-    }
-
-    fn output_assert_offset(&self, ctx: &mut Ctx<'_>) -> Aff {
-        let m = ctx.max_aff(Aff::cst(self.o_xc), self.o_zd());
-        m + Aff::cst(self.out_extra)
-    }
-
-    fn input_close_offset(&self, ctx: &mut Ctx<'_>) -> Aff {
-        let alt = if self.transparent {
-            self.o_dx
-        } else {
-            Aff::ZERO
-        };
-        ctx.min_aff(Aff::cst(-self.setup), alt)
-    }
-
-    fn forward_room(&self) -> Aff {
-        if self.transparent {
-            self.o_zd()
-        } else {
-            Aff::ZERO
-        }
-    }
-
-    fn backward_room(&self) -> Aff {
-        if self.transparent {
-            Aff::cst(-self.d_dx) - self.o_dx
-        } else {
-            Aff::ZERO
-        }
-    }
-
-    fn transfer_forward(&mut self, ctx: &mut Ctx<'_>, amount: Aff) -> Aff {
-        let clamped = ctx.min_aff(amount, self.forward_room());
-        let moved = ctx.max_aff(clamped, Aff::ZERO);
-        self.o_dx = self.o_dx - moved;
-        moved
-    }
-
-    fn transfer_backward(&mut self, ctx: &mut Ctx<'_>, amount: Aff) -> Aff {
-        let clamped = ctx.min_aff(amount, self.backward_room());
-        let moved = ctx.max_aff(clamped, Aff::ZERO);
-        self.o_dx = self.o_dx + moved;
-        moved
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Symbolic sweeps over the nominal `(cluster, pass)` schedule
-// ---------------------------------------------------------------------------
-
-struct SymTables {
-    ready: Vec<RiseFall<Sym>>,
-    required: Vec<RiseFall<Sym>>,
-}
-
-/// Memo of swept tables per `(cluster, pass)` pair, keyed by the
-/// dynamic seed signature — the symbolic twin of `SlackCache`. Entries
-/// stay valid as the span shrinks (an affine identity on a region
-/// restricts to any subregion).
-type Memo = HashMap<(u32, u32), (Vec<Aff>, Rc<SymTables>)>;
-
-/// Mirror of `Engine::signature`.
-fn item_signature(ctx: &Ctx<'_>, item: &WorkItem, offs: &[(Aff, Aff)]) -> Vec<Aff> {
-    let mut sig =
-        Vec::with_capacity(item.ready_replica_seeds.len() + item.close_replica_seeds.len());
-    for s in &item.ready_replica_seeds {
-        sig.push(ctx.lin(s.base) + offs[s.k as usize].0);
-    }
-    for s in &item.close_replica_seeds {
-        sig.push(ctx.lin(s.base) + offs[s.k as usize].1);
-    }
-    sig
-}
-
-/// Mirror of `Engine::compute_item`: seed and sweep one shard.
-fn compute_item(
-    ctx: &mut Ctx<'_>,
-    prep: &Prepared<'_>,
-    item: &WorkItem,
-    offs: &[(Aff, Aff)],
-) -> SymTables {
-    let shard = prep.engine.sharded.shard(ClusterId::from_raw(item.cluster));
-    let n = shard.len();
-
-    let mut ready = vec![RiseFall::splat(Sym::NegInf); n];
-    for s in &item.ready_replica_seeds {
-        let at = Sym::Fin(ctx.lin(s.base) + offs[s.k as usize].0);
-        let merged = rf_max(ctx, ready[s.local as usize], RiseFall::splat(at));
-        ready[s.local as usize] = merged;
-    }
-    for s in &item.ready_pi_seeds {
-        let off = prep.pis[s.k as usize].offset;
-        let at = Sym::Fin(ctx.lin(s.at - off) + Aff::cst(off.as_ps()));
-        let merged = rf_max(ctx, ready[s.local as usize], RiseFall::splat(at));
-        ready[s.local as usize] = merged;
-    }
-    // Forward sweep, mirroring `ClusterShard::sweep_ready_max`.
-    for u in 0..n {
-        let at = ready[u];
-        if matches!(at.rise, Sym::NegInf) && matches!(at.fall, Sym::NegInf) {
-            continue;
-        }
-        for arc in shard.fanout(u) {
-            let out = ctx.propagate(arc.sense, at, arc.delay_max);
-            let merged = rf_max(ctx, ready[arc.to as usize], out);
-            ready[arc.to as usize] = merged;
-        }
-    }
-
-    let mut required = vec![RiseFall::splat(Sym::Inf); n];
-    for s in &item.close_replica_seeds {
-        let at = Sym::Fin(ctx.lin(s.base) + offs[s.k as usize].1);
-        let merged = rf_min(ctx, required[s.local as usize], RiseFall::splat(at));
-        required[s.local as usize] = merged;
-    }
-    for s in &item.close_po_seeds {
-        let off = prep.pos[s.k as usize].offset;
-        let at = Sym::Fin(ctx.lin(s.at - off) + Aff::cst(off.as_ps()));
-        let merged = rf_min(ctx, required[s.local as usize], RiseFall::splat(at));
-        required[s.local as usize] = merged;
-    }
-    // Backward sweep, mirroring `ClusterShard::sweep_required`.
-    for v in (0..n).rev() {
-        let req_out = required[v];
-        if matches!(req_out.rise, Sym::Inf) && matches!(req_out.fall, Sym::Inf) {
-            continue;
-        }
-        for arc in shard.fanin(v) {
-            let req_in = ctx.required_backward(arc.sense, req_out, arc.delay_max);
-            let merged = rf_min(ctx, required[arc.from as usize], req_in);
-            required[arc.from as usize] = merged;
-        }
-    }
-
-    SymTables { ready, required }
-}
-
-fn rf_max(ctx: &mut Ctx<'_>, x: RiseFall<Sym>, y: RiseFall<Sym>) -> RiseFall<Sym> {
-    let rise = ctx.smax(x.rise, y.rise);
-    let fall = ctx.smax(x.fall, y.fall);
-    RiseFall::new(rise, fall)
-}
-
-fn rf_min(ctx: &mut Ctx<'_>, x: RiseFall<Sym>, y: RiseFall<Sym>) -> RiseFall<Sym> {
-    let rise = ctx.smin(x.rise, y.rise);
-    let fall = ctx.smin(x.fall, y.fall);
-    RiseFall::new(rise, fall)
-}
-
-/// One full multi-pass evaluation: the symbolic `SlackView`.
-struct SymView {
-    items: Vec<Rc<SymTables>>,
-    replica_in: Vec<Sym>,
-    replica_out: Vec<Sym>,
-    pi_slack: Vec<Sym>,
-    po_slack: Vec<Sym>,
-}
-
-/// Mirror of `Prepared::compute_slacks_sharded` (net slacks deferred —
-/// they never steer Algorithm 1's control flow, so they are assembled
-/// once from the final view instead of every cycle).
-fn compute_view(
-    ctx: &mut Ctx<'_>,
-    prep: &Prepared<'_>,
-    reps: &[SymReplica],
-    memo: &mut Memo,
-    work: &mut u64,
-) -> SymView {
-    *work += prep.engine.items.len() as u64 + 1;
-    let mut offs: Vec<(Aff, Aff)> = Vec::with_capacity(reps.len());
-    for r in reps {
-        let assert = r.output_assert_offset(ctx);
-        let close = r.input_close_offset(ctx);
-        offs.push((assert, close));
-    }
-
-    let mut items: Vec<Rc<SymTables>> = Vec::with_capacity(prep.engine.items.len());
-    for item in &prep.engine.items {
-        let sig = item_signature(ctx, item, &offs);
-        let key = (item.cluster, item.pass as u32);
-        let hit = memo
-            .get(&key)
-            .and_then(|(s, t)| (s == &sig).then(|| t.clone()));
-        let tables = match hit {
-            Some(t) => t,
-            None => {
-                let t = Rc::new(compute_item(ctx, prep, item, &offs));
-                memo.insert(key, (sig, t.clone()));
-                t
-            }
-        };
-        items.push(tables);
-    }
-
-    let mut view = SymView {
-        items,
-        replica_in: vec![Sym::Inf; reps.len()],
-        replica_out: vec![Sym::Inf; reps.len()],
-        pi_slack: vec![Sym::Inf; prep.pis.len()],
-        po_slack: vec![Sym::Inf; prep.pos.len()],
-    };
-    for (i, item) in prep.engine.items.iter().enumerate() {
-        let t = view.items[i].clone();
-        for s in &item.close_replica_seeds {
-            let k = s.k as usize;
-            let close = Sym::Fin(ctx.lin(s.base) + offs[k].1);
-            let arrive = ctx.worst(t.ready[s.local as usize]);
-            let sl = ssub(close, arrive);
-            view.replica_in[k] = ctx.smin(view.replica_in[k], sl);
-        }
-        for s in &item.ready_replica_seeds {
-            let k = s.k as usize;
-            let l = s.local as usize;
-            let sl = ctx.scalar_slack(t.required[l], t.ready[l]);
-            view.replica_out[k] = ctx.smin(view.replica_out[k], sl);
-        }
-        for s in &item.ready_pi_seeds {
-            let k = s.k as usize;
-            let l = s.local as usize;
-            let sl = ctx.scalar_slack(t.required[l], t.ready[l]);
-            view.pi_slack[k] = ctx.smin(view.pi_slack[k], sl);
-        }
-        for s in &item.close_po_seeds {
-            let k = s.k as usize;
-            let off = prep.pos[k].offset;
-            let close = Sym::Fin(ctx.lin(s.at - off) + Aff::cst(off.as_ps()));
-            let arrive = ctx.worst(t.ready[s.local as usize]);
-            let sl = ssub(close, arrive);
-            view.po_slack[k] = ctx.smin(view.po_slack[k], sl);
-        }
-    }
-    view
-}
-
-/// Mirror of `SlackView::all_positive`, short-circuiting in the same
-/// terminal order.
-fn all_positive(ctx: &mut Ctx<'_>, view: &SymView) -> bool {
-    let chain = view
-        .replica_in
-        .iter()
-        .chain(&view.replica_out)
-        .chain(&view.pi_slack)
-        .chain(&view.po_slack);
-    for &s in chain {
-        let positive = match s {
-            Sym::NegInf => false,
-            Sym::Inf => true,
-            Sym::Fin(f) => ctx.gt_zero(f),
-        };
-        if !positive {
-            return false;
-        }
-    }
-    true
-}
-
-/// Mirror of the per-item net-slack assembly of
-/// `compute_slacks_sharded`, run once on the final view.
-fn net_slacks(ctx: &mut Ctx<'_>, prep: &Prepared<'_>, view: &SymView) -> Vec<Sym> {
-    let mut out = vec![Sym::Inf; prep.graph.node_count()];
-    for (i, item) in prep.engine.items.iter().enumerate() {
-        let t = &view.items[i];
-        let shard = prep.engine.sharded.shard(ClusterId::from_raw(item.cluster));
-        for (l, &net) in shard.nets().iter().enumerate() {
-            let s = ctx.scalar_slack(t.required[l], t.ready[l]);
-            let slot = out[net.as_raw() as usize];
-            out[net.as_raw() as usize] = ctx.smin(slot, s);
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Algorithm 1, mirrored over one parameter region
+// One parameter region: the shared Algorithm 1 in the symbolic instance
 // ---------------------------------------------------------------------------
 
 /// The settled slack expressions of one parameter region.
@@ -786,16 +378,15 @@ fn net_slacks(ctx: &mut Ctx<'_>, prep: &Prepared<'_>, view: &SymView) -> Vec<Sym
 struct RegionSlack {
     span: Span,
     net_slack: Vec<Sym>,
-    replica_in: Vec<Sym>,
-    replica_out: Vec<Sym>,
-    pi_slack: Vec<Sym>,
-    po_slack: Vec<Sym>,
+    /// Every terminal slack, in `SlackView::terminals` order.
+    terminals: Vec<Sym>,
 }
 
-/// Runs the symbolic Algorithm 1 over `span`. Returns `None` when a
-/// residue-class split restarted the region (its refinement is already
-/// queued on `deferred`); otherwise the surviving (possibly shrunk)
-/// region with its settled expressions.
+/// Runs Algorithm 1 over `span` in the symbolic instance. Returns
+/// `None` when a residue-class split restarted the region (its
+/// refinement is already queued on `deferred`); otherwise the surviving
+/// (possibly shrunk) region with its settled expressions. `work`
+/// counts item-evaluations (items plus one per slack view).
 fn run_region(
     prep: &Prepared<'_>,
     g: i64,
@@ -804,122 +395,30 @@ fn run_region(
     work: &mut u64,
 ) -> Option<RegionSlack> {
     let mut ctx = Ctx { g, span, deferred };
-    let mut reps: Vec<SymReplica> = prep
-        .replicas
-        .iter()
-        .map(|r| SymReplica::new(&ctx, r))
-        .collect();
-    let cap = prep.options.max_cycles;
-    let divisor = prep.options.partial_divisor.max(2);
-    let mut memo: Memo = HashMap::new();
-    let mut forward_cycles = 0usize;
-    let mut backward_cycles = 0usize;
+    let mut reps: Vec<Replica<Sym>> = prep.replicas.iter().map(|r| r.lift(&ctx)).collect();
+    // The memo stays valid as the span shrinks: an affine identity on
+    // a region restricts to any subregion.
+    let mut memo: SlackCache<Sym> = SlackCache::default();
+    let engine = &prep.engine;
+    let (view, _) = algorithm1(prep, &mut ctx, &mut reps, |ctx, reps| {
+        *work += engine.items.len() as u64 + 1;
+        let offs = offsets(ctx, reps);
+        // Every decision may shrink the span, so items are swept one
+        // at a time, in item order.
+        let items = engine.evaluate_with(ctx, &offs, &mut memo, None);
+        prep.sharded_view(ctx, &offs, items)
+    })
+    .ok()?;
 
-    let view = 'done: {
-        // Iteration 1: complete forward slack transfer to a fixpoint.
-        loop {
-            let view = compute_view(&mut ctx, prep, &reps, &mut memo, work);
-            if all_positive(&mut ctx, &view) {
-                break 'done view;
-            }
-            let mut any = false;
-            for (k, rep) in reps.iter_mut().enumerate() {
-                if let Some(n_x) = ctx.positive_fin(view.replica_in[k]) {
-                    let moved = rep.transfer_forward(&mut ctx, n_x);
-                    if ctx.gt_zero(moved) {
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-            forward_cycles += 1;
-            if forward_cycles >= cap {
-                break;
-            }
-        }
-
-        // Iteration 2: complete backward slack transfer to a fixpoint.
-        loop {
-            let view = compute_view(&mut ctx, prep, &reps, &mut memo, work);
-            if all_positive(&mut ctx, &view) {
-                break 'done view;
-            }
-            let mut any = false;
-            for (k, rep) in reps.iter_mut().enumerate() {
-                if let Some(n_y) = ctx.positive_fin(view.replica_out[k]) {
-                    let moved = rep.transfer_backward(&mut ctx, n_y);
-                    if ctx.gt_zero(moved) {
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-            backward_cycles += 1;
-            if backward_cycles >= cap {
-                break;
-            }
-        }
-
-        // Iteration 3: partial forward transfers, once per backward
-        // cycle made.
-        for _ in 0..backward_cycles {
-            let view = compute_view(&mut ctx, prep, &reps, &mut memo, work);
-            let mut any = false;
-            for (k, rep) in reps.iter_mut().enumerate() {
-                if let Some(n_x) = ctx.positive_fin(view.replica_in[k]) {
-                    let Ok(part) = ctx.div_pos(n_x, divisor) else {
-                        return None;
-                    };
-                    let moved = rep.transfer_forward(&mut ctx, part);
-                    if ctx.gt_zero(moved) {
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-
-        // Iteration 4: partial backward transfers, once per forward
-        // cycle made.
-        for _ in 0..forward_cycles {
-            let view = compute_view(&mut ctx, prep, &reps, &mut memo, work);
-            let mut any = false;
-            for (k, rep) in reps.iter_mut().enumerate() {
-                if let Some(n_y) = ctx.positive_fin(view.replica_out[k]) {
-                    let Ok(part) = ctx.div_pos(n_y, divisor) else {
-                        return None;
-                    };
-                    let moved = rep.transfer_backward(&mut ctx, part);
-                    if ctx.gt_zero(moved) {
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-
-        // Final step: settle all slacks.
-        compute_view(&mut ctx, prep, &reps, &mut memo, work)
+    let SlackStorage::Sharded { items } = &view.storage else {
+        unreachable!("the symbolic view is sharded");
     };
-
-    let net_slack = net_slacks(&mut ctx, prep, &view);
+    let net_slack = prep.net_slacks(&mut ctx, items);
     // Record the span only after every decision has shrunk it.
-    let span = ctx.span;
     Some(RegionSlack {
-        span,
+        span: ctx.span,
         net_slack,
-        replica_in: view.replica_in,
-        replica_out: view.replica_out,
-        pi_slack: view.pi_slack,
-        po_slack: view.po_slack,
+        terminals: view.terminals().copied().collect(),
     })
 }
 
@@ -982,15 +481,6 @@ pub struct ParametricTerminal {
     pub pulse: u32,
 }
 
-/// Which per-region slack vector a terminal reads.
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    ReplicaIn(usize),
-    ReplicaOut(usize),
-    Pi(usize),
-    Po(usize),
-}
-
 /// The result of one symbolic analysis: per-terminal and per-net slack
 /// as an exact piecewise-linear function of the overall clock period.
 ///
@@ -1010,7 +500,8 @@ pub struct ParametricSlack {
     k_max: i64,
     node_count: usize,
     terminals: Vec<ParametricTerminal>,
-    slots: Vec<Slot>,
+    /// Per reported terminal: its index into `RegionSlack::terminals`.
+    slots: Vec<usize>,
     regions: Vec<RegionSlack>,
 }
 
@@ -1079,21 +570,13 @@ impl ParametricSlack {
         panic!("parametric regions do not cover grid point k = {k}");
     }
 
-    fn terminal_chain(reg: &RegionSlack) -> impl Iterator<Item = &Sym> {
-        reg.replica_in
-            .iter()
-            .chain(&reg.replica_out)
-            .chain(&reg.pi_slack)
-            .chain(&reg.po_slack)
-    }
-
     /// The worst terminal slack at the given grid period — exactly
     /// `TimingReport::worst_slack` of a cold analysis there.
     pub fn worst_at(&self, period: Time) -> Result<Time, PeriodError> {
         let (i, t) = self.locate(period)?;
         let reg = &self.regions[i];
         let mut w = Time::INF;
-        for &s in Self::terminal_chain(reg) {
+        for &s in &reg.terminals {
             w = w.min(eval_sym(s, t));
         }
         Ok(w)
@@ -1104,7 +587,7 @@ impl ParametricSlack {
     pub fn ok_at(&self, period: Time) -> Result<bool, PeriodError> {
         let (i, t) = self.locate(period)?;
         let reg = &self.regions[i];
-        Ok(Self::terminal_chain(reg).all(|&s| eval_sym(s, t) > Time::ZERO))
+        Ok(reg.terminals.iter().all(|&s| eval_sym(s, t) > Time::ZERO))
     }
 
     /// The slack of one terminal (by index into [`terminals`]) at the
@@ -1114,7 +597,7 @@ impl ParametricSlack {
     pub fn terminal_slack_at(&self, period: Time, idx: usize) -> Result<Time, PeriodError> {
         let (i, t) = self.locate(period)?;
         let reg = &self.regions[i];
-        Ok(eval_sym(self.slot_sym(reg, self.slots[idx]), t))
+        Ok(eval_sym(reg.terminals[self.slots[idx]], t))
     }
 
     /// Every terminal slack at the given grid period, in report order.
@@ -1124,7 +607,7 @@ impl ParametricSlack {
         Ok(self
             .slots
             .iter()
-            .map(|&slot| eval_sym(self.slot_sym(reg, slot), t))
+            .map(|&slot| eval_sym(reg.terminals[slot], t))
             .collect())
     }
 
@@ -1135,15 +618,6 @@ impl ParametricSlack {
         let raw = net.as_raw() as usize;
         assert!(raw < self.node_count, "net index out of range");
         Ok(eval_sym(self.regions[i].net_slack[raw], t))
-    }
-
-    fn slot_sym(&self, reg: &RegionSlack, slot: Slot) -> Sym {
-        match slot {
-            Slot::ReplicaIn(k) => reg.replica_in[k],
-            Slot::ReplicaOut(k) => reg.replica_out[k],
-            Slot::Pi(k) => reg.pi_slack[k],
-            Slot::Po(k) => reg.po_slack[k],
-        }
     }
 
     /// The smallest grid period in the served domain at which every
@@ -1168,7 +642,7 @@ fn region_min_feasible_k(reg: &RegionSlack, k_floor: i64, k_ceil: i64) -> Option
     if lo > hi {
         return None;
     }
-    for &s in ParametricSlack::terminal_chain(reg) {
+    for &s in &reg.terminals {
         match s {
             Sym::Inf => {}
             Sym::NegInf => return None,
@@ -1207,38 +681,6 @@ fn div_ceil_i(a: i64, b: i64) -> i64 {
 // ---------------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------------
-
-/// Carve-worklist entry: a max-heap keyed on the span's largest grid
-/// multiplier, with a full-identity tiebreak so rebuilds pop spans in a
-/// reproducible order.
-struct Carve(Span);
-
-impl Carve {
-    fn key(&self) -> (i64, i64, i64, i64) {
-        let s = self.0;
-        (s.r + s.m * s.t_hi, s.r, s.m, s.t_lo)
-    }
-}
-
-impl PartialEq for Carve {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Carve {}
-
-impl PartialOrd for Carve {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Carve {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 /// Shared state of the carving phases: the coverage bitmap over the
 /// analysis window, the settled regions, and the cumulative work spent.
@@ -1310,15 +752,17 @@ impl CarveState {
         limit: u64,
         mut stop: impl FnMut(&CarveState) -> bool,
     ) {
-        let mut heap: BinaryHeap<Carve> = BinaryHeap::new();
-        heap.push(Carve(Span {
+        // A max-heap on each span's largest grid multiplier, tie-broken
+        // on the span itself so rebuilds pop spans in a reproducible order.
+        let keyed = |s: Span| (s.r + s.m * s.t_hi, s);
+        let mut heap = BinaryHeap::from([keyed(Span {
             r: 0,
             m: 1,
             t_lo: lo_k,
             t_hi: hi_k,
-        }));
+        })]);
         let mut deferred = std::mem::take(&mut self.scratch);
-        while let Some(Carve(span)) = heap.pop() {
+        while let Some((_, span)) = heap.pop() {
             if span.t_lo > span.t_hi {
                 continue;
             }
@@ -1327,7 +771,7 @@ impl CarveState {
             }
             deferred.clear();
             let region = run_region(prep, g_ps, span, &mut deferred, &mut self.work);
-            heap.extend(deferred.drain(..).map(Carve));
+            heap.extend(deferred.drain(..).map(keyed));
             if let Some(region) = region {
                 self.mark(&region);
                 self.regions.push(region);
@@ -1337,24 +781,14 @@ impl CarveState {
         self.scratch = deferred;
     }
 
-    /// Lowest multiplier of the contiguously covered run containing
-    /// `anchor` (which must be covered).
-    fn run_lo(&self, anchor: i64) -> i64 {
+    /// The end of the contiguously covered run containing `anchor`
+    /// (which must be covered) in direction `step`: `-1` for its lowest
+    /// multiplier, `1` for its highest.
+    fn run_end(&self, anchor: i64, step: i64) -> i64 {
         debug_assert!(self.covered_at(anchor));
         let mut k = anchor;
-        while k > self.floor_k && self.covered_at(k - 1) {
-            k -= 1;
-        }
-        k
-    }
-
-    /// Highest multiplier of the contiguously covered run containing
-    /// `anchor` (which must be covered).
-    fn run_hi(&self, anchor: i64) -> i64 {
-        debug_assert!(self.covered_at(anchor));
-        let mut k = anchor;
-        while k < self.k_cap && self.covered_at(k + 1) {
-            k += 1;
+        while (self.floor_k..=self.k_cap).contains(&(k + step)) && self.covered_at(k + step) {
+            k += step;
         }
         k
     }
@@ -1391,38 +825,17 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
     // Every clock-derived seed position must sit on the `g` lattice;
     // the construction guarantees it, but a violation here would
     // silently break the parametrization, so verify once up front.
-    let on_lattice = |t: Time| t.as_ps() % g_ps == 0;
-    for item in &prep.engine.items {
-        for s in &item.ready_replica_seeds {
-            if !on_lattice(s.base) {
-                return Err(format!(
-                    "assert seed base {} ps off lattice",
-                    s.base.as_ps()
-                ));
-            }
-        }
-        for s in &item.close_replica_seeds {
-            if !on_lattice(s.base) {
-                return Err(format!("close seed base {} ps off lattice", s.base.as_ps()));
-            }
-        }
-        for s in &item.ready_pi_seeds {
-            let base = s.at - prep.pis[s.k as usize].offset;
-            if !on_lattice(base) {
-                return Err(format!("input seed base {} ps off lattice", base.as_ps()));
-            }
-        }
-        for s in &item.close_po_seeds {
-            let base = s.at - prep.pos[s.k as usize].offset;
-            if !on_lattice(base) {
-                return Err(format!("output seed base {} ps off lattice", base.as_ps()));
-            }
-        }
-    }
-    for r in &prep.replicas {
-        if !on_lattice(r.width()) {
-            return Err(format!("pulse width {} ps off lattice", r.width().as_ps()));
-        }
+    let seed_bases = prep.engine.items.iter().flat_map(|item| {
+        let replica = item
+            .ready_replica_seeds
+            .iter()
+            .chain(&item.close_replica_seeds);
+        let boundary = item.ready_pi_seeds.iter().chain(&item.close_po_seeds);
+        replica.map(|s| s.base).chain(boundary.map(|s| s.base))
+    });
+    let widths = prep.replicas.iter().map(|r| r.width());
+    if let Some(t) = seed_bases.chain(widths).find(|t| t.as_ps() % g_ps != 0) {
+        return Err(format!("clock-derived time {} ps off lattice", t.as_ps()));
     }
 
     // The carve is budgeted and nominal-anchored: the served domain is
@@ -1475,8 +888,8 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
     }
 
     // The served domain: the contiguous covered run around nominal.
-    let mut k_lo = st.run_lo(nominal_k);
-    let k_max = st.run_hi(nominal_k);
+    let mut k_lo = st.run_end(nominal_k, -1);
+    let k_max = st.run_end(nominal_k, 1);
     let min_in = |st: &CarveState, k_lo: i64| {
         st.regions
             .iter()
@@ -1498,7 +911,7 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
     {
         let lo_w = (k_lo - chunk).max(floor_k);
         st.carve_window(prep, g_ps, lo_w, k_lo - 1, limit, |_| false);
-        let new_lo = st.run_lo(k_lo);
+        let new_lo = st.run_end(k_lo, -1);
         if new_lo == k_lo {
             break; // no progress: the chunk's top point did not settle
         }
@@ -1517,42 +930,11 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
     obs.builds.inc();
     obs.regions.add(regions.len() as u64);
 
-    let module = prep.design.module(prep.module);
-    let mut terminals = Vec::new();
-    let mut slots = Vec::new();
-    for (k, r) in prep.replicas.iter().enumerate() {
-        terminals.push(ParametricTerminal {
-            kind: TerminalKind::SyncInput,
-            name: module.instance(r.inst).name().to_owned(),
-            pulse: r.pulse_index,
-        });
-        slots.push(Slot::ReplicaIn(k));
-        if r.output_net.is_some() {
-            terminals.push(ParametricTerminal {
-                kind: TerminalKind::SyncOutput,
-                name: module.instance(r.inst).name().to_owned(),
-                pulse: r.pulse_index,
-            });
-            slots.push(Slot::ReplicaOut(k));
-        }
-    }
-    for (k, pi) in prep.pis.iter().enumerate() {
-        terminals.push(ParametricTerminal {
-            kind: TerminalKind::PrimaryInput,
-            name: pi.port.clone(),
-            pulse: 0,
-        });
-        slots.push(Slot::Pi(k));
-    }
-    for (k, po) in prep.pos.iter().enumerate() {
-        terminals.push(ParametricTerminal {
-            kind: TerminalKind::PrimaryOutput,
-            name: po.port.clone(),
-            pulse: 0,
-        });
-        slots.push(Slot::Po(k));
-    }
-
+    let (terminals, slots) = prep
+        .terminals()
+        .into_iter()
+        .map(|(kind, name, pulse, i)| (ParametricTerminal { kind, name, pulse }, i))
+        .unzip();
     Ok(ParametricSlack {
         stride,
         nominal_k,
@@ -1573,7 +955,8 @@ mod tests {
     };
     use hb_clock::ClockSet;
     use hb_netlist::{Design, LeafDef, ModuleId, PinDir};
-    use hb_units::Transition;
+    use hb_sta::Numeric;
+    use hb_units::{Sense, Transition};
 
     use crate::{Analyzer, Spec};
 
@@ -1591,8 +974,8 @@ mod tests {
             span: span(0, 1, 1, 100),
             deferred: &mut deferred,
         };
-        assert!(ctx.ge_zero(Aff { a: 0, b: 1 }));
-        assert!(ctx.le_zero(Aff { a: -200, b: 1 }));
+        assert!(ctx.holds(Aff { a: 0, b: 1 }, |v| v >= 0));
+        assert!(ctx.holds(Aff { a: -200, b: 1 }, |v| v <= 0));
         assert!(ctx.deferred.is_empty());
         assert_eq!(ctx.span, span(0, 1, 1, 100));
     }
@@ -1606,27 +989,28 @@ mod tests {
             deferred: &mut deferred,
         };
         // value = t − 50: negative on [1, 49], non-negative on [50, 100].
-        assert!(!ctx.ge_zero(Aff { a: -50, b: 1 }));
+        assert!(!ctx.holds(Aff { a: -50, b: 1 }, |v| v >= 0));
         assert_eq!(ctx.span, span(0, 1, 1, 49));
         assert_eq!(*ctx.deferred, vec![span(0, 1, 50, 100)]);
         // A repeat decision on the shrunk span is uniform.
-        assert!(!ctx.ge_zero(Aff { a: -50, b: 1 }));
+        assert!(!ctx.holds(Aff { a: -50, b: 1 }, |v| v >= 0));
         assert_eq!(ctx.deferred.len(), 1);
     }
 
     #[test]
     fn div_pos_is_exact_when_divisible_and_splits_otherwise() {
+        let fin = |a, b| Sym::Fin(Aff { a, b });
         let mut deferred = Vec::new();
         let mut ctx = Ctx {
             g: 1,
             span: span(0, 1, 0, 10),
             deferred: &mut deferred,
         };
-        let q = ctx.div_pos(Aff { a: 3, b: 4 }, 2).ok().unwrap();
-        assert_eq!(q, Aff { a: 1, b: 2 });
+        let q = ctx.div_pos(fin(3, 4), 2).ok().unwrap();
+        assert_eq!(q, fin(1, 2));
         assert!(ctx.deferred.is_empty());
 
-        assert!(ctx.div_pos(Aff { a: 1, b: 1 }, 2).is_err());
+        assert!(ctx.div_pos(fin(1, 1), 2).is_err());
         assert_eq!(
             *ctx.deferred,
             vec![span(0, 2, 0, 5), span(1, 2, 0, 4)],
@@ -1640,8 +1024,8 @@ mod tests {
             span: span(0, 1, 7, 7),
             deferred: &mut deferred,
         };
-        let q = ctx.div_pos(Aff { a: 1, b: 1 }, 2).ok().unwrap();
-        assert_eq!(q, Aff::cst(4));
+        let q = ctx.div_pos(fin(1, 1), 2).ok().unwrap();
+        assert_eq!(q, fin(4, 0));
         assert!(deferred.is_empty());
     }
 
@@ -1654,13 +1038,228 @@ mod tests {
             deferred: &mut deferred,
         };
         let f = Sym::Fin(Aff { a: 5, b: 0 });
-        assert_eq!(ctx.smax(Sym::NegInf, f), f);
-        assert_eq!(ctx.smax(Sym::Inf, f), Sym::Inf);
-        assert_eq!(ctx.smin(Sym::Inf, f), f);
-        assert_eq!(ctx.smin(Sym::NegInf, f), Sym::NegInf);
-        assert_eq!(ssub(f, Sym::NegInf), Sym::Inf);
-        assert_eq!(ssub(f, Sym::Inf), Sym::NegInf);
-        assert_eq!(sadd(Sym::NegInf, Time::from_ps(3)), Sym::NegInf);
+        assert_eq!(ctx.max(Sym::NegInf, f), f);
+        assert_eq!(ctx.max(Sym::Inf, f), Sym::Inf);
+        assert_eq!(ctx.min(Sym::Inf, f), f);
+        assert_eq!(ctx.min(Sym::NegInf, f), Sym::NegInf);
+        assert_eq!(ctx.sub(f, Sym::NegInf), Sym::Inf);
+        assert_eq!(ctx.sub(f, Sym::Inf), Sym::NegInf);
+        assert_eq!(ctx.add_c(Sym::NegInf, Time::from_ps(3)), Sym::NegInf);
+    }
+
+    // --- algebra laws --------------------------------------------------------
+
+    /// A law-test operand: affine in the grid multiplier `k`
+    /// (`α + β·k` ps), or a sentinel.
+    #[derive(Clone, Copy, Debug)]
+    enum Operand {
+        NegInf,
+        Lin(i64, i64),
+        Inf,
+    }
+
+    impl Operand {
+        /// The symbolic value on `span` (`k = r + m·t`).
+        fn sym(self, s: Span) -> Sym {
+            match self {
+                Operand::NegInf => Sym::NegInf,
+                Operand::Lin(al, be) => Sym::Fin(Aff {
+                    a: al + be * s.r,
+                    b: be * s.m,
+                }),
+                Operand::Inf => Sym::Inf,
+            }
+        }
+
+        /// The numeric value at grid point `k`.
+        fn at(self, k: i64) -> Time {
+            match self {
+                Operand::NegInf => Time::NEG_INF,
+                Operand::Lin(al, be) => Time::from_ps(al + be * k),
+                Operand::Inf => Time::INF,
+            }
+        }
+    }
+
+    /// Runs the symbolic operation `sym` on `start` and on every span it
+    /// defers, and checks at every grid point of every surviving span
+    /// that the evaluated result equals the [`Numeric`] instance `num`
+    /// applied at that point. The surviving spans must cover `start`.
+    fn check_law<T, U: PartialEq + fmt::Debug>(
+        what: &str,
+        start: Span,
+        mut sym: impl FnMut(&mut Ctx<'_>) -> Result<T, Restart>,
+        eval: impl Fn(&T, i64) -> U,
+        num: impl Fn(i64) -> U,
+    ) {
+        let mut queue = vec![start];
+        let mut covered = Vec::new();
+        while let Some(span) = queue.pop() {
+            let mut deferred = Vec::new();
+            let mut ctx = Ctx {
+                g: 1,
+                span,
+                deferred: &mut deferred,
+            };
+            let out = sym(&mut ctx);
+            let kept = ctx.span;
+            if let Ok(out) = out {
+                for t in kept.t_lo..=kept.t_hi {
+                    let k = kept.r + kept.m * t;
+                    assert_eq!(eval(&out, t), num(k), "{what} at k = {k}, span {kept:?}");
+                    covered.push(k);
+                }
+            } else {
+                assert!(
+                    !deferred.is_empty(),
+                    "{what}: a restart must defer its span"
+                );
+            }
+            queue.extend(deferred);
+        }
+        covered.sort_unstable();
+        let all: Vec<i64> = (start.t_lo..=start.t_hi)
+            .map(|t| start.r + start.m * t)
+            .collect();
+        assert_eq!(
+            covered, all,
+            "{what}: surviving spans must partition {start:?}"
+        );
+    }
+
+    /// Every operation of the symbolic [`Algebra`] instance agrees with
+    /// the numeric one point for point: seeded operands (sentinels,
+    /// constants, slopes, crossings placed exactly on a grid point so
+    /// ties are decided), on spans with `t_lo < t_hi`. The provided
+    /// methods (`propagate`, `slack`, …) are compositions of these.
+    #[test]
+    fn symbolic_algebra_agrees_with_numeric_pointwise() {
+        let mut rng = hb_rng::SmallRng::seed_from_u64(0x5EED_A16E);
+        let draw_span = |rng: &mut hb_rng::SmallRng| {
+            let r = rng.gen_range(0..50) as i64;
+            let m = 1 + rng.gen_range(0..3) as i64;
+            let t_lo = rng.gen_range(0..20) as i64;
+            let t_hi = t_lo + 1 + rng.gen_range(0..40) as i64;
+            span(r, m, t_lo, t_hi)
+        };
+        let draw = |rng: &mut hb_rng::SmallRng| match rng.gen_range(0..10) {
+            0 => Operand::NegInf,
+            1 => Operand::Inf,
+            _ => Operand::Lin(
+                rng.gen_range(0..4_001) as i64 - 2_000,
+                rng.gen_range(0..41) as i64 - 20,
+            ),
+        };
+        let num = || Numeric;
+        for _ in 0..400 {
+            let s = draw_span(&mut rng);
+            let x = draw(&mut rng);
+            // `y` ties `x` everywhere, crosses it on a grid point of
+            // the span, or is independent.
+            let y = match (x, rng.gen_range(0..3)) {
+                (Operand::Lin(..), 0) => x,
+                (Operand::Lin(al, be), 1) => {
+                    let k_star = s.r
+                        + s.m * (s.t_lo + rng.gen_range(0..(s.t_hi - s.t_lo + 1) as usize) as i64);
+                    let be2 = rng.gen_range(0..41) as i64 - 20;
+                    Operand::Lin(al + (be - be2) * k_star, be2)
+                }
+                _ => draw(&mut rng),
+            };
+            let c = match rng.gen_range(0..8) {
+                0 => Time::NEG_INF,
+                1 => Time::INF,
+                _ => Time::from_ps(rng.gen_range(0..2_001) as i64 - 1_000),
+            };
+            let q = Time::from_ps(rng.gen_range(0..200) as i64);
+            let val = |v: &Sym, t: i64| eval_sym(*v, t);
+
+            check_law("lift", s, |ctx| Ok(ctx.lift(q)), val, |k| q * k);
+            check_law("cst", s, |ctx| Ok(ctx.cst(c)), val, |_| num().cst(c));
+            check_law(
+                "add",
+                s,
+                |ctx| Ok(ctx.add(x.sym(ctx.span), y.sym(ctx.span))),
+                val,
+                |k| num().add(x.at(k), y.at(k)),
+            );
+            check_law(
+                "sub",
+                s,
+                |ctx| Ok(ctx.sub(x.sym(ctx.span), y.sym(ctx.span))),
+                val,
+                |k| num().sub(x.at(k), y.at(k)),
+            );
+            check_law(
+                "add_c",
+                s,
+                |ctx| Ok(ctx.add_c(x.sym(ctx.span), c)),
+                val,
+                |k| num().add_c(x.at(k), c),
+            );
+            check_law(
+                "sub_c",
+                s,
+                |ctx| Ok(ctx.sub_c(x.sym(ctx.span), c)),
+                val,
+                |k| num().sub_c(x.at(k), c),
+            );
+            check_law(
+                "max",
+                s,
+                |ctx| {
+                    let (a, b) = (x.sym(ctx.span), y.sym(ctx.span));
+                    Ok(ctx.max(a, b))
+                },
+                val,
+                |k| num().max(x.at(k), y.at(k)),
+            );
+            check_law(
+                "min",
+                s,
+                |ctx| {
+                    let (a, b) = (x.sym(ctx.span), y.sym(ctx.span));
+                    Ok(ctx.min(a, b))
+                },
+                val,
+                |k| num().min(x.at(k), y.at(k)),
+            );
+            check_law(
+                "gt_zero",
+                s,
+                |ctx| {
+                    let a = x.sym(ctx.span);
+                    Ok(ctx.gt_zero(a))
+                },
+                |&b, _| b,
+                |k| num().gt_zero(x.at(k)),
+            );
+            check_law(
+                "is_finite",
+                s,
+                |ctx| Ok(ctx.is_finite(x.sym(ctx.span))),
+                |&b, _| b,
+                |k| num().is_finite(x.at(k)),
+            );
+
+            // Division: operands positive on the span (`k ≥ 0`), with
+            // slopes that are and are not multiples of the divisor.
+            let d = 2 + rng.gen_range(0..3) as i64;
+            let pos = Operand::Lin(
+                1 + rng.gen_range(0..500) as i64,
+                rng.gen_range(0..12) as i64,
+            );
+            check_law(
+                "div_pos",
+                s,
+                |ctx| {
+                    let a = pos.sym(ctx.span);
+                    ctx.div_pos(a, d)
+                },
+                val,
+                |k| num().div_pos(pos.at(k), d).unwrap(),
+            );
+        }
     }
 
     #[test]

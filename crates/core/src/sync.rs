@@ -25,11 +25,18 @@
 use hb_cells::SyncKind;
 use hb_clock::EdgeId;
 use hb_netlist::{InstId, NetId};
+use hb_sta::{Algebra, Numeric};
 use hb_units::Time;
 
 /// One per-pulse analysis replica of a synchronising element.
+///
+/// The movable data-side offset `O_dx` is a value of the analysis
+/// algebra: a plain [`Time`] in the numeric analysis, an affine
+/// expression in the clock period in the parametric one. The offset
+/// model (`*_in` methods) is written once over [`Algebra`]; the
+/// numeric accessors evaluate it in the [`Numeric`] instance.
 #[derive(Clone, Debug)]
-pub struct Replica {
+pub struct Replica<V = Time> {
     /// The instance this replica models.
     pub inst: InstId,
     /// Index into the timing graph's sync list.
@@ -49,16 +56,11 @@ pub struct Replica {
     pub output_net: Option<NetId>,
     /// The net at the complementary output (output-bar), when present.
     pub output_bar_net: Option<NetId>,
-    width: Time,
-    setup: Time,
-    hold: Time,
-    d_cx: Time,
-    d_dx: Time,
-    cdel: Time,
-    out_extra: Time,
+    timing: ReplicaTiming,
     transparent: bool,
-    o_ac: Time,
-    o_dx: Time,
+    /// The pulse width `W`, lifted into the algebra once.
+    width: V,
+    o_dx: V,
 }
 
 /// The constructor parameters that are pure element timing (everything
@@ -103,7 +105,7 @@ impl Replica {
         timing: ReplicaTiming,
         transparent: bool,
     ) -> Replica {
-        Replica {
+        let mut replica = Replica {
             inst,
             sync_index,
             pulse_index,
@@ -113,21 +115,13 @@ impl Replica {
             data_net,
             output_net,
             output_bar_net: None,
-            width: timing.width,
-            setup: timing.setup,
-            hold: timing.hold,
-            d_cx: timing.d_cx,
-            d_dx: timing.d_dx,
-            cdel: timing.cdel,
-            out_extra: timing.out_extra,
+            timing,
             transparent,
-            o_ac: timing.cdel,
-            o_dx: if transparent {
-                -timing.d_dx
-            } else {
-                Time::ZERO
-            },
-        }
+            width: timing.width,
+            o_dx: Time::ZERO,
+        };
+        replica.reset_offsets();
+        replica
     }
 
     /// Attaches a complementary (output-bar) net: it asserts at the same
@@ -135,6 +129,25 @@ impl Replica {
     pub fn with_output_bar(mut self, net: NetId) -> Replica {
         self.output_bar_net = Some(net);
         self
+    }
+
+    /// This replica with its offsets lifted into another algebra.
+    pub(crate) fn lift<A: Algebra>(&self, alg: &A) -> Replica<A::Val> {
+        Replica {
+            inst: self.inst,
+            sync_index: self.sync_index,
+            pulse_index: self.pulse_index,
+            kind: self.kind,
+            assert_edge: self.assert_edge,
+            close_edge: self.close_edge,
+            data_net: self.data_net,
+            output_net: self.output_net,
+            output_bar_net: self.output_bar_net,
+            timing: self.timing,
+            transparent: self.transparent,
+            width: alg.lift(self.width),
+            o_dx: alg.cst(self.o_dx),
+        }
     }
 
     /// Whether this replica has an adjustable transparency window.
@@ -145,17 +158,17 @@ impl Replica {
     /// The control-path delay from the clock source (the lower bound on
     /// `O_ac`, and the skew term of the supplementary checks).
     pub fn cdel(&self) -> Time {
-        self.cdel
+        self.timing.cdel
     }
 
     /// The element's hold requirement (supplementary checks only).
     pub fn hold(&self) -> Time {
-        self.hold
+        self.timing.hold
     }
 
     /// The control pulse width `W`.
     pub fn width(&self) -> Time {
-        self.width
+        self.timing.width
     }
 
     /// The current `O_dx` offset (input closure implied by the output
@@ -168,97 +181,137 @@ impl Replica {
     /// timing, relative to the ideal assertion time):
     /// `O_zd = W + O_dx + D_dx` for transparent kinds, zero otherwise.
     pub fn o_zd(&self) -> Time {
-        if self.transparent {
-            self.width + self.o_dx + self.d_dx
-        } else {
-            Time::ZERO
-        }
+        self.o_zd_in(&Numeric)
     }
 
-    /// The assertion-control offset `O_xc = O_ac + D_cx`.
+    /// The assertion-control offset `O_xc = O_ac + D_cx`; `O_ac` is
+    /// held at its control-path lower bound.
     pub fn o_xc(&self) -> Time {
-        self.o_ac + self.d_cx
+        self.timing.cdel + self.timing.d_cx
     }
 
     /// The effective output assertion offset relative to the ideal
     /// assertion time: `max(O_xc, O_zd)` plus the load-dependent output
     /// delay.
     pub fn output_assert_offset(&self) -> Time {
-        self.o_xc().max(self.o_zd()) + self.out_extra
+        self.output_assert_offset_in(&mut Numeric)
     }
 
     /// The effective input closure offset relative to the ideal closure
     /// time: `min(O_dc, O_dx)` with `O_dc = −D_setup`.
     pub fn input_close_offset(&self) -> Time {
-        (-self.setup).min(if self.transparent {
-            self.o_dx
-        } else {
-            Time::ZERO
-        })
+        self.input_close_offset_in(&mut Numeric)
     }
 
     /// The maximum amount by which the data pair may still be decreased
     /// (moved earlier): the element constraint `O_zd ≥ 0`.
     pub fn forward_room(&self) -> Time {
-        if self.transparent {
-            self.o_zd()
-        } else {
-            Time::ZERO
-        }
+        self.o_zd()
     }
 
     /// The maximum amount by which the data pair may still be increased
     /// (moved later): the element constraint `O_dx ≤ −D_dx`
     /// (equivalently `O_zd ≤ W`).
     pub fn backward_room(&self) -> Time {
-        if self.transparent {
-            -self.d_dx - self.o_dx
-        } else {
-            Time::ZERO
-        }
+        self.backward_room_in(&Numeric)
     }
 
     /// Decreases `O_dx` (and the derived `O_zd`) by
     /// `min(amount, forward_room)`, returning the amount actually moved.
     /// Non-positive requests move nothing.
     pub fn transfer_forward(&mut self, amount: Time) -> Time {
-        let moved = amount.min(self.forward_room()).max(Time::ZERO);
-        self.o_dx -= moved;
-        moved
+        self.transfer_forward_in(&mut Numeric, amount)
     }
 
     /// Increases `O_dx` (and the derived `O_zd`) by
     /// `min(amount, backward_room)`, returning the amount actually moved.
     /// Non-positive requests move nothing.
     pub fn transfer_backward(&mut self, amount: Time) -> Time {
-        let moved = amount.min(self.backward_room()).max(Time::ZERO);
-        self.o_dx += moved;
-        moved
-    }
-
-    /// The element timing constants, for engines (the symbolic
-    /// parametric analysis) that rebuild the offset model out-of-place.
-    pub(crate) fn timing(&self) -> ReplicaTiming {
-        ReplicaTiming {
-            width: self.width,
-            setup: self.setup,
-            hold: self.hold,
-            d_cx: self.d_cx,
-            d_dx: self.d_dx,
-            cdel: self.cdel,
-            out_extra: self.out_extra,
-        }
+        self.transfer_backward_in(&mut Numeric, amount)
     }
 
     /// Resets the data pair to the initial (late) position.
     pub fn reset_offsets(&mut self) {
-        self.o_ac = self.cdel;
         self.o_dx = if self.transparent {
-            -self.d_dx
+            -self.timing.d_dx
         } else {
             Time::ZERO
         };
     }
+}
+
+/// The offset model, once, over any value algebra.
+impl<V: Copy> Replica<V> {
+    pub(crate) fn o_zd_in<A: Algebra<Val = V>>(&self, alg: &A) -> V {
+        if self.transparent {
+            let w = alg.add(self.width, self.o_dx);
+            alg.add_c(w, self.timing.d_dx)
+        } else {
+            alg.cst(Time::ZERO)
+        }
+    }
+
+    pub(crate) fn output_assert_offset_in<A: Algebra<Val = V>>(&self, alg: &mut A) -> V {
+        let o_xc = alg.cst(self.timing.cdel + self.timing.d_cx);
+        let o_zd = self.o_zd_in(alg);
+        let m = alg.max(o_xc, o_zd);
+        alg.add_c(m, self.timing.out_extra)
+    }
+
+    pub(crate) fn input_close_offset_in<A: Algebra<Val = V>>(&self, alg: &mut A) -> V {
+        let alt = if self.transparent {
+            self.o_dx
+        } else {
+            alg.cst(Time::ZERO)
+        };
+        alg.min(alg.cst(-self.timing.setup), alt)
+    }
+
+    pub(crate) fn backward_room_in<A: Algebra<Val = V>>(&self, alg: &A) -> V {
+        if self.transparent {
+            alg.sub(alg.cst(-self.timing.d_dx), self.o_dx)
+        } else {
+            alg.cst(Time::ZERO)
+        }
+    }
+
+    pub(crate) fn transfer_forward_in<A: Algebra<Val = V>>(&mut self, alg: &mut A, amount: V) -> V {
+        // The forward room is `O_zd` itself (`O_zd ≥ 0`).
+        let room = self.o_zd_in(alg);
+        let moved = clamp_move(alg, amount, room);
+        self.o_dx = alg.sub(self.o_dx, moved);
+        moved
+    }
+
+    pub(crate) fn transfer_backward_in<A: Algebra<Val = V>>(
+        &mut self,
+        alg: &mut A,
+        amount: V,
+    ) -> V {
+        let room = self.backward_room_in(alg);
+        let moved = clamp_move(alg, amount, room);
+        self.o_dx = alg.add(self.o_dx, moved);
+        moved
+    }
+}
+
+/// `max(min(amount, room), 0)`: the part of a transfer request the
+/// window admits.
+fn clamp_move<A: Algebra>(alg: &mut A, amount: A::Val, room: A::Val) -> A::Val {
+    let clamped = alg.min(amount, room);
+    alg.max(clamped, alg.cst(Time::ZERO))
+}
+
+/// The effective `(output assertion, input closure)` offsets of every
+/// replica — the only replica state a slack evaluation reads.
+pub(crate) fn offsets<A: Algebra>(
+    alg: &mut A,
+    replicas: &[Replica<A::Val>],
+) -> Vec<(A::Val, A::Val)> {
+    replicas
+        .iter()
+        .map(|r| (r.output_assert_offset_in(alg), r.input_close_offset_in(alg)))
+        .collect()
 }
 
 #[cfg(test)]

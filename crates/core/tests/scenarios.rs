@@ -571,3 +571,28 @@ fn clock_skew_tightens_paths() {
     assert!(!report.ok());
     assert_eq!(report.worst_slack(), Time::from_ns(-2));
 }
+
+/// Algorithm 2 says when a snatch loop was cut off by the cycle cap
+/// rather than settling: the violating latch loop still moves time
+/// after one cycle, while under the default cap its snatching settles.
+#[test]
+fn algorithm2_flags_its_cycle_cap() {
+    let (b, clocks, spec) = latch_loop(80, 40);
+    let lib = exact_lib(&[80, 40]);
+    let run = |max_cycles: usize| {
+        let options = AnalysisOptions {
+            max_cycles,
+            ..AnalysisOptions::default()
+        };
+        Analyzer::with_options(&b.design, b.module, &lib, &clocks, spec.clone(), options)
+            .unwrap()
+            .generate_constraints()
+            .algorithm2_stats()
+            .expect("Algorithm 2 ran")
+    };
+    let capped = run(1);
+    assert!(capped.cycle_cap_hit, "one cycle cannot settle: {capped:?}");
+    let settled = run(AnalysisOptions::default().max_cycles);
+    assert!(!settled.cycle_cap_hit, "{settled:?}");
+    assert!(settled.backward_snatch_cycles + settled.forward_snatch_cycles > 2);
+}

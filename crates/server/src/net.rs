@@ -547,8 +547,9 @@ fn handle_on_slot(shared: &Shared, slot: &DesignSlot, req: &Frame) -> Frame {
     let deadline = Instant::now() + shared.options.lock_deadline;
     // The latency split: lock-wait runs from here until whichever lock
     // actually serves the request is held (a `busy` reply records the
-    // full deadline it burned); the session records handle time itself.
-    // The span is inert unless the process is armed.
+    // full deadline it burned), and records exactly one sample; the
+    // session records handle time itself. The span is inert unless the
+    // process is armed.
     let mut lock_wait = Some(shared.metrics.lock_wait_span(&req.verb));
     let busy = || {
         Frame::new("error")
@@ -561,13 +562,17 @@ fn handle_on_slot(shared: &Shared, slot: &DesignSlot, req: &Frame) -> Frame {
     while slot.resident.load(Ordering::Acquire) {
         match slot.session.try_read() {
             Ok(session) => {
-                // `Ok(None)` needs the write path; a read-path panic
-                // (`Err`) also falls through — the write path re-runs
+                // Requests the read path cannot serve wait on for the
+                // write lock.
+                if !session.serves_readonly(req) {
+                    break;
+                }
+                drop(lock_wait.take());
+                // A read-path panic falls through: the write path re-runs
                 // the request with recovery armed.
                 if let Ok(Some(reply)) =
                     catch_unwind(AssertUnwindSafe(|| session.handle_readonly(req)))
                 {
-                    drop(lock_wait.take());
                     return reply;
                 }
                 break;

@@ -19,7 +19,7 @@ use hb_resynth::{apply_eco, EcoOp};
 use hb_rng::mix64;
 use hb_units::Time;
 use hummingbird::{
-    AnalysisOptions, Analyzer, EdgeSpec, EngineKind, LatchModel, ParametricSlack, SlackCache, Spec,
+    AnalysisOptions, Analyzer, EdgeSpec, LatchModel, ParametricSlack, SlackCache, Spec,
     TerminalKind, TimingReport,
 };
 
@@ -327,13 +327,6 @@ impl Session {
                             LatchModel::EdgeTriggered => "edge",
                         },
                     )
-                    .arg(
-                        "engine",
-                        match l.options.engine {
-                            EngineKind::Sharded => "sharded",
-                            EngineKind::Reference => "reference",
-                        },
-                    )
                     .arg("min-delays", u8::from(l.options.check_min_delays)),
             );
         }
@@ -351,14 +344,7 @@ impl Session {
     /// this under a read lock so concurrent queries of a settled
     /// analysis never serialise.
     pub fn handle_readonly(&self, req: &Frame) -> Option<Frame> {
-        let serveable = match req.verb.as_str() {
-            "hello" | "stats" | "metrics" | "shutdown" => true,
-            "slack" | "worst-paths" | "dump" => self.settled(),
-            "min-period" | "slack-at" | "period-sweep" => self.param_settled(),
-            "batch" => self.batch_serveable(req),
-            _ => false,
-        };
-        if !serveable {
+        if !self.serves_readonly(req) {
             return None;
         }
         // This is the fix for the historical `stats` undercount: the
@@ -371,6 +357,18 @@ impl Session {
             self.metrics.error(reply.get("code").unwrap_or("unknown"));
         }
         Some(reply)
+    }
+
+    /// Whether [`Session::handle_readonly`] would answer `req` in the
+    /// session's current state.
+    pub(crate) fn serves_readonly(&self, req: &Frame) -> bool {
+        match req.verb.as_str() {
+            "hello" | "stats" | "metrics" | "shutdown" => true,
+            "slack" | "worst-paths" | "dump" => self.settled(),
+            "min-period" | "slack-at" | "period-sweep" => self.param_settled(),
+            "batch" => self.batch_serveable(req),
+            _ => false,
+        }
     }
 
     fn dispatch_readonly(&self, req: &Frame) -> Frame {
@@ -686,8 +684,8 @@ impl Session {
         reply
     }
 
-    /// Applies `threads=` / `latch=` / `engine=` / `min-delays=`
-    /// arguments to the loaded design's analysis options.
+    /// Applies `threads=` / `latch=` / `min-delays=` arguments to the
+    /// loaded design's analysis options.
     fn apply_options(loaded: &mut Loaded, req: &Frame) -> Result<(), Frame> {
         let before = loaded.options;
         if let Some(v) = req.get("threads") {
@@ -700,13 +698,6 @@ impl Session {
                 "transparent" => LatchModel::Transparent,
                 "edge" => LatchModel::EdgeTriggered,
                 _ => return Err(err("usage", format!("bad latch model `{v}`"))),
-            };
-        }
-        if let Some(v) = req.get("engine") {
-            loaded.options.engine = match v {
-                "sharded" => EngineKind::Sharded,
-                "reference" => EngineKind::Reference,
-                _ => return Err(err("usage", format!("bad engine kind `{v}`"))),
             };
         }
         if let Some(v) = req.get("min-delays") {

@@ -109,3 +109,59 @@ fn every_request_is_counted() {
     drop(client);
     server.join().unwrap().unwrap();
 }
+
+/// The read path's lock-wait span ends once the read lock is held, so
+/// it never contains the handling it precedes: `N` armed `slack` reads
+/// record exactly `N` lock-wait samples, and their summed wait stays
+/// below their summed handle time.
+#[test]
+fn read_path_lock_wait_excludes_handle() {
+    hb_obs::arm();
+    let (addr, server) = start_server();
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(&Frame::new("load").with_payload(workload_text()))
+        .unwrap();
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    assert_eq!(client.request(&Frame::new("analyze")).unwrap().verb, "ok");
+
+    const READS: u64 = 40;
+    for _ in 0..READS {
+        let reply = client
+            .request(&Frame::new("slack").arg("node", "next0"))
+            .unwrap();
+        assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    }
+
+    let reply = client.request(&Frame::new("metrics")).unwrap();
+    let samples = parse_exposition(reply.payload.as_deref().unwrap()).unwrap();
+    let sample = |series: &str| {
+        samples
+            .iter()
+            .find(|(name, _)| name == series)
+            .map(|(_, value)| *value)
+            .unwrap_or_else(|| panic!("missing series {series}"))
+    };
+    let wait = |what: &str| {
+        sample(&format!(
+            r#"hb_request_nanoseconds_{what}{{stage="lock_wait",verb="slack"}}"#
+        ))
+    };
+    let handle = |what: &str| {
+        sample(&format!(
+            r#"hb_request_nanoseconds_{what}{{stage="handle",verb="slack"}}"#
+        ))
+    };
+    assert_eq!(wait("count"), READS as f64, "one lock-wait sample per read");
+    assert_eq!(handle("count"), READS as f64);
+    assert!(
+        wait("sum") < handle("sum"),
+        "lock wait {} ns must exclude handle {} ns",
+        wait("sum"),
+        handle("sum")
+    );
+
+    assert_eq!(client.request(&Frame::new("shutdown")).unwrap().verb, "ok");
+    drop(client);
+    server.join().unwrap().unwrap();
+}

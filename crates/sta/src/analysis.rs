@@ -102,7 +102,7 @@ pub fn propagate_required_min(graph: &TimingGraph, lower: &mut TimeTable) {
 /// Maps a required time at an arc's output back to the arc's input: the
 /// input transition `tr` must arrive by
 /// `min over reachable output transitions (required_out − delay)`.
-pub(crate) fn required_backward(
+fn required_backward(
     sense: Sense,
     required_out: RiseFall<Time>,
     delay: RiseFall<Time>,

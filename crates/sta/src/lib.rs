@@ -21,6 +21,8 @@
 //! * [`clusters`](TimingGraph::clusters) — the paper's *clusters*:
 //!   maximal connected networks of combinational logic, the unit at
 //!   which analysis passes are planned;
+//! * [`shard`] — per-cluster CSR subgraphs whose sweeps are written
+//!   once over the value [`algebra`] (numeric or symbolic);
 //! * [`paths`] — critical-path extraction and the exhaustive
 //!   path-enumeration baseline that the paper rejects on cost grounds
 //!   (reproduced here for the ablation benchmark).
@@ -53,12 +55,14 @@
 //! # }
 //! ```
 
+pub mod algebra;
 pub mod analysis;
 mod error;
 mod graph;
 pub mod paths;
 pub mod shard;
 
+pub use algebra::{Algebra, Numeric};
 pub use error::StaError;
 pub use graph::{Cluster, ClusterId, GraphArc, SyncInst, TimingGraph};
 pub use shard::{ClusterShard, LocalArc, ShardedGraph};

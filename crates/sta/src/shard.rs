@@ -9,16 +9,17 @@
 //! `O(graph)` — and independent `(cluster, pass)` sweeps can run on
 //! different threads without sharing mutable state.
 //!
-//! The local sweeps mirror [`crate::analysis::propagate_ready_max`]
-//! and [`crate::analysis::propagate_required`] operation for
-//! operation; because all merges are exact `i64` max/min, a local
-//! sweep scattered back into a dense table is bit-identical to the
-//! whole-graph sweep.
+//! The local sweeps are written once over an [`Algebra`]. In the
+//! [`Numeric`](crate::Numeric) instance they perform exactly the
+//! operations of [`crate::analysis::propagate_ready_max`] and
+//! [`crate::analysis::propagate_required`]; because all merges are
+//! exact `i64` max/min, a local sweep scattered back into a dense table
+//! is bit-identical to the whole-graph sweep.
 
 use hb_netlist::NetId;
 use hb_units::{RiseFall, Time};
 
-use crate::analysis::required_backward;
+use crate::algebra::Algebra;
 use crate::graph::{ClusterId, TimingGraph};
 
 /// One arc of a [`ClusterShard`], with endpoints as local indices and
@@ -78,47 +79,28 @@ impl ClusterShard {
         &self.nets
     }
 
-    /// The arcs leaving local node `u`, in the exact order
-    /// [`ClusterShard::sweep_ready_max`] visits them. External engines
-    /// that must replay a sweep operation for operation (e.g. the
-    /// symbolic parametric engine) iterate these instead of duplicating
-    /// the CSR layout.
-    pub fn fanout(&self, u: usize) -> impl Iterator<Item = &LocalArc> + '_ {
-        self.fanout_arcs[self.fanout_heads[u] as usize..self.fanout_heads[u + 1] as usize]
-            .iter()
-            .map(move |&ai| &self.arcs[ai as usize])
-    }
-
-    /// The arcs entering local node `v`, in the exact order
-    /// [`ClusterShard::sweep_required`] visits them.
-    pub fn fanin(&self, v: usize) -> impl Iterator<Item = &LocalArc> + '_ {
-        self.fanin_arcs[self.fanin_heads[v] as usize..self.fanin_heads[v + 1] as usize]
-            .iter()
-            .map(move |&ai| &self.arcs[ai as usize])
-    }
-
     /// A local table filled with the given sentinel.
-    pub fn table(&self, fill: Time) -> Vec<RiseFall<Time>> {
+    pub fn table<V: Clone>(&self, fill: V) -> Vec<RiseFall<V>> {
         vec![RiseFall::splat(fill); self.nets.len()]
     }
 
     /// Forward maximum-arrival sweep over the shard — the local
     /// equivalent of [`crate::analysis::propagate_ready_max`]. Seeds
-    /// must already be placed; unreached nodes keep [`Time::NEG_INF`].
-    pub fn sweep_ready_max(&self, ready: &mut [RiseFall<Time>]) {
+    /// must already be placed; unreached nodes keep `A::NEG_INF`.
+    pub fn sweep_ready_max<A: Algebra>(&self, alg: &mut A, ready: &mut [RiseFall<A::Val>]) {
         debug_assert_eq!(ready.len(), self.nets.len());
         for u in 0..self.nets.len() {
             let at = ready[u];
-            if at.rise <= Time::NEG_INF && at.fall <= Time::NEG_INF {
+            if at.rise == A::NEG_INF && at.fall == A::NEG_INF {
                 continue;
             }
             let arcs =
                 &self.fanout_arcs[self.fanout_heads[u] as usize..self.fanout_heads[u + 1] as usize];
             for &ai in arcs {
                 let arc = &self.arcs[ai as usize];
-                let out = arc.sense.propagate(at, arc.delay_max);
+                let out = alg.propagate(arc.sense, at, arc.delay_max);
                 let slot = &mut ready[arc.to as usize];
-                *slot = (*slot).max(out);
+                *slot = alg.max_rf(*slot, out);
             }
         }
     }
@@ -148,21 +130,21 @@ impl ClusterShard {
 
     /// Backward required-time sweep over the shard — the local
     /// equivalent of [`crate::analysis::propagate_required`].
-    /// Unconstrained nodes keep [`Time::INF`].
-    pub fn sweep_required(&self, required: &mut [RiseFall<Time>]) {
+    /// Unconstrained nodes keep `A::INF`.
+    pub fn sweep_required<A: Algebra>(&self, alg: &mut A, required: &mut [RiseFall<A::Val>]) {
         debug_assert_eq!(required.len(), self.nets.len());
         for v in (0..self.nets.len()).rev() {
             let req_out = required[v];
-            if req_out.rise >= Time::INF && req_out.fall >= Time::INF {
+            if req_out.rise == A::INF && req_out.fall == A::INF {
                 continue;
             }
             let arcs =
                 &self.fanin_arcs[self.fanin_heads[v] as usize..self.fanin_heads[v + 1] as usize];
             for &ai in arcs {
                 let arc = &self.arcs[ai as usize];
-                let req_in = required_backward(arc.sense, req_out, arc.delay_max);
+                let req_in = alg.required_backward(arc.sense, req_out, arc.delay_max);
                 let slot = &mut required[arc.from as usize];
-                *slot = (*slot).min(req_in);
+                *slot = alg.min_rf(*slot, req_in);
             }
         }
     }
@@ -267,6 +249,7 @@ impl ShardedGraph {
 mod tests {
     use super::*;
     use crate::analysis::{propagate_ready_max, propagate_required, table};
+    use crate::Numeric;
     use hb_cells::{sc89, Binding};
     use hb_netlist::Design;
 
@@ -335,8 +318,8 @@ mod tests {
                     q[sharded.local_of(y) as usize] = RiseFall::splat(Time::from_ns(10));
                 }
             }
-            shard.sweep_ready_max(&mut r);
-            shard.sweep_required(&mut q);
+            shard.sweep_ready_max(&mut Numeric, &mut r);
+            shard.sweep_required(&mut Numeric, &mut q);
             for (local, &net) in shard.nets().iter().enumerate() {
                 ready2[net.as_raw() as usize] = r[local];
                 required2[net.as_raw() as usize] = q[local];

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test -q
 
+echo "== benchmark package (hbbench) build and unit tests"
+# hbbench is a package of its own, outside the workspace, so the
+# commands above never compile it; build and test it here so a change
+# to the core API that breaks the benchmark fails the gate.
+cargo test -q --manifest-path crates/bench/src/bin/hbbench/Cargo.toml
+
 echo "== chaos suite (3 fixed seeds + 1 fresh, metrics armed)"
 # The chaos tests always run their three fixed seeds; HB_CHAOS_SEED
 # adds one fresh seed per run so the fault matrix keeps exploring.
