@@ -4,12 +4,13 @@
 //!
 //! Runs an in-process server on a loopback socket, drives it with the
 //! blocking [`Client`], and writes `BENCH_server.json`. Run with
-//! `cargo run --release -p hb-bench --bin server_bench`. A second
-//! section drives the `poll(2)` reactor transport: sequential
-//! request/reply as the baseline, pipelined windows, batched
-//! multi-node `slack` requests (the ≥1M-queries/sec path), and a
-//! concurrent-connection sweep with thousands of idle peers polling
-//! alongside the hot connection.
+//! `cargo run --release -p hb-bench --bin server_bench`. Every section
+//! runs the one TCP transport, the `poll(2)` event loop: sequential
+//! request/reply (`slack_query`, the `fleet` sweep), and in the
+//! `reactor` section pipelined windows, batched multi-node `slack`
+//! requests (the ≥1M-queries/sec path), and a concurrent-connection
+//! sweep with thousands of idle peers polling alongside the hot
+//! connection.
 //!
 //! Flags: `--quick` shrinks every iteration count and caps the sweep
 //! (for smoke tests and the qps regression gate), `--out PATH`
@@ -698,9 +699,9 @@ fn bench_failover(lib: &Library, quick: bool, json: &mut String) {
     );
 }
 
-/// The reactor transport section: sequential vs pipelined vs batched
-/// slack throughput, then the same pipelined measurement with a crowd
-/// of idle connections sharing the event loop.
+/// The `reactor` section: sequential vs pipelined vs batched slack
+/// throughput, then the same pipelined measurement with a crowd of
+/// idle connections sharing the event loop.
 fn bench_reactor(lib: &Library, w: &Workload, quick: bool, json: &mut String) {
     let max_conns = if quick { 300 } else { 12_000 };
     // One fd per server-side connection, one per bench-side stream,
@@ -712,7 +713,7 @@ fn bench_reactor(lib: &Library, w: &Workload, quick: bool, json: &mut String) {
     };
     let server = Server::bind("127.0.0.1:0", lib.clone(), options).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
-    let daemon = std::thread::spawn(move || server.run_reactor());
+    let daemon = std::thread::spawn(move || server.run());
 
     let mut client = Client::connect(addr).expect("connect");
     let text = hb_io::write_hum_with_timing(&w.design, &w.clocks, &directives_from_spec(&w.spec));
@@ -1028,7 +1029,8 @@ fn main() {
     // Quorum failover: standby resync paging and promotion downtime.
     bench_failover(&lib, quick, &mut json);
 
-    // The reactor transport over the first (pipeline) workload.
+    // Pipelining, batching and idle crowds over the first (pipeline)
+    // workload.
     bench_reactor(&lib, &workloads[0], quick, &mut json);
     json.push_str("}\n");
 

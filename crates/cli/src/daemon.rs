@@ -2,7 +2,7 @@
 //! [`hb_server`].
 //!
 //! ```text
-//! hummingbird serve [--listen ADDR] [--stdio] [--reactor]
+//! hummingbird serve [--listen ADDR] [--stdio]
 //!                   [--library FILE] [--max-conns N]
 //!                   [--max-designs N] [--mem-budget BYTES]
 //!                   [--standby-of ADDR] [--peers ADDR,ADDR,...]
@@ -35,9 +35,10 @@
 //!
 //! `serve` prints `listening on IP:PORT` once the socket is bound (bind
 //! port 0 for an ephemeral port), then blocks until a client sends
-//! `shutdown`. With `--reactor` the daemon serves every connection from
-//! one `poll(2)` event loop instead of a thread per connection — the
-//! c10k transport, with identical replies. `--max-designs` and
+//! `shutdown`. One `poll(2)` event loop serves every connection and
+//! answers settled reads itself; each design's writes run in order on
+//! a worker thread of their own, so one tenant's analysis never
+//! stalls another tenant's queries. `--max-designs` and
 //! `--mem-budget` bound the resident session fleet (LRU eviction,
 //! transparent journal reload); `--standby-of ADDR` runs this daemon
 //! as a warm standby replicating the primary at ADDR, promoting itself
@@ -72,7 +73,7 @@ use hb_server::{serve_stream, Client, Server, ServerOptions};
 
 use crate::{load_library, CliError};
 
-const SERVE_USAGE: &str = "usage: hummingbird serve [--listen ADDR] [--stdio] [--reactor] \
+const SERVE_USAGE: &str = "usage: hummingbird serve [--listen ADDR] [--stdio] \
 [--library LIB.txt] [--max-conns N] [--max-designs N] [--mem-budget BYTES] [--standby-of ADDR] \
 [--peers ADDR,ADDR,...]";
 const QUERY_USAGE: &str = "usage: hummingbird query ADDR [--design ID] [--timeout MS] \
@@ -93,7 +94,6 @@ const PIPELINE_WINDOW: usize = 128;
 pub fn run_serve(args: &[&str], out: &mut impl Write) -> Result<u8, CliError> {
     let mut listen = "127.0.0.1:0".to_owned();
     let mut stdio = false;
-    let mut reactor = false;
     let mut library = None;
     let mut options = ServerOptions::default();
     let mut it = args.iter();
@@ -106,7 +106,6 @@ pub fn run_serve(args: &[&str], out: &mut impl Write) -> Result<u8, CliError> {
                     .to_string();
             }
             "--stdio" => stdio = true,
-            "--reactor" => reactor = true,
             "--library" => library = it.next().map(|s| s.to_string()),
             "--max-conns" => {
                 options.max_connections = it
@@ -171,12 +170,9 @@ pub fn run_serve(args: &[&str], out: &mut impl Write) -> Result<u8, CliError> {
     // Announce before blocking so wrappers can scrape the port.
     writeln!(out, "listening on {addr}").map_err(|e| CliError::io(e.to_string()))?;
     out.flush().map_err(|e| CliError::io(e.to_string()))?;
-    if reactor {
-        server.run_reactor()
-    } else {
-        server.run()
-    }
-    .map_err(|e| CliError::io(format!("serve: {e}")))?;
+    server
+        .run()
+        .map_err(|e| CliError::io(format!("serve: {e}")))?;
     writeln!(out, "shutdown complete").map_err(|e| CliError::io(e.to_string()))?;
     Ok(0)
 }

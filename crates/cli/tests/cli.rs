@@ -443,8 +443,7 @@ fn reactor_serve_pipeline_and_batched_slack() {
             sent: Some(sent),
             line: String::new(),
         };
-        hb_cli::run(&["serve", "--listen", "127.0.0.1:0", "--reactor"], &mut out)
-            .expect("reactor serves")
+        hb_cli::run(&["serve", "--listen", "127.0.0.1:0"], &mut out).expect("reactor serves")
     });
     let addr = announced
         .recv_timeout(std::time::Duration::from_secs(30))

@@ -56,10 +56,11 @@ pub const SESSION_LOAD_PANIC: &str = "session.load.panic";
 /// The session panics mid-`eco`, after the design was mutated but
 /// before it was re-analyzed — the worst case for state consistency.
 pub const SESSION_ECO_PANIC: &str = "session.eco.panic";
-/// The server transport skips its `catch_unwind` so an injected panic
-/// escapes, kills the worker thread and genuinely poisons the session
-/// lock — exercising the poison-recovery path rather than the
-/// panic-isolation path.
+/// The server's write path skips its `catch_unwind` so an injected
+/// panic escapes the session guard and genuinely poisons the session
+/// lock. The design worker catches it at the job boundary and closes
+/// that request's connection without a reply — exercising the
+/// poison-recovery path rather than the panic-isolation path.
 pub const NET_UNWIND_ESCAPE: &str = "net.unwind.escape";
 /// The replication control plane is cut: the node drops every
 /// outbound replication exchange (sync, probe, gossip, vote request)

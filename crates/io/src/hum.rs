@@ -7,6 +7,7 @@
 //!   port in <net>...
 //!   port out <net>...
 //!   inst <inst-name> <cell-or-module> <pin>=<net>...
+//!   netattr <net> <key> <value>
 //! end
 //! top <name>
 //! clock <name> period <time> rise <time> fall <time>
@@ -15,7 +16,9 @@
 //! require <port> <clock> <rise|fall>[@<occurrence>] <offset>
 //! ```
 //!
-//! Nets are created implicitly on first reference. Child modules must be
+//! Nets are created implicitly on first reference. `netattr` carries a
+//! net attribute (such as the `hb.load_pct` a `scale-net` ECO sets);
+//! key and value are single tokens. Child modules must be
 //! defined before they are instantiated (the writer emits them in
 //! dependency order). Times accept the `hb-units` syntax (`40ns`,
 //! `2.5ns`, `250ps`).
@@ -210,6 +213,16 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
                         .connect(module, inst, pin, net)
                         .map_err(|e| err(e.to_string()))?;
                 }
+            }
+            "netattr" => {
+                let module = current.ok_or_else(|| err("`netattr` outside a module".into()))?;
+                let (Some(net_name), Some(key), Some(value), None) =
+                    (tokens.next(), tokens.next(), tokens.next(), tokens.next())
+                else {
+                    return Err(err("netattr takes NET KEY VALUE".into()));
+                };
+                let net = net_by_name_or_new(&mut design, module, net_name).map_err(&err)?;
+                design.module_mut(module).set_net_attr(net, key, value);
             }
             "top" => {
                 let name = tokens
@@ -418,6 +431,11 @@ pub fn write_hum_with_timing(
             }
             let _ = writeln!(out, "{line}");
         }
+        for (_, net) in module.nets() {
+            for (key, value) in net.attrs() {
+                let _ = writeln!(out, "  netattr {} {key} {value}", net.name());
+            }
+        }
         let _ = writeln!(out, "end");
         let _ = writeln!(out);
     }
@@ -511,6 +529,43 @@ clock ck period 20ns rise 0ns fall 10ns
         assert_eq!(a, b);
         assert_eq!(again.clocks.len(), 1);
         again.design.validate().unwrap();
+    }
+
+    #[test]
+    fn net_attributes_round_trip_after_the_instances() {
+        let lib = sc89();
+        let mut file = parse_hum(SAMPLE, &lib).unwrap();
+        let top = file.design.top().unwrap();
+        let plain = write_hum(&file.design, &file.clocks);
+        assert!(!plain.contains("netattr"), "no attributes, no lines");
+        let module = file.design.module_mut(top);
+        let (v, w) = (
+            module.net_by_name("v").unwrap(),
+            module.net_by_name("w").unwrap(),
+        );
+        module.set_net_attr(w, "hb.load_pct", "300");
+        module.set_net_attr(v, "hb.slow", "1");
+        module.set_net_attr(v, "hb.load_pct", "50");
+        let text = write_hum(&file.design, &file.clocks);
+        let attrs: Vec<&str> = text.lines().filter(|l| l.contains("netattr")).collect();
+        // Nets in module order (w before v), keys in order per net.
+        assert_eq!(
+            attrs,
+            [
+                "  netattr w hb.load_pct 300",
+                "  netattr v hb.load_pct 50",
+                "  netattr v hb.slow 1"
+            ]
+        );
+        let again = parse_hum(&text, &lib).unwrap();
+        let m = again.design.module(again.design.top().unwrap());
+        let net = |n: &str| m.net(m.net_by_name(n).unwrap());
+        assert_eq!(net("w").attr("hb.load_pct"), Some("300"));
+        assert_eq!(net("v").attr("hb.slow"), Some("1"));
+        assert_eq!(write_hum(&again.design, &again.clocks), text, "byte-stable");
+
+        let bad = SAMPLE.replace("end\n", "  netattr w hb.load_pct\nend\n");
+        assert!(parse_hum(&bad, &lib).is_err(), "netattr needs a value");
     }
 
     #[test]

@@ -114,6 +114,11 @@ impl Net {
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs.get(key).map(String::as_str)
     }
+
+    /// Iterates over all attributes in key order.
+    pub fn attrs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
 }
 
 /// A boundary port of a module.

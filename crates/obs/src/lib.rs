@@ -40,11 +40,9 @@ use std::sync::OnceLock;
 
 mod metrics;
 mod registry;
-mod stream;
 
 pub use metrics::{bucket_bound, Counter, Gauge, Histogram, Span, BUCKETS};
 pub use registry::{parse_exposition, Registry};
-pub use stream::{CountingReader, CountingWriter};
 
 /// Whether timing instrumentation is armed, process-wide.
 static ARMED: AtomicBool = AtomicBool::new(false);

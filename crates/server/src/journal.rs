@@ -28,11 +28,13 @@
 //! limit under an ECO-heavy client.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use hb_cells::Library;
 use hb_io::Frame;
 use hummingbird::SlackCache;
 
+use crate::net::lock;
 use crate::session::Session;
 
 /// Verbs whose handling may change state a journal replay must
@@ -216,7 +218,10 @@ impl Journal {
 
 /// Answers `req` on `session` with panic isolation and journal-backed
 /// recovery — the write-path core shared by the TCP transport and the
-/// stdio loop.
+/// stdio loop. The caller holds the session's write lock; the journal
+/// is locked only to record or recover, never across the handling, so
+/// replication and `designs` readers on the event loop do not wait
+/// out a long analysis.
 ///
 /// Requests that changed state (successfully or not) are journaled.
 /// On a panic the half-mutated session is rebuilt from the journal
@@ -225,7 +230,7 @@ impl Journal {
 /// is the last one any client was told about.
 pub(crate) fn handle_recovering(
     session: &mut Session,
-    journal: &mut Journal,
+    journal: &Mutex<Journal>,
     library: &Library,
     req: &Frame,
 ) -> Frame {
@@ -239,7 +244,7 @@ pub(crate) fn handle_recovering(
         Ok(reply) => reply,
         Err(panic) => {
             let what = panic_message(&panic);
-            let recovery = recover(session, journal, library);
+            let recovery = recover(session, &lock(journal), library);
             let reply = Frame::new("error").arg("code", "internal");
             return match recovery {
                 Ok(replayed) => reply
@@ -258,7 +263,7 @@ pub(crate) fn handle_recovering(
         }
     };
     if mutating && (reply.verb == "ok" || before != Some(session.fingerprint())) {
-        journal.record(req, &reply, session);
+        lock(journal).record(req, &reply, session);
     }
     reply
 }

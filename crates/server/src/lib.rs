@@ -9,21 +9,23 @@
 //! [`SlackCache`](hummingbird::SlackCache), so an engineering-change
 //! edit pays only for the cluster shards it actually dirtied.
 //!
-//! Three layers:
+//! The layers:
 //!
 //! * [`Session`] — transport-agnostic request handling over one loaded
 //!   design ([`Frame`](hb_io::Frame) in, frame out): `load`,
 //!   `analyze`, `slack`, `worst-paths`, `constraints`, `eco`, `dump`,
 //!   `stats`, `metrics`, `shutdown`;
-//! * [`Server`] — a thread-per-connection TCP daemon multiplexing a
-//!   keyed *fleet* of sessions (`design=ID` routing, `open`/`close`/
-//!   `designs` management, LRU eviction under `--max-designs` /
-//!   `--mem-budget`, journal-streaming replication to a
-//!   `--standby-of` warm standby), each session behind its own
-//!   `RwLock` with per-request lock deadlines, socket frame/idle
-//!   deadlines, overload shedding, and [`serve_stream`] — the same
-//!   routing over arbitrary byte streams (`hummingbird serve
-//!   --stdio`);
+//! * [`Server`] — a TCP daemon multiplexing a keyed *fleet* of
+//!   sessions (`design=ID` routing, `open`/`close`/`designs`
+//!   management, LRU eviction under `--max-designs` / `--mem-budget`,
+//!   journal-streaming replication to a `--standby-of` warm standby),
+//!   each session behind its own `RwLock`. One `poll(2)` event loop
+//!   serves every connection and answers settled reads inline; each
+//!   design's writes run in order on a worker thread of their own, so
+//!   one tenant's analysis never stalls another tenant. Requests carry
+//!   lock deadlines, sockets frame/idle deadlines, and excess
+//!   connections are shed. [`serve_stream`] runs the same routing over
+//!   arbitrary byte streams (`hummingbird serve --stdio`);
 //! * [`Journal`] — a write-ahead record of state-changing requests;
 //!   when a request panics (or a panic poisons the session lock), the
 //!   transports rebuild the session by replaying it, warm through the
@@ -190,6 +192,38 @@ arrive din phi1 rise 0.5ns
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("a1y "), "{:?}", lines[0]);
         assert!(lines[1].starts_with("a0y "), "{:?}", lines[1]);
+    }
+
+    /// A `scale-net` edit survives `dump`: a fresh session loading the
+    /// dump analyzes to the edited worst slack and fingerprint, which
+    /// differs from the unedited design's.
+    #[test]
+    fn scale_net_survives_dump_and_reload() {
+        let text = std::fs::read_to_string("../../designs/two_phase_pipeline.hum").unwrap();
+        let load = Frame::new("load").with_payload(text);
+        let mut unedited = Session::new(sc89());
+        unedited.handle(&load);
+        let mut s = Session::new(sc89());
+        s.handle(&load);
+        s.handle(&Frame::new("analyze"));
+        let scale = Frame::new("eco")
+            .arg("op", "scale-net")
+            .arg("net", "a1y")
+            .arg("percent", 300);
+        let eco = s.handle(&scale);
+        assert_eq!(eco.verb, "ok", "{:?}", eco.payload);
+        let dump = s.handle(&Frame::new("dump")).payload.unwrap();
+
+        let mut fresh = Session::new(sc89());
+        assert_eq!(
+            fresh.handle(&Frame::new("load").with_payload(dump)).verb,
+            "ok"
+        );
+        let reloaded = fresh.handle(&Frame::new("analyze"));
+        assert_eq!(reloaded.get("worst"), eco.get("worst"));
+        assert_eq!(reloaded.get("worst"), Some("2.449ns"));
+        assert_eq!(fresh.fingerprint(), s.fingerprint());
+        assert_ne!(s.fingerprint(), unedited.fingerprint(), "the edit is state");
     }
 
     #[test]

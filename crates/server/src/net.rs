@@ -1,16 +1,17 @@
-//! Transports for the resident session: a concurrent TCP daemon, a
-//! single-threaded stdio loop for test harnesses, and a small blocking
-//! client.
+//! The daemon's shared state and request routing, the stdio loop for
+//! test harnesses, and a small blocking client. The TCP transport
+//! itself is the `poll(2)` event loop in [`reactor`](crate::reactor).
 //!
-//! The TCP server is thread-per-connection over a keyed
-//! [`Fleet`](crate::fleet) of design sessions, each behind its own
-//! `RwLock`: requests route on their `design=` argument, read-only
-//! queries of a settled analysis run concurrently, and anything that
-//! may mutate (load, analyze, eco) serialises on that design's write
-//! lock only — tenants never contend with each other. Lock
-//! acquisition polls with a per-request deadline so a long-running
-//! analysis degrades concurrent requests into structured `busy`
-//! errors instead of unbounded stalls.
+//! Requests route over a keyed [`Fleet`](crate::fleet) of design
+//! sessions, each behind its own `RwLock`, on their `design=`
+//! argument. [`route`] answers on the spot whatever needs no write
+//! lock: fleet-management and replication verbs, fenced writes, and
+//! read-only queries of a settled analysis whose read lock is free.
+//! Everything else is a [`WriteJob`] for that design's write path,
+//! [`serve_write`]: the event loop hands it to the design's worker
+//! thread, the stdio loop runs it inline. A job still queued when its
+//! `lock_deadline` expires is answered `error code=busy` and never
+//! run.
 //!
 //! The write path is panic-isolated: a request that panics mid-mutation
 //! is answered with `error code=internal` and the session is rebuilt
@@ -20,35 +21,19 @@
 //! writer claims the guard ([`PoisonError::into_inner`]), clears the
 //! poison, and runs the same recovery — the daemon never answers
 //! `poisoned` and never bricks.
-//!
-//! Sockets carry deadlines. Reads poll on a short grain so a
-//! connection trickling a frame one byte at a time (slowloris) is cut
-//! off at `frame_deadline`, a silent one is reaped at `idle_timeout`,
-//! and writes give up after `write_timeout`. An accept-side connection
-//! cap sheds excess clients with `error code=busy retry_after_ms=N`;
-//! [`Client::request_with_backoff`] honours that hint.
-//!
-//! Teardown is cooperative: `shutdown` flips a flag, closes the read
-//! half of every connection (idle readers see EOF; in-flight replies
-//! still flush over the untouched write halves), pokes the listener
-//! loose with a loopback connection, and `run` then joins every
-//! connection thread before returning — requests that were already
-//! being served complete and their replies are flushed.
-//! Peers that vanish mid-reply surface as ordinary write errors (Rust
-//! ignores `SIGPIPE`), which close that connection only.
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use hb_cells::Library;
-use hb_fault::{FaultPlan, FaultStream};
+use hb_fault::FaultPlan;
 use hb_io::{write_frame, Frame, FrameReader, ProtoError};
-use hb_obs::{CountingReader, CountingWriter};
+use hb_obs::Span;
 use hb_rng::SmallRng;
 
 use crate::fleet::{DesignSlot, Fleet, DEFAULT_DESIGN};
@@ -69,7 +54,8 @@ pub struct ServerOptions {
     /// How long a connection may sit between frames before it is
     /// reaped.
     pub idle_timeout: Duration,
-    /// Socket write timeout for replies.
+    /// How long pending replies may sit unwritten before the
+    /// connection is cut off.
     pub write_timeout: Duration,
     /// Concurrent-connection cap; excess clients are shed at accept
     /// with `error code=busy retry_after_ms=N`.
@@ -77,8 +63,8 @@ pub struct ServerOptions {
     /// The retry hint (milliseconds) carried by shed and lock-deadline
     /// `busy` errors.
     pub retry_after_ms: u64,
-    /// Fault-injection schedule threaded into the session and both
-    /// halves of every accepted socket. [`FaultPlan::none`] (the
+    /// Fault-injection schedule threaded into the session and every
+    /// accepted socket's reads and writes. [`FaultPlan::none`] (the
     /// default) makes every hook a no-op.
     pub faults: FaultPlan,
     /// How many design sessions may stay resident at once; the
@@ -96,7 +82,8 @@ pub struct ServerOptions {
     /// standby either promotes unilaterally (no
     /// [`ServerOptions::peers`]) or runs a ranked quorum election.
     pub standby_of: Option<String>,
-    /// How long the standby sync thread sleeps between sync rounds.
+    /// How long the node loop waits between sync rounds (and between
+    /// a clustered primary's gossip probes).
     pub sync_interval: Duration,
     /// Consecutive failed sync rounds after which a standby declares
     /// its upstream dead and seeks promotion.
@@ -139,9 +126,9 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    /// The socket read timeout: deadlines are enforced by polling, so
-    /// the grain is a fraction of the tightest deadline, bounded to
-    /// stay responsive without spinning.
+    /// The event loop's poll timeout: deadlines are enforced by a
+    /// sweep once per tick, so the grain is a fraction of the tightest
+    /// deadline, bounded to stay responsive without spinning.
     pub(crate) fn poll_grain(&self) -> Duration {
         (self.frame_deadline.min(self.idle_timeout) / 4)
             .clamp(Duration::from_millis(5), Duration::from_millis(250))
@@ -149,14 +136,14 @@ impl ServerOptions {
 }
 
 /// Poison-tolerant mutex lock: the daemon's auxiliary state (journal,
-/// connection registry) stays usable even if a holder panicked.
+/// node control, worker queues) stays usable even if a holder
+/// panicked.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Everything both transports (thread-per-connection and the reactor)
-/// share: the design fleet, the metrics, and the shutdown/shedding
-/// state.
+/// Everything the event loop, the design workers and the stdio loop
+/// share: the design fleet, the metrics, and the node control state.
 pub(crate) struct Shared {
     /// The keyed design-session table every request routes through.
     pub(crate) fleet: Fleet,
@@ -166,15 +153,7 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<Metrics>,
     /// The library recoveries and reloads replay against.
     pub(crate) library: Library,
-    pub(crate) shutdown: AtomicBool,
     pub(crate) options: ServerOptions,
-    /// Live connections, for the cap.
-    pub(crate) active: AtomicUsize,
-    /// Read-half handles of every accepted connection, keyed by
-    /// connection id so `shutdown` can unblock idle readers without
-    /// cutting in-flight replies, and closed connections can
-    /// deregister.
-    pub(crate) conns: Mutex<Vec<(u64, TcpStream)>>,
     /// Role, fencing term, upstream and vote ledger — the node's
     /// replication control state (see [`crate::replica`]).
     pub(crate) node: Mutex<replica::NodeCtl>,
@@ -198,28 +177,9 @@ impl Shared {
             fleet,
             metrics,
             library,
-            shutdown: AtomicBool::new(false),
             options,
-            active: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
             node: Mutex::new(node),
         }
-    }
-}
-
-/// Decrements the live-connection count and deregisters the read-half
-/// handle when a connection thread exits — including by panic, so an
-/// escaped injected panic cannot leak a connection slot.
-struct ConnGuard<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.active.fetch_sub(1, Ordering::AcqRel);
-        self.shared.metrics.conns.sub(1);
-        lock(&self.shared.conns).retain(|(id, _)| *id != self.id);
     }
 }
 
@@ -261,7 +221,7 @@ impl Server {
 
     /// Mutable access to the options of a bound, not-yet-running
     /// server — `None` once `run` has started (the state is shared
-    /// with connection threads from then on). Tests use this to bind a
+    /// with the design workers from then on). Tests use this to bind a
     /// whole cluster on ephemeral ports first and wire each node's
     /// `peers`/`standby_of` to the resulting addresses afterwards.
     pub fn options_mut(&mut self) -> Option<&mut ServerOptions> {
@@ -276,231 +236,77 @@ impl Server {
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
+}
 
-    /// Serves connections until a `shutdown` request, then drains
-    /// in-flight connection threads and returns. Connections past
-    /// `max_connections` are shed with a `busy` frame instead of being
-    /// queued.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener failures; per-connection errors only close
-    /// that connection.
-    pub fn run(self) -> io::Result<()> {
-        // A resident daemon always times its requests: the histograms
-        // are the point of running one, and the parity suite plus the
-        // perf harness bound the cost.
-        hb_obs::arm();
-        // Options may have been rewired after bind (tests set peers to
-        // addresses they only learned by binding); recompute the node
-        // control state from the final options before serving.
-        replica::refresh_node(&self.shared);
-        let node_loop = spawn_node(&self.shared);
-        let addr = self.listener.local_addr()?;
-        let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-        let mut next_id: u64 = 0;
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            if self.shared.active.load(Ordering::Acquire) >= self.shared.options.max_connections {
-                self.shared.metrics.shed.inc();
-                shed(stream, &self.shared.options);
-                continue;
-            }
-            self.shared.active.fetch_add(1, Ordering::AcqRel);
-            self.shared.metrics.conns.add(1);
-            let id = next_id;
-            next_id += 1;
-            let shared = Arc::clone(&self.shared);
-            workers.push(thread::spawn(move || {
-                let _guard = ConnGuard {
-                    shared: &shared,
-                    id,
-                };
-                serve_connection(stream, &shared, addr, id);
-            }));
-            workers.retain(|w| !w.is_finished());
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        if let Some(sync) = node_loop {
-            let _ = sync.join();
-        }
-        Ok(())
+/// Where [`route`] sent a request.
+pub(crate) enum Routed {
+    /// Answered on the spot.
+    Reply(Frame),
+    /// Needs its design's write path ([`serve_write`]).
+    Write(WriteJob),
+}
+
+/// A request bound for one design's write path.
+pub(crate) struct WriteJob {
+    pub(crate) slot: Arc<DesignSlot>,
+    req: Frame,
+    /// Past this instant the job is answered `busy` instead of run.
+    deadline: Instant,
+    /// The lock-wait span, still open unless the read path already
+    /// held (and stopped) it.
+    lock_wait: Option<Span>,
+}
+
+impl WriteJob {
+    /// Whether the job's lock deadline has passed.
+    pub(crate) fn expired(&self, now: Instant) -> bool {
+        now >= self.deadline
     }
 }
 
-/// Starts the node control thread when this daemon takes part in
-/// replication at all — as a standby (`--standby-of`), as a clustered
-/// primary (`--peers`), or both. The thread syncs, probes, gossips and
-/// elects (see [`replica::run_node`]); it exits on shutdown, or once
-/// it promotes with no peers to gossip to (the legacy lone-standby
-/// mode, where nothing remains to do). The blocking transport joins it
-/// on the way out; the reactor runs the same duties inline instead.
-pub(crate) fn spawn_node(shared: &Arc<Shared>) -> Option<thread::JoinHandle<()>> {
-    if shared.options.standby_of.is_none() && shared.options.peers.is_empty() {
-        return None;
-    }
-    let shared = Arc::clone(shared);
-    Some(thread::spawn(move || {
-        replica::run_node(&shared);
-    }))
-}
-
-/// Overload shedding: answer an over-cap connection with a structured
-/// `busy` carrying the retry hint, then close. Bounded by the write
-/// timeout so a non-reading client cannot stall the accept loop.
-fn shed(stream: TcpStream, options: &ServerOptions) {
-    let _ = stream.set_write_timeout(Some(options.write_timeout));
-    let reply = Frame::new("error")
+/// The reply to a job whose lock deadline passed before it ran.
+pub(crate) fn busy(shared: &Shared) -> Frame {
+    Frame::new("error")
         .arg("code", "busy")
-        .arg("retry_after_ms", options.retry_after_ms)
-        .with_payload("connection limit reached; retry shortly");
-    let _ = write_frame(&mut &stream, &reply);
-    let _ = stream.shutdown(Shutdown::Both);
+        .arg("retry_after_ms", shared.options.retry_after_ms)
+        .with_payload("session lock deadline exceeded")
 }
 
-/// One connection's framing and teardown; the request loop proper is
-/// [`serve_requests`]. Whatever ends the loop, the socket is shut down
-/// on exit so the peer sees EOF rather than a half-dead connection.
-fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr, id: u64) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.options.poll_grain()));
-    let _ = stream.set_write_timeout(Some(shared.options.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    if let Ok(clone) = stream.try_clone() {
-        lock(&shared.conns).push((id, clone));
-    }
-    // Both halves run under the server's fault plan (with the default
-    // disarmed plan the wrappers are transparent) and count their wire
-    // bytes into the daemon's metrics.
-    let faults = shared.options.faults.clone();
-    let mut requests = FrameReader::new(BufReader::new(CountingReader::new(
-        FaultStream::reader(read_half, faults.clone()),
-        shared.metrics.bytes_in.clone(),
-    )));
-    // Enforced inside the decoder too, so a drip arriving faster than
-    // the poll grain cannot dodge the deadline.
-    requests.set_frame_timeout(Some(shared.options.frame_deadline));
-    let mut replies = BufWriter::new(CountingWriter::new(
-        FaultStream::new(io::empty(), &stream, faults),
-        shared.metrics.bytes_out.clone(),
-    ));
-    serve_requests(&mut requests, &mut replies, shared, addr);
-    drop(replies);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Whether an I/O error is a socket-timeout tick rather than a real
-/// failure (the kind differs by platform).
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// One connection's read/reply loop, with the frame and idle deadlines
-/// enforced on every poll tick.
-fn serve_requests<R: io::BufRead>(
-    requests: &mut FrameReader<R>,
-    replies: &mut impl io::Write,
-    shared: &Shared,
-    addr: SocketAddr,
-) {
-    let options = &shared.options;
-    let mut idle_since = Instant::now();
-    loop {
-        match requests.read_frame() {
-            Ok(Some(req)) => {
-                idle_since = Instant::now();
-                let stop = req.verb == "shutdown";
-                let reply = handle_with_deadline(shared, &req);
-                let sent_ok = write_frame(replies, &reply).is_ok();
-                if stop && reply.verb == "ok" {
-                    shared.shutdown.store(true, Ordering::Release);
-                    // Stop the intake everywhere: idle readers see EOF
-                    // while in-flight replies still flush over the
-                    // untouched write halves...
-                    for (_, conn) in lock(&shared.conns).iter() {
-                        let _ = conn.shutdown(Shutdown::Read);
-                    }
-                    // ...and unblock the accept loop so `run` can join.
-                    let _ = TcpStream::connect(addr);
-                    return;
-                }
-                if !sent_ok {
-                    return; // peer closed mid-reply
-                }
-            }
-            Ok(None) => return, // clean disconnect
-            Err(ProtoError::Io(e)) if is_timeout(&e) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if requests.mid_frame() {
-                    // The decoder's clock started at the frame's first
-                    // byte — the slowloris measure.
-                    if requests.frame_age().unwrap_or(Duration::ZERO) >= options.frame_deadline {
-                        let reply = Frame::new("error")
-                            .arg("code", "timeout")
-                            .with_payload("frame deadline exceeded: request arrived too slowly");
-                        let _ = write_frame(replies, &reply);
-                        return;
-                    }
-                } else if idle_since.elapsed() >= options.idle_timeout {
-                    return; // idle reaper
-                }
-            }
-            Err(ProtoError::Io(_)) => return,
-            Err(e) => {
-                idle_since = Instant::now();
-                let reply = Frame::new("error")
-                    .arg("code", "proto")
-                    .with_payload(e.to_string());
-                if write_frame(replies, &reply).is_err() || !e.recoverable() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Routes a request to its design slot (the `design=` argument, the
-/// default design when absent), handling the fleet-management and
-/// replication verbs at the transport itself. Everything else runs
-/// the per-slot lock dance in [`handle_on_slot`].
+/// Routes a request: the fleet-management and replication verbs are
+/// answered at the transport itself, anything else goes to its design
+/// slot (the `design=` argument, the default design when absent),
+/// where a read-only query of a settled analysis is answered under
+/// the read lock if that lock is free. Whatever remains — writes,
+/// unsettled reads, a held, poisoned or evicted slot — becomes a
+/// [`WriteJob`].
 ///
 /// Mutations are fenced first: a node that is not the primary of its
 /// term rejects every state-changing verb with `error code=fenced
 /// term=N`, so a zombie ex-primary can never accept a write its
 /// cluster did not agree to. `stats` and `designs` replies are
 /// annotated with the node's `role=`/`term=` on the way out.
-pub(crate) fn handle_with_deadline(shared: &Shared, req: &Frame) -> Frame {
-    if let Some(denied) = replica::fence(shared, req) {
+pub(crate) fn route(shared: &Shared, req: Frame) -> Routed {
+    if let Some(denied) = replica::fence(shared, &req) {
         shared.metrics.count_write(&req.verb);
         shared.metrics.fenced_writes.inc();
         shared.metrics.error(denied.get("code").unwrap_or("fenced"));
-        return denied;
+        return Routed::Reply(denied);
     }
-    match req.verb.as_str() {
-        "open" | "close" => return counted(shared, req, false, || shared.fleet.manage(req)),
-        "designs" => {
-            return replica::annotate(
-                shared,
-                counted(shared, req, true, || shared.fleet.manage(req)),
-            )
-        }
-        "repl-state" => return counted(shared, req, true, || replica::repl_state(shared, req)),
-        "repl-pull" => return counted(shared, req, true, || replica::repl_pull(shared, req)),
-        "vote" => return counted(shared, req, false, || replica::vote(shared, req)),
-        _ => {}
-    }
+    let reply = match req.verb.as_str() {
+        "open" | "close" => counted(shared, &req, false, || shared.fleet.manage(&req)),
+        "designs" => replica::annotate(
+            shared,
+            counted(shared, &req, true, || shared.fleet.manage(&req)),
+        ),
+        "repl-state" => counted(shared, &req, true, || replica::repl_state(shared, &req)),
+        "repl-pull" => counted(shared, &req, true, || replica::repl_pull(shared, &req)),
+        "vote" => counted(shared, &req, false, || replica::vote(shared, &req)),
+        _ => return route_to_slot(shared, req),
+    };
+    Routed::Reply(reply)
+}
+
+fn route_to_slot(shared: &Shared, req: Frame) -> Routed {
     let id = req.get("design").unwrap_or(DEFAULT_DESIGN);
     let slot = match shared.fleet.route(id) {
         Ok(slot) => slot,
@@ -509,20 +315,54 @@ pub(crate) fn handle_with_deadline(shared: &Shared, req: &Frame) -> Frame {
             // the per-verb totals stay complete.
             shared.metrics.count_write(&req.verb);
             shared.metrics.error(reply.get("code").unwrap_or("unknown"));
-            return reply;
+            return Routed::Reply(reply);
         }
     };
     shared.metrics.design_request(&slot.id);
-    let reply = handle_on_slot(shared, &slot, req);
-    if req.verb == "stats" {
-        return replica::annotate(shared, reply);
+    // The latency split: lock-wait runs from here until whichever lock
+    // actually serves the request is held (a `busy` reply records the
+    // full wait it burned), and records exactly one sample; the
+    // session records handle time itself. The span is inert unless the
+    // process is armed.
+    let mut lock_wait = Some(shared.metrics.lock_wait_span(&req.verb));
+    // An evicted design has nothing to serve read-only, and suspect
+    // (poisoned) state is never served read-only: the write path
+    // reloads or recovers either first.
+    if slot.resident.load(Ordering::Acquire) {
+        if let Ok(session) = slot.session.try_read() {
+            if session.serves_readonly(&req) {
+                drop(lock_wait.take());
+                // A read-path panic falls through: the write path re-runs
+                // the request with recovery armed.
+                if let Ok(Some(reply)) =
+                    catch_unwind(AssertUnwindSafe(|| session.handle_readonly(&req)))
+                {
+                    return Routed::Reply(annotate_stats(shared, &req, reply));
+                }
+            }
+        }
     }
-    reply
+    Routed::Write(WriteJob {
+        slot,
+        req,
+        deadline: Instant::now() + shared.options.lock_deadline,
+        lock_wait,
+    })
+}
+
+/// `stats` replies carry the node's `role=`/`term=`.
+fn annotate_stats(shared: &Shared, req: &Frame, reply: Frame) -> Frame {
+    if req.verb == "stats" {
+        replica::annotate(shared, reply)
+    } else {
+        reply
+    }
 }
 
 /// Counts and times a verb the transport answers without a session —
 /// the fleet-management and replication verbs — mirroring the
-/// counting [`Session::handle`] does for session verbs.
+/// counting [`Session::handle`](crate::Session::handle) does for
+/// session verbs.
 fn counted(shared: &Shared, req: &Frame, read: bool, f: impl FnOnce() -> Frame) -> Frame {
     if read {
         shared.metrics.count_read(&req.verb);
@@ -537,112 +377,59 @@ fn counted(shared: &Shared, req: &Frame, read: bool, f: impl FnOnce() -> Frame) 
     reply
 }
 
-/// Serves one request on one design slot, degrading to `busy` after
-/// the configured lock deadline. Read-only requests of a settled
-/// analysis take the shared path and run concurrently; the write path
-/// is panic-isolated and journal-recovered, and transparently reloads
-/// an evicted design from its journal first. A poisoned lock is
-/// reclaimed, cleared and recovered — never surfaced to the client.
-fn handle_on_slot(shared: &Shared, slot: &DesignSlot, req: &Frame) -> Frame {
-    let deadline = Instant::now() + shared.options.lock_deadline;
-    // The latency split: lock-wait runs from here until whichever lock
-    // actually serves the request is held (a `busy` reply records the
-    // full deadline it burned), and records exactly one sample; the
-    // session records handle time itself. The span is inert unless the
-    // process is armed.
-    let mut lock_wait = Some(shared.metrics.lock_wait_span(&req.verb));
-    let busy = || {
-        Frame::new("error")
-            .arg("code", "busy")
-            .arg("retry_after_ms", shared.options.retry_after_ms)
-            .with_payload("session lock deadline exceeded")
+/// Serves one job on its design's write lock. The request is
+/// panic-isolated and journal-recovered; an evicted design is first
+/// reloaded from its journal, and a poisoned lock is reclaimed,
+/// cleared and recovered — never surfaced to the client. Blocks only
+/// on locks whose holders finish promptly: the design's writes are
+/// serialised by its one worker, so the write lock is free but for
+/// the event loop's read path and replication replay.
+pub(crate) fn serve_write(shared: &Shared, job: WriteJob) -> Frame {
+    if job.expired(Instant::now()) {
+        return busy(shared);
+    }
+    let WriteJob {
+        slot,
+        req,
+        lock_wait,
+        ..
+    } = job;
+    let (mut session, poisoned) = match slot.session.write() {
+        Ok(session) => (session, false),
+        Err(e) => (e.into_inner(), true),
     };
-    // An evicted design has nothing to serve read-only; the write
-    // path below reloads it from its journal first.
-    while slot.resident.load(Ordering::Acquire) {
-        match slot.session.try_read() {
-            Ok(session) => {
-                // Requests the read path cannot serve wait on for the
-                // write lock.
-                if !session.serves_readonly(req) {
-                    break;
-                }
-                drop(lock_wait.take());
-                // A read-path panic falls through: the write path re-runs
-                // the request with recovery armed.
-                if let Ok(Some(reply)) =
-                    catch_unwind(AssertUnwindSafe(|| session.handle_readonly(req)))
-                {
-                    return reply;
-                }
-                break;
-            }
-            // Never serve suspect state read-only; the write path
-            // below recovers it first.
-            Err(TryLockError::Poisoned(_)) => break,
-            Err(TryLockError::WouldBlock) => {
-                if Instant::now() >= deadline {
-                    return busy();
-                }
-                thread::sleep(Duration::from_micros(250));
-            }
+    drop(lock_wait);
+    if poisoned {
+        // A panic escaped a previous writer: clear the poison and
+        // rebuild the session from the journal before serving.
+        slot.session.clear_poison();
+        let _ = journal::recover(&mut session, &lock(&slot.journal), &shared.library);
+    } else {
+        if !slot.resident.load(Ordering::Acquire) {
+            shared
+                .fleet
+                .reload(&slot, &mut session, &lock(&slot.journal));
+        }
+        if session.faults().fires(hb_fault::NET_UNWIND_ESCAPE) {
+            // Deliberately unguarded: the chaos suite uses this to let
+            // an injected panic escape the session guard and genuinely
+            // poison the lock.
+            return session.handle(&req);
         }
     }
-    loop {
-        match slot.session.try_write() {
-            Ok(mut session) => {
-                drop(lock_wait.take());
-                if !slot.resident.load(Ordering::Acquire) {
-                    let journal = lock(&slot.journal);
-                    shared.fleet.reload(slot, &mut session, &journal);
-                }
-                if session.faults().fires(hb_fault::NET_UNWIND_ESCAPE) {
-                    // Deliberately unguarded: the chaos suite uses this
-                    // to let an injected panic escape and genuinely
-                    // poison the lock.
-                    return session.handle(req);
-                }
-                let reply = {
-                    let mut journal = lock(&slot.journal);
-                    journal::handle_recovering(&mut session, &mut journal, &shared.library, req)
-                };
-                drop(session);
-                shared.fleet.settle(slot);
-                return reply;
-            }
-            Err(TryLockError::Poisoned(e)) => {
-                // A panic escaped a previous writer. Claim the guard
-                // anyway, clear the poison, rebuild the session from
-                // the journal, then serve this request normally.
-                drop(lock_wait.take());
-                let mut session = e.into_inner();
-                slot.session.clear_poison();
-                let reply = {
-                    let mut journal = lock(&slot.journal);
-                    let _ = journal::recover(&mut session, &journal, &shared.library);
-                    journal::handle_recovering(&mut session, &mut journal, &shared.library, req)
-                };
-                drop(session);
-                shared.fleet.settle(slot);
-                return reply;
-            }
-            Err(TryLockError::WouldBlock) => {
-                if Instant::now() >= deadline {
-                    return busy();
-                }
-                thread::sleep(Duration::from_micros(250));
-            }
-        }
-    }
+    let reply = journal::handle_recovering(&mut session, &slot.journal, &shared.library, &req);
+    drop(session);
+    shared.fleet.settle(&slot);
+    annotate_stats(shared, &req, reply)
 }
 
 /// Serves a design fleet over arbitrary byte streams — the `--stdio`
 /// mode test harnesses drive. Single-threaded: requests are answered
 /// in order until `shutdown`, end-of-input, or an unrecoverable
 /// protocol error. Routing, panic isolation and journal recovery
-/// match the TCP path exactly — both go through
-/// [`handle_with_deadline`] — so a stdio transcript and a TCP
-/// transcript answer byte-identically.
+/// match the TCP path exactly — both go through [`route`] and
+/// [`serve_write`], this loop simply running write jobs inline — so
+/// a stdio transcript and a TCP transcript answer byte-identically.
 ///
 /// # Errors
 ///
@@ -659,7 +446,10 @@ pub fn serve_stream(
         match requests.read_frame() {
             Ok(Some(req)) => {
                 let stop = req.verb == "shutdown";
-                let reply = handle_with_deadline(&shared, &req);
+                let reply = match route(&shared, req) {
+                    Routed::Reply(reply) => reply,
+                    Routed::Write(job) => serve_write(&shared, job),
+                };
                 write_frame(output, &reply)?;
                 if stop && reply.verb == "ok" {
                     return Ok(());
@@ -898,8 +688,7 @@ impl Backoff {
 
 /// The exact reconnect-wait schedule a standby with `sync_interval`
 /// draws from `seed` — the first `rounds` waits of the decorrelated
-/// jitter walk [`run_node`](crate::replica) sleeps between failed
-/// sync rounds. Exposed so tests can pin that two seeds diverge (two
+/// jitter walk the node loop waits out between failed sync rounds. Exposed so tests can pin that two seeds diverge (two
 /// standbys must not retry a dead primary in lockstep) and that every
 /// wait stays within `[interval, 8 × interval]`.
 pub fn standby_backoff_schedule(seed: u64, interval: Duration, rounds: usize) -> Vec<Duration> {

@@ -1,34 +1,49 @@
-//! The event-loop transport: one thread, one `poll(2)` loop, every
-//! connection — the c10k path.
+//! The TCP transport: one `poll(2)` event loop for every connection,
+//! plus one worker thread per design that has write-path work queued.
 //!
-//! The thread-per-connection server in [`net`](crate::net) spends a
-//! stack, a scheduler slot and two context switches on every client;
-//! at tens of thousands of mostly idle connections that bookkeeping
-//! *is* the workload. The reactor inverts the shape: all sockets are
-//! nonblocking, a single loop polls them for readiness, and each
-//! connection is a small state machine — a [`FrameDecoder`] on the
-//! read side, a reply queue on the write side — dispatched into the
-//! very same [`Session`](crate::Session) handlers behind the very same
-//! lock, journal and panic recovery as the threaded path
-//! ([`handle_with_deadline`]). Replies are therefore identical by
-//! construction; the parity suite holds the two transports
-//! byte-for-byte against each other.
+//! All sockets are nonblocking, the loop polls them for readiness, and
+//! each connection is a small state machine — a [`FrameDecoder`] on
+//! the read side, a reply queue on the write side. The loop answers a
+//! request inline when [`route`] can: fleet and replication verbs, and
+//! read-only queries of a settled analysis whose read lock is free.
+//! Everything else — writes, unsettled reads, a design whose lock a
+//! worker holds, an evicted or poisoned design — is a [`WriteJob`] on
+//! that design's FIFO queue. The queue is drained by one worker thread
+//! that starts when the queue becomes non-empty and exits when it
+//! empties, so one tenant's build never waits behind another's, and
+//! reads of other tenants never wait behind either. The worker runs
+//! [`serve_write`] — the very code the stdio loop runs inline — sends
+//! the reply back over a channel, and wakes the loop through a socket
+//! pair in the poll set.
+//!
+//! While a connection has a job outstanding, the loop stops decoding
+//! (and reading) that connection's frames, so its replies stay in
+//! request order. A connection therefore has at most one job
+//! outstanding, and there are never more workers than open
+//! connections or designs. An escaped panic ends its job, not the
+//! worker: the connection that sent it is closed without a reply, and
+//! the poisoned lock is recovered by the design's next writer.
 //!
 //! Pipelining falls out of the design: a readiness event feeds
 //! whatever arrived into the decoder, and every complete frame in the
 //! buffer is dispatched and answered in order before the loop moves
-//! on — N requests, one syscall round trip. Backpressure is the dual:
-//! a connection whose reply queue passes [`WRITE_HIGH_WATER`] stops
-//! being polled for reads until the queue drains, so a peer that
+//! on. Replies are flushed geometrically — one nonblocking write after
+//! the 1st, 2nd, 4th, 8th, … frame of a pass, and one at its end — so
+//! a lone request's reply never waits for the frames behind it, while
+//! a pipelined window still shares a few writes. Backpressure is the
+//! dual: a connection whose reply queue passes [`WRITE_HIGH_WATER`]
+//! stops being polled for reads until the queue drains, so a peer that
 //! pipelines without reading cannot balloon the daemon.
 //!
-//! The deadline semantics carry over from the threaded transport: a
+//! A job still waiting behind another when its `lock_deadline` passes
+//! is answered `busy retry_after_ms=N` by the loop and never run. A
 //! started frame must complete within `frame_deadline` (anti-
-//! slowloris), a silent connection is reaped at `idle_timeout`, a
-//! peer that stops reading its replies is cut off after
-//! `write_timeout`, and connections past `max_connections` are shed
-//! at accept with `busy retry_after_ms=N`. Fault injection hooks the
-//! same `IO_READ_*`/`IO_WRITE_*` points as
+//! slowloris), a silent connection is reaped at `idle_timeout`, a peer
+//! that stops reading its replies is cut off after `write_timeout`,
+//! and connections past `max_connections` are shed at accept with
+//! `busy retry_after_ms=N`; a connection waiting on a job is exempt
+//! from the frame and idle clocks. Fault injection hooks the same
+//! `IO_READ_*`/`IO_WRITE_*` points as
 //! [`FaultStream`](hb_fault::FaultStream), so the chaos suite drives
 //! this loop with the same seeded matrix.
 //!
@@ -37,11 +52,16 @@
 //! mark plus one frame, and both report into the
 //! `hb_conn_buffer_bytes` gauge surfaced by `stats`.
 
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
-use std::time::Instant;
+use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use hb_fault::{
     FaultPlan, IO_READ_ERR, IO_READ_SHORT, IO_READ_STALL, IO_WRITE_ERR, IO_WRITE_SHORT,
@@ -49,7 +69,8 @@ use hb_fault::{
 };
 use hb_io::{Frame, FrameDecoder};
 
-use crate::net::{handle_with_deadline, Server, Shared};
+use crate::net::{busy, lock, route, serve_write, Routed, Server, Shared, WriteJob};
+use crate::replica::{self, NodeDriver};
 use crate::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
 /// Read granularity. One readiness event reads at most
@@ -73,6 +94,9 @@ const OUT_RETAIN: usize = 16 * 1024;
 struct Conn {
     stream: TcpStream,
     fd: i32,
+    /// Distinguishes this connection from a later one reusing its slot
+    /// when a worker's reply comes back.
+    id: u64,
     /// Incremental request decoder; owns the read buffer.
     decoder: FrameDecoder,
     /// Encoded replies not yet written; `out_start..` is pending.
@@ -84,6 +108,10 @@ struct Conn {
     frame_started: Option<Instant>,
     /// When the pending output first failed to make progress.
     write_stalled: Option<Instant>,
+    /// A job for this connection is queued or running on a worker.
+    waiting: bool,
+    /// The peer has finished sending.
+    eof: bool,
     /// Flush pending output, then close (fatal error or shutdown).
     closing: bool,
     /// Alternates injected read-error kinds, like `FaultStream`.
@@ -93,17 +121,20 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, id: u64) -> Conn {
         let fd = stream.as_raw_fd();
         Conn {
             stream,
             fd,
+            id,
             decoder: FrameDecoder::new(),
             out: Vec::new(),
             out_start: 0,
             idle_since: Instant::now(),
             frame_started: None,
             write_stalled: None,
+            waiting: false,
+            eof: false,
             closing: false,
             flip: false,
             reported: 0,
@@ -116,7 +147,7 @@ impl Conn {
 
     /// Queues one encoded reply.
     fn push_reply(&mut self, reply: &Frame) {
-        self.out.push_str_bytes(&reply.encode());
+        self.out.extend_from_slice(reply.encode().as_bytes());
     }
 
     /// One nonblocking read into `chunk`, under the same injection
@@ -125,7 +156,7 @@ impl Conn {
     /// registered with `poll`), so it applies the plan inline.
     fn read_once(&mut self, plan: &FaultPlan, chunk: &mut [u8]) -> io::Result<usize> {
         if plan.fires(IO_READ_STALL) {
-            std::thread::sleep(plan.stall());
+            thread::sleep(plan.stall());
         }
         if plan.fires(IO_READ_ERR) {
             self.flip = !self.flip;
@@ -147,7 +178,7 @@ impl Conn {
     /// One nonblocking write of the pending output.
     fn write_once(&mut self, plan: &FaultPlan) -> io::Result<usize> {
         if plan.fires(IO_WRITE_STALL) {
-            std::thread::sleep(plan.stall());
+            thread::sleep(plan.stall());
         }
         if plan.fires(IO_WRITE_ERR) {
             return Err(io::Error::new(
@@ -177,14 +208,89 @@ impl Conn {
     }
 }
 
-/// `Vec<u8>` append without the `io::Write` ceremony.
-trait PushStr {
-    fn push_str_bytes(&mut self, s: &str);
+fn proto_error(e: impl std::fmt::Display) -> Frame {
+    Frame::new("error")
+        .arg("code", "proto")
+        .with_payload(e.to_string())
 }
 
-impl PushStr for Vec<u8> {
-    fn push_str_bytes(&mut self, s: &str) {
-        self.extend_from_slice(s.as_bytes());
+/// A write job plus the connection waiting on it.
+struct Job {
+    slot: usize,
+    conn: u64,
+    stop: bool,
+    write: WriteJob,
+}
+
+/// A finished job; `reply` is `None` when a panic escaped it.
+struct Done {
+    slot: usize,
+    conn: u64,
+    stop: bool,
+    reply: Option<Frame>,
+    /// The worker that ran the job, when this was its last one.
+    exited: Option<u64>,
+}
+
+/// One design's FIFO queue. It exists exactly while a worker drains
+/// it; `started` is set once that worker has taken its first job, so
+/// every job left in `jobs` is waiting behind a running one.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    started: bool,
+}
+
+/// The per-design queues, keyed by design id.
+type Queues = Mutex<HashMap<String, Queue>>;
+
+/// What the workers share with the loop: the queues, the reply
+/// channel, and the write end of the wake-up pair.
+#[derive(Clone)]
+struct Workers {
+    shared: Arc<Shared>,
+    queues: Arc<Queues>,
+    done: Sender<Done>,
+    wake: Arc<UnixStream>,
+}
+
+impl Workers {
+    /// One design's worker: runs its queue's jobs in order and exits
+    /// when the queue is empty. Its last reply says so, and the loop
+    /// joins the thread before delivering that reply: the next worker
+    /// then reuses this one's allocator arena instead of growing
+    /// another.
+    fn drain(&self, key: &str, worker: u64) {
+        let mut next = self.pop(key);
+        while let Some(job) = next {
+            // The job boundary, outside the session guard: a panic that
+            // escaped the write path has already poisoned the lock.
+            let reply =
+                catch_unwind(AssertUnwindSafe(|| serve_write(&self.shared, job.write))).ok();
+            next = self.pop(key);
+            let _ = self.done.send(Done {
+                slot: job.slot,
+                conn: job.conn,
+                stop: job.stop,
+                reply,
+                exited: next.is_none().then_some(worker),
+            });
+            let _ = (&*self.wake).write(&[1]);
+        }
+    }
+
+    /// The design's next job, or `None` once its queue is empty — which
+    /// retires the queue.
+    fn pop(&self, key: &str) -> Option<Job> {
+        let mut queues = lock(&self.queues);
+        let job = queues.get_mut(key).and_then(|queue| {
+            queue.started = true;
+            queue.jobs.pop_front()
+        });
+        if job.is_none() {
+            queues.remove(key);
+        }
+        job
     }
 }
 
@@ -197,51 +303,85 @@ enum Sweep {
 }
 
 struct Reactor {
-    server: Server,
+    listener: TcpListener,
+    shared: Arc<Shared>,
     /// Connection slots; `None` is free (indices are stable because
     /// poll interest is rebuilt every iteration anyway).
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
+    next_id: u64,
     /// Scratch read buffer shared by every connection.
     chunk: Vec<u8>,
     /// Set by a successful `shutdown` request: stop accepting and
-    /// reading, flush every queued reply, then return.
+    /// reading, wait for outstanding jobs, flush every queued reply,
+    /// then return.
     draining: bool,
+    workers: Workers,
+    /// Running workers by id.
+    threads: HashMap<u64, JoinHandle<()>>,
+    next_worker: u64,
+    /// Finished jobs, announced by a byte on `wake`.
+    done: Receiver<Done>,
+    wake: UnixStream,
+    /// Jobs submitted and not yet delivered.
+    outstanding: usize,
     /// The replication control plane, when this daemon replicates: a
     /// nonblocking state machine whose in-flight exchange socket joins
-    /// the poll set — no dedicated sync thread, no blocking client.
-    node: Option<crate::replica::NodeDriver>,
+    /// the poll set.
+    node: Option<NodeDriver>,
 }
 
 impl Server {
-    /// Serves connections on the single-threaded `poll(2)` event loop
-    /// until a client requests `shutdown`, then flushes every queued
-    /// reply and returns. The session, journal, metrics and deadline
-    /// semantics are shared with [`Server::run`]; only the transport
-    /// differs.
+    /// Serves connections until a client requests `shutdown`, then
+    /// waits for outstanding jobs, flushes every queued reply and
+    /// returns. Connections past `max_connections` are shed with a
+    /// `busy` frame instead of being queued.
     ///
     /// # Errors
     ///
-    /// Propagates listener or `poll` failures; per-connection errors
-    /// only close that connection.
-    pub fn run_reactor(self) -> io::Result<()> {
+    /// Propagates listener, wake-up pair or `poll` failures;
+    /// per-connection errors only close that connection.
+    pub fn run(self) -> io::Result<()> {
+        // A resident daemon always times its requests: the histograms
+        // are the point of running one, and the parity suite plus the
+        // perf harness bound the cost.
         hb_obs::arm();
-        crate::replica::refresh_node(&self.shared);
-        let node = crate::replica::NodeDriver::new(&self.shared);
+        // Options may have been rewired after bind (tests set peers to
+        // addresses they only learned by binding); recompute the node
+        // control state from the final options before serving.
+        replica::refresh_node(&self.shared);
+        let node = NodeDriver::new(&self.shared);
         self.listener.set_nonblocking(true)?;
         // Budget descriptors for the configured cap (each connection
         // is exactly one fd) plus slack for the listener, stdio and
         // whatever the embedding process holds.
         let want = self.shared.options.max_connections as u64 + 64;
         let _ = sys::raise_nofile_limit(want);
+        let (wake, wake_tx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let (done_tx, done) = mpsc::channel();
         Reactor {
-            server: self,
+            workers: Workers {
+                shared: Arc::clone(&self.shared),
+                queues: Arc::default(),
+                done: done_tx,
+                wake: Arc::new(wake_tx),
+            },
+            listener: self.listener,
+            shared: self.shared,
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
+            next_id: 0,
             chunk: vec![0u8; READ_CHUNK],
             draining: false,
+            threads: HashMap::new(),
+            next_worker: 0,
+            done,
+            wake,
+            outstanding: 0,
             node,
         }
         .run()
@@ -249,20 +389,20 @@ impl Server {
 }
 
 impl Reactor {
-    fn shared(&self) -> &Shared {
-        &self.server.shared
-    }
-
     fn run(mut self) -> io::Result<()> {
-        let grain = self.shared().options.poll_grain();
+        let grain = self.shared.options.poll_grain();
         let mut pollfds: Vec<PollFd> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
+        let mut slots: Vec<(usize, u64)> = Vec::new();
         loop {
+            if self.draining && self.live == 0 && self.outstanding == 0 {
+                return Ok(());
+            }
             pollfds.clear();
             slots.clear();
+            pollfds.push(PollFd::new(self.wake.as_raw_fd(), POLLIN));
             let poll_listener = !self.draining;
             if poll_listener {
-                pollfds.push(PollFd::new(self.server.listener.as_raw_fd(), POLLIN));
+                pollfds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             }
             for (slot, conn) in self.conns.iter().enumerate() {
                 let Some(c) = conn else { continue };
@@ -270,14 +410,13 @@ impl Reactor {
                 if c.pending_out() > 0 {
                     events |= POLLOUT;
                 }
-                if !c.closing && c.pending_out() < WRITE_HIGH_WATER {
+                if !(c.closing || c.waiting || c.eof) && c.pending_out() < WRITE_HIGH_WATER {
                     events |= POLLIN;
                 }
-                pollfds.push(PollFd::new(c.fd, events));
-                slots.push(slot);
-            }
-            if self.draining && self.live == 0 {
-                return Ok(());
+                // Nothing to do until its job returns: a negative fd
+                // keeps `poll` from reporting a hangup over and over.
+                pollfds.push(PollFd::new(if events == 0 { -1 } else { c.fd }, events));
+                slots.push((slot, c.id));
             }
             // The node driver's exchange fd joins the set (its revents
             // are not inspected — tick() advances nonblocking either
@@ -289,7 +428,7 @@ impl Reactor {
                     pollfds.push(fd);
                 }
                 if let Some(hint) = node.timeout_hint(Instant::now()) {
-                    timeout = timeout.min(hint.max(std::time::Duration::from_millis(1)));
+                    timeout = timeout.min(hint.max(Duration::from_millis(1)));
                 }
             }
             match sys::poll(&mut pollfds, timeout) {
@@ -298,15 +437,20 @@ impl Reactor {
                 Err(e) => return Err(e),
             }
             if let Some(node) = &mut self.node {
-                node.tick(&self.server.shared, Instant::now());
+                node.tick(&self.shared, Instant::now());
             }
-            let base = usize::from(poll_listener);
-            if poll_listener && pollfds[0].revents != 0 {
+            if pollfds[0].revents != 0 {
+                self.jobs_done();
+            }
+            let base = 1 + usize::from(poll_listener);
+            if poll_listener && pollfds[1].revents != 0 {
                 self.accept_ready();
             }
-            for (i, &slot) in slots.iter().enumerate() {
+            for (i, &(slot, id)) in slots.iter().enumerate() {
                 let revents = pollfds[base + i].revents;
-                if revents == 0 || self.conns[slot].is_none() {
+                // Skip a connection closed (and its slot perhaps reused)
+                // since the poll.
+                if revents == 0 || self.conns[slot].as_ref().is_none_or(|c| c.id != id) {
                     continue;
                 }
                 if revents & (POLLERR | POLLNVAL) != 0 {
@@ -328,13 +472,13 @@ impl Reactor {
     /// connection.
     fn accept_ready(&mut self) {
         loop {
-            let stream = match self.server.listener.accept() {
+            let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if self.live >= self.shared().options.max_connections {
+            if self.live >= self.shared.options.max_connections {
                 self.shed(stream);
                 continue;
             }
@@ -342,7 +486,8 @@ impl Reactor {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            let conn = Conn::new(stream);
+            let conn = Conn::new(stream, self.next_id);
+            self.next_id += 1;
             let slot = match self.free.pop() {
                 Some(slot) => slot,
                 None => {
@@ -352,8 +497,7 @@ impl Reactor {
             };
             self.conns[slot] = Some(conn);
             self.live += 1;
-            self.shared().metrics.conns.add(1);
-            self.shared().active.store(self.live, Ordering::Release);
+            self.shared.metrics.conns.add(1);
         }
     }
 
@@ -361,11 +505,10 @@ impl Reactor {
     /// the structured `busy` frame (a fresh socket's empty send buffer
     /// always takes these few bytes), then close.
     fn shed(&self, stream: TcpStream) {
-        self.shared().metrics.shed.inc();
-        let options = &self.shared().options;
+        self.shared.metrics.shed.inc();
         let reply = Frame::new("error")
             .arg("code", "busy")
-            .arg("retry_after_ms", options.retry_after_ms)
+            .arg("retry_after_ms", self.shared.options.retry_after_ms)
             .with_payload("connection limit reached; retry shortly");
         let _ = stream.set_nonblocking(true);
         let _ = (&stream).write(reply.encode().as_bytes());
@@ -375,173 +518,252 @@ impl Reactor {
     /// Reads whatever the socket has (up to the fairness budget),
     /// then decodes and dispatches every complete frame.
     fn read_ready(&mut self, slot: usize) {
-        let plan = self.shared().options.faults.clone();
-        let mut eof = false;
+        let plan = self.shared.options.faults.clone();
         for _ in 0..READ_BUDGET {
             let conn = self.conns[slot].as_mut().expect("checked by caller");
-            let mut chunk = std::mem::take(&mut self.chunk);
-            let outcome = conn.read_once(&plan, &mut chunk);
-            match outcome {
+            match conn.read_once(&plan, &mut self.chunk) {
                 Ok(0) => {
-                    self.chunk = chunk;
-                    eof = true;
+                    conn.eof = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.decoder.feed(&chunk[..n]);
+                    conn.decoder.feed(&self.chunk[..n]);
                     conn.idle_since = Instant::now();
-                    self.chunk = chunk;
-                    self.shared().metrics.bytes_in.add(n as u64);
+                    self.shared.metrics.bytes_in.add(n as u64);
                     if n < READ_CHUNK {
                         break; // drained the socket
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.chunk = chunk;
-                    continue;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.chunk = chunk;
-                    break;
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => {
-                    self.chunk = chunk;
                     self.close(slot);
                     return;
                 }
             }
         }
         self.process(slot);
-        if eof {
-            if let Some(conn) = self.conns[slot].as_mut() {
-                if let Err(e) = conn.decoder.finish() {
-                    // Mirror the blocking loop: EOF inside a frame is
-                    // answered with a structured proto error before
-                    // the close.
-                    let reply = Frame::new("error")
-                        .arg("code", "proto")
-                        .with_payload(e.to_string());
-                    conn.push_reply(&reply);
-                    conn.closing = true;
-                    self.write_ready(slot);
-                } else if conn.pending_out() == 0 {
-                    self.close(slot);
-                } else {
-                    conn.closing = true;
-                }
-            }
-        }
     }
 
-    /// Decodes and dispatches every complete frame the connection has
-    /// buffered, stopping at the backpressure mark. Called after reads
-    /// and after a below-high-water drain (frames decoded under
-    /// backpressure wait in the decoder, not on the socket).
+    /// One pass over the connection's buffered frames: decodes and
+    /// dispatches each, stopping at a job handed to a worker or at the
+    /// backpressure mark, and flushes replies geometrically. Called
+    /// after reads, after a job's reply arrives, and after a
+    /// below-high-water drain (frames decoded under backpressure wait
+    /// in the decoder, not on the socket).
     fn process(&mut self, slot: usize) {
+        let mut handled = 0u32;
         loop {
             let conn = match self.conns[slot].as_mut() {
-                Some(c) if !c.closing && c.pending_out() < WRITE_HIGH_WATER => c,
+                Some(c) if !(c.closing || c.waiting) && c.pending_out() < WRITE_HIGH_WATER => c,
                 _ => break,
             };
             match conn.decoder.next_frame() {
                 Ok(Some(req)) => {
                     conn.idle_since = Instant::now();
                     let stop = req.verb == "shutdown";
-                    let reply = handle_with_deadline(self.shared(), &req);
-                    let conn = self.conns[slot].as_mut().expect("still present");
-                    conn.push_reply(&reply);
-                    if stop && reply.verb == "ok" {
-                        self.shared().shutdown.store(true, Ordering::Release);
-                        self.draining = true;
-                        let conn = self.conns[slot].as_mut().expect("still present");
-                        conn.closing = true;
-                        break;
+                    match route(&self.shared, req) {
+                        Routed::Reply(reply) => self.deliver(slot, stop, &reply),
+                        Routed::Write(write) => {
+                            conn.waiting = true;
+                            self.outstanding += 1;
+                            let conn = conn.id;
+                            self.submit(Job {
+                                slot,
+                                conn,
+                                stop,
+                                write,
+                            });
+                            break;
+                        }
+                    }
+                    handled += 1;
+                    if handled.is_power_of_two() && !self.flush(slot) {
+                        return;
                     }
                 }
-                Ok(None) => break,
+                Ok(None) => {
+                    if conn.eof {
+                        // The peer is done: answer a truncated frame,
+                        // then close once the replies are out.
+                        if let Err(e) = conn.decoder.finish() {
+                            conn.push_reply(&proto_error(e));
+                        }
+                        conn.closing = true;
+                    }
+                    break;
+                }
                 Err(e) => {
-                    let reply = Frame::new("error")
-                        .arg("code", "proto")
-                        .with_payload(e.to_string());
-                    conn.push_reply(&reply);
+                    conn.push_reply(&proto_error(&e));
                     if !e.recoverable() {
                         conn.closing = true;
-                        break;
                     }
                 }
             }
         }
-        if let Some(conn) = self.conns[slot].as_mut() {
-            // The frame clock runs while a partial frame is buffered.
-            if conn.decoder.mid_frame() {
-                if conn.frame_started.is_none() {
-                    conn.frame_started = Some(Instant::now());
-                }
-            } else {
-                conn.frame_started = None;
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        // The frame clock runs while a partial frame is buffered and
+        // the connection is not waiting on a job.
+        if conn.waiting || !conn.decoder.mid_frame() {
+            conn.frame_started = None;
+        } else if conn.frame_started.is_none() {
+            conn.frame_started = Some(Instant::now());
+        }
+        self.flush(slot);
+    }
+
+    /// Queues a job on its design, starting that design's worker when
+    /// the queue was empty.
+    fn submit(&mut self, job: Job) {
+        let key = job.write.slot.id.clone();
+        {
+            let mut queues = lock(&self.workers.queues);
+            let queue = queues.entry(key.clone()).or_default();
+            queue.jobs.push_back(job);
+            if queue.started || queue.jobs.len() > 1 {
+                return; // the design's worker will get to it
             }
-            if conn.pending_out() > 0 {
-                // Opportunistic flush: most replies go out here, in
-                // the same loop turn as the request — no extra poll
-                // round trip on the hot path.
-                self.write_ready(slot);
+        }
+        let id = self.next_worker;
+        self.next_worker += 1;
+        let workers = self.workers.clone();
+        let design = key.clone();
+        match thread::Builder::new()
+            .name(format!("hb-design-{key}"))
+            .spawn(move || workers.drain(&design, id))
+        {
+            Ok(thread) => {
+                self.threads.insert(id, thread);
             }
+            Err(_) => self.workers.drain(&key, id), // no thread to be had: serve it here
         }
     }
 
-    /// Flushes as much pending output as the socket takes.
-    fn write_ready(&mut self, slot: usize) {
-        let plan = self.shared().options.faults.clone();
-        let was_blocked = {
-            let conn = self.conns[slot].as_ref().expect("checked by caller");
-            conn.pending_out() >= WRITE_HIGH_WATER
+    /// Queues a reply; a successful `shutdown` starts the drain.
+    fn deliver(&mut self, slot: usize, stop: bool, reply: &Frame) {
+        let conn = self.conns[slot]
+            .as_mut()
+            .expect("delivering to a live slot");
+        conn.push_reply(reply);
+        if stop && reply.verb == "ok" {
+            self.draining = true;
+        }
+        if self.draining {
+            conn.closing = true;
+        }
+    }
+
+    /// Delivers every finished job's reply to its connection.
+    fn jobs_done(&mut self) {
+        let mut drained = [0u8; 64];
+        while matches!((&self.wake).read(&mut drained), Ok(n) if n > 0) {}
+        while let Ok(done) = self.done.try_recv() {
+            if let Some(thread) = done.exited.and_then(|id| self.threads.remove(&id)) {
+                let _ = thread.join(); // already past its last send
+            }
+            self.finish(done.slot, done.conn, done.stop, done.reply);
+        }
+    }
+
+    /// Answers `busy` at its deadline to every job still waiting
+    /// behind a running one, rather than when its worker would reach
+    /// it. A worker's first job is left to the worker, which checks
+    /// the deadline too. Jobs queue in routing order under one
+    /// deadline, so the expired ones are a prefix.
+    fn expire_queued(&mut self, now: Instant) {
+        if self.outstanding == 0 {
+            return;
+        }
+        let mut expired = Vec::new();
+        for queue in lock(&self.workers.queues).values_mut() {
+            let first = usize::from(!queue.started);
+            while queue.jobs.get(first).is_some_and(|j| j.write.expired(now)) {
+                expired.extend(queue.jobs.remove(first));
+            }
+        }
+        for job in expired {
+            let reply = busy(&self.shared);
+            self.finish(job.slot, job.conn, job.stop, Some(reply));
+        }
+    }
+
+    /// Ends one job: delivers its reply and resumes decoding — or, when
+    /// a panic escaped the job (`None`), closes the connection once its
+    /// earlier replies are flushed.
+    fn finish(&mut self, slot: usize, id: u64, stop: bool, reply: Option<Frame>) {
+        self.outstanding -= 1;
+        let Some(conn) = self.conns[slot].as_mut().filter(|c| c.id == id) else {
+            return; // closed while its job waited or ran
         };
+        conn.waiting = false;
+        conn.idle_since = Instant::now();
+        let Some(reply) = reply else {
+            conn.closing = true;
+            self.flush(slot);
+            return;
+        };
+        self.deliver(slot, stop, &reply);
+        self.process(slot);
+    }
+
+    /// Writes as much pending output as the socket takes. Returns
+    /// false when the connection was closed: a write error, or a
+    /// closing connection with everything flushed.
+    fn flush(&mut self, slot: usize) -> bool {
+        let plan = self.shared.options.faults.clone();
         loop {
             let conn = self.conns[slot].as_mut().expect("checked by caller");
             if conn.pending_out() == 0 {
                 conn.write_stalled = None;
-                break;
+                if conn.closing {
+                    self.close(slot);
+                    return false;
+                }
+                return true;
             }
             match conn.write_once(&plan) {
-                Ok(0) => {
-                    self.close(slot);
-                    return;
-                }
+                Ok(0) => break,
                 Ok(n) => {
                     conn.write_stalled = None;
-                    self.shared().metrics.bytes_out.add(n as u64);
+                    self.shared.metrics.bytes_out.add(n as u64);
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if conn.write_stalled.is_none() {
-                        conn.write_stalled = Some(Instant::now());
-                    }
-                    break;
+                    conn.write_stalled.get_or_insert_with(Instant::now);
+                    return true;
                 }
-                Err(_) => {
-                    self.close(slot);
-                    return;
-                }
+                Err(_) => break,
             }
         }
-        let conn = self.conns[slot].as_mut().expect("survived the loop");
-        if conn.pending_out() == 0 && conn.closing {
-            self.close(slot);
-            return;
-        }
-        // Dropping below the high-water mark resumes decoding of
-        // frames that arrived during backpressure.
-        let conn = self.conns[slot].as_ref().expect("survived the loop");
-        if was_blocked && conn.pending_out() < WRITE_HIGH_WATER {
+        self.close(slot);
+        false
+    }
+
+    /// The socket drained: flush, and resume decoding once the queue
+    /// drops below the high-water mark.
+    fn write_ready(&mut self, slot: usize) {
+        let was_blocked = self.conns[slot]
+            .as_ref()
+            .is_some_and(|c| c.pending_out() >= WRITE_HIGH_WATER);
+        if self.flush(slot)
+            && was_blocked
+            && self.conns[slot]
+                .as_ref()
+                .is_some_and(|c| c.pending_out() < WRITE_HIGH_WATER)
+        {
             self.process(slot);
         }
     }
 
-    /// Enforces the frame, idle and write deadlines, drives draining,
-    /// and refreshes the buffer gauge.
+    /// Enforces the lock, frame, idle and write deadlines, drives
+    /// draining, and refreshes the buffer gauge.
     fn sweep(&mut self) {
-        let options = self.shared().options.clone();
+        let shared = Arc::clone(&self.shared);
+        let options = &shared.options;
         let now = Instant::now();
+        self.expire_queued(now);
         for slot in 0..self.conns.len() {
             let decision = {
                 let Some(conn) = self.conns[slot].as_mut() else {
@@ -552,21 +774,17 @@ impl Reactor {
                 if bytes != conn.reported {
                     let delta = bytes as i64 - conn.reported as i64;
                     conn.reported = bytes;
-                    self.server.shared.metrics.buffer_bytes.add(delta);
+                    shared.metrics.buffer_bytes.add(delta);
                 }
-                if self.draining {
-                    conn.closing = true;
-                    if conn.pending_out() == 0 {
-                        Sweep::Close
-                    } else {
-                        Sweep::Keep
-                    }
-                } else if conn
+                if conn
                     .write_stalled
                     .is_some_and(|since| now - since >= options.write_timeout)
                 {
                     Sweep::Close
-                } else if conn.closing {
+                } else if conn.waiting {
+                    Sweep::Keep
+                } else if self.draining || conn.closing {
+                    conn.closing = true;
                     if conn.pending_out() == 0 {
                         Sweep::Close
                     } else {
@@ -595,7 +813,7 @@ impl Reactor {
                         .with_payload("frame deadline exceeded: request arrived too slowly");
                     conn.push_reply(&reply);
                     conn.closing = true;
-                    self.write_ready(slot);
+                    self.flush(slot);
                 }
             }
         }
@@ -603,17 +821,10 @@ impl Reactor {
 
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
-            self.server
-                .shared
-                .metrics
-                .buffer_bytes
-                .sub(conn.reported as i64);
-            self.server.shared.metrics.conns.sub(1);
+            let metrics = &self.shared.metrics;
+            metrics.buffer_bytes.sub(conn.reported as i64);
+            metrics.conns.sub(1);
             self.live -= 1;
-            self.server
-                .shared
-                .active
-                .store(self.live, Ordering::Release);
             let _ = conn.stream.shutdown(Shutdown::Both);
             self.free.push(slot);
         }

@@ -74,13 +74,12 @@
 //!
 //! ## The node loop
 //!
-//! A replicating daemon runs one control loop — [`run_node`] on a
-//! dedicated thread under the blocking transport, the nonblocking
-//! [`NodeDriver`] state machine inside the reactor's poll loop (no
-//! dedicated thread, no blocking client on the sync path). Each round
-//! it syncs from its upstream (standby), probes for a primary when it
-//! has none, or gossips its term to one peer (clustered primary, so
-//! partitions heal). Failed rounds retry on the same seeded
+//! A replicating daemon runs one control loop, the nonblocking
+//! [`NodeDriver`] state machine inside the event loop (no dedicated
+//! thread, no blocking client on the sync path). Each round it syncs
+//! from its upstream (standby), probes for a primary when it has none,
+//! or gossips its term to one peer (clustered primary, so partitions
+//! heal). Failed rounds retry on the same seeded
 //! decorrelated-jitter backoff the client uses
 //! ([`standby_backoff_schedule`](crate::standby_backoff_schedule)),
 //! bounded to `[sync_interval, 8 × sync_interval]` — two standbys
@@ -94,9 +93,7 @@ use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
-use std::thread;
+use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use hb_io::{Frame, FrameDecoder};
@@ -188,7 +185,7 @@ impl NodeCtl {
 }
 
 /// Recomputes the control state from the (possibly rewired) options,
-/// preserving the node id. Called by both transports right before
+/// preserving the node id. Called by `Server::run` right before
 /// serving: tests bind a whole cluster on ephemeral ports first and
 /// only then know the addresses to put in `peers`/`standby_of`.
 pub(crate) fn refresh_node(shared: &Shared) {
@@ -585,49 +582,6 @@ fn prune_absent(shared: &Shared, cursors: &[RemoteCursor]) {
     }
 }
 
-/// One blocking sync round: pull the upstream's design table, catch
-/// every design's shadow up page by page, prune closed ones.
-fn sync_once(shared: &Shared, upstream: &str) -> Result<(), String> {
-    if link_dropped(shared) {
-        return Err("replication link dropped (injected partition)".into());
-    }
-    let mut client = Client::connect(upstream).map_err(|e| format!("connect: {e}"))?;
-    client
-        .set_timeout(Some(EXCHANGE_DEADLINE))
-        .map_err(|e| format!("timeout: {e}"))?;
-    let own_term = lock(&shared.node).term;
-    let state = client
-        .request(&Frame::new("repl-state").arg("term", own_term))
-        .map_err(|e| format!("repl-state: {e}"))?;
-    vet_reply(shared, "repl-state", &state)?;
-    let cursors = parse_state(state.payload.as_deref().unwrap_or(""))?;
-    for cursor in &cursors {
-        sync_design(shared, &mut client, cursor)?;
-    }
-    prune_absent(shared, &cursors);
-    Ok(())
-}
-
-/// Catches one design's shadow up to the upstream's cursor, pulling
-/// bounded pages until a complete one lands or the level check says
-/// there is nothing to pull.
-fn sync_design(shared: &Shared, client: &mut Client, cursor: &RemoteCursor) -> Result<(), String> {
-    let slot = shared.fleet.ensure(&cursor.id);
-    loop {
-        let Some(req) = pull_request(shared, &slot, cursor) else {
-            return Ok(());
-        };
-        let reply = client
-            .request(&req)
-            .map_err(|e| format!("repl-pull {}: {e}", cursor.id))?;
-        vet_reply(shared, "repl-pull", &reply)?;
-        apply_pull(shared, &slot, &reply)?;
-        if reply.get("more") != Some("1") {
-            return Ok(());
-        }
-    }
-}
-
 /// Applies one `repl-pull` page to a shadow slot: resync-reset when
 /// flagged, replay every entry, verify the fingerprint on a complete
 /// page. A partial page (`more=1`) clears the recorded fingerprint —
@@ -713,8 +667,8 @@ fn apply_pull(shared: &Shared, slot: &DesignSlot, reply: &Frame) -> Result<(), S
 
 // --- Probes, gossip, elections ---------------------------------------
 
-/// One bounded request/reply exchange on a fresh connection — probes,
-/// gossip and votes use this instead of `Client::connect` so a
+/// One bounded blocking request/reply exchange on a fresh connection —
+/// election ballots use this instead of `Client::connect` so a
 /// blackholed peer costs a bounded connect timeout, not a hang.
 fn request_once(addr: &str, req: &Frame, timeout: Duration) -> Result<Frame, String> {
     let sock = addr
@@ -733,63 +687,12 @@ fn request_once(addr: &str, req: &Frame, timeout: Duration) -> Result<Frame, Str
 
 /// The bounded timeout probes, gossip and votes run under: generous
 /// against the sync interval but never a multi-second stall (the
-/// reactor runs elections inline).
+/// event loop runs elections inline).
 fn control_timeout(shared: &Shared) -> Duration {
     shared
         .options
         .sync_interval
         .clamp(Duration::from_millis(100), Duration::from_secs(1))
-}
-
-/// Asks one peer for its term and role (a header-only `repl-state`).
-/// Returns the peer's reply when the exchange succeeded.
-fn probe_one(shared: &Shared, peer: &str) -> Option<Frame> {
-    if link_dropped(shared) {
-        return None;
-    }
-    let term = lock(&shared.node).term;
-    let reply = request_once(
-        peer,
-        &Frame::new("repl-state").arg("term", term),
-        control_timeout(shared),
-    )
-    .ok()?;
-    observe_arg(shared, &reply);
-    (reply.verb == "ok").then_some(reply)
-}
-
-/// Scans the peers for the current primary: the highest-termed node
-/// answering `role=primary` at a term at least ours.
-fn probe_peers(shared: &Shared) -> Option<String> {
-    let mut best: Option<(u64, String)> = None;
-    for peer in &shared.options.peers {
-        let Some(reply) = probe_one(shared, peer) else {
-            continue;
-        };
-        let Some(term) = reply.get("term").and_then(|v| v.parse::<u64>().ok()) else {
-            continue;
-        };
-        if reply.get("role") == Some("primary")
-            && term >= lock(&shared.node).term
-            && best.as_ref().is_none_or(|(t, _)| term > *t)
-        {
-            best = Some((term, peer.clone()));
-        }
-    }
-    best.map(|(_, addr)| addr)
-}
-
-/// A clustered primary's heartbeat: probe one peer per round (rotating)
-/// so a healed partition is discovered — the zombie side hears the
-/// higher term and demotes inside `observe`.
-fn gossip(shared: &Shared, idx: &mut usize) {
-    let peers = &shared.options.peers;
-    if peers.is_empty() {
-        return;
-    }
-    let peer = &peers[*idx % peers.len()];
-    *idx = idx.wrapping_add(1);
-    let _ = probe_one(shared, peer);
 }
 
 /// Promotes without a quorum — the legacy lone-standby mode, the only
@@ -896,88 +799,7 @@ fn reconnect_backoff(shared: &Shared) -> Backoff {
     Backoff::with_bounds(loop_seed(shared), interval, interval.saturating_mul(8))
 }
 
-// --- The blocking node loop ------------------------------------------
-
-/// The node control loop for the blocking transport (the reactor runs
-/// [`NodeDriver`] instead): sync from the upstream while standing by,
-/// probe for a primary when the upstream is unknown, gossip the term
-/// while primary-with-peers, and seek promotion after `promote_after`
-/// consecutive misses. Exits on shutdown, or on promotion with no
-/// peers left to gossip to.
-pub(crate) fn run_node(shared: &Arc<Shared>) {
-    let interval = shared.options.sync_interval;
-    let promote_after = shared.options.promote_after.max(1);
-    let mut backoff = reconnect_backoff(shared);
-    let mut failures = 0u32;
-    let mut probe_rounds = 0u32;
-    let mut gossip_idx = 0usize;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let (role, upstream) = {
-            let ctl = lock(&shared.node);
-            (ctl.role, ctl.upstream.clone())
-        };
-        let wait = match role {
-            Role::Primary => {
-                if shared.options.peers.is_empty() {
-                    // A promoted lone standby: nothing left to sync,
-                    // probe or gossip — no zombie sync thread.
-                    return;
-                }
-                gossip(shared, &mut gossip_idx);
-                interval
-            }
-            Role::Standby => match upstream {
-                Some(addr) => match sync_once(shared, &addr) {
-                    Ok(()) => {
-                        failures = 0;
-                        backoff.reset();
-                        interval
-                    }
-                    Err(_) => {
-                        failures += 1;
-                        if failures >= promote_after {
-                            failures = 0;
-                            if !seek_promotion(shared) {
-                                // Election lost; probe for the winner.
-                                probe_rounds = 0;
-                            }
-                        }
-                        backoff.next_wait(None)
-                    }
-                },
-                None => {
-                    if let Some(found) = probe_peers(shared) {
-                        lock(&shared.node).upstream = Some(found);
-                        probe_rounds = 0;
-                        backoff.reset();
-                        Duration::ZERO
-                    } else {
-                        probe_rounds += 1;
-                        if probe_rounds >= promote_after {
-                            probe_rounds = 0;
-                            let _ = seek_promotion(shared);
-                        }
-                        backoff.next_wait(None)
-                    }
-                }
-            },
-        };
-        let mut slept = Duration::ZERO;
-        while slept < wait {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let step = (wait - slept).min(Duration::from_millis(25));
-            thread::sleep(step);
-            slept += step;
-        }
-    }
-}
-
-// --- The reactor-resident node driver --------------------------------
+// --- The node loop ---------------------------------------------------
 
 /// How one in-flight exchange advanced.
 enum Outcome {
@@ -1168,11 +990,13 @@ impl Exchange {
     }
 }
 
-/// The reactor-resident node control state machine: [`run_node`]'s
-/// duties driven from the poll loop. Sync rounds and probes run as
-/// nonblocking [`Exchange`]s whose socket joins the reactor's poll
-/// set; only the rare election path (the primary is already dead and
-/// votes are due now) uses bounded blocking requests inline.
+/// The node control loop, driven from the event loop: sync from the
+/// upstream while standing by, probe for a primary when the upstream
+/// is unknown, gossip the term while primary-with-peers, and seek
+/// promotion after `promote_after` consecutive misses. Sync rounds and
+/// probes run as nonblocking [`Exchange`]s whose socket joins the
+/// poll set; only the rare election path (the primary is already dead
+/// and votes are due now) uses bounded blocking requests inline.
 pub(crate) struct NodeDriver {
     backoff: Backoff,
     failures: u32,

@@ -1,6 +1,5 @@
 //! Three-node failover chaos: seeded partition / kill / heal schedules
-//! over a quorum cluster (one primary, two standbys, full peer wiring),
-//! run against **both** transports.
+//! over a quorum cluster (one primary, two standbys, full peer wiring).
 //!
 //! The invariants, per ISSUE:
 //!
@@ -16,10 +15,9 @@
 //! Schedules are seeded like the rest of the chaos suite: three fixed
 //! seeds plus an optional fresh `HB_CHAOS_SEED` from check.sh, the
 //! seed printed on failure. Seed parity picks kill vs partition, so
-//! the fixed matrix exercises both on both transports.
+//! the fixed matrix exercises both.
 
 use std::net::SocketAddr;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -28,49 +26,8 @@ use hb_fault::{Fault, FaultPlan};
 use hb_io::Frame;
 use hb_server::{Client, Server, ServerOptions};
 
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn serialised() -> MutexGuard<'static, ()> {
-    hb_obs::arm();
-    CHAOS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The seed matrix shared with the chaos suite: fixed seeds for
-/// reproducibility, plus check.sh's fresh one.
-fn seeds() -> Vec<u64> {
-    let mut seeds = vec![0xDAC89, 1, 2];
-    if let Some(seed) = std::env::var("HB_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        seeds.push(seed);
-    }
-    seeds
-}
-
-fn design_text(name: &str) -> String {
-    format!(
-        "design {name}\n\
-         module top\n\
-         \x20 port in din clk\n\
-         \x20 port out dout\n\
-         \x20 inst g0 BUF_X1 A=din Y=n0\n\
-         \x20 inst g1 INV_X1 A=n0 Y=n1\n\
-         \x20 inst cap DFF D=n1 CK=clk Q=dout\n\
-         end\n\
-         top top\n\
-         clock clk period 10ns rise 0ns fall 5ns\n\
-         clockport clk clk\n\
-         arrive din clk rise 1ns\n"
-    )
-}
-
-fn scale_eco(net: &str, percent: u64) -> Frame {
-    Frame::new("eco")
-        .arg("op", "scale-net")
-        .arg("net", net)
-        .arg("percent", percent)
-}
+mod common;
+use common::{design_text, scale_eco, seeds};
 
 fn request(addr: SocketAddr, req: &Frame) -> Frame {
     let mut client = Client::connect(addr).unwrap();
@@ -131,8 +88,8 @@ struct Node {
 
 /// Binds and wires a full three-node cluster — A primary, B and C
 /// standbys of A, every node carrying the other two as peers — then
-/// serves each on `reactor`'s transport.
-fn start_cluster(faults_on_primary: FaultPlan, reactor: bool) -> (Node, Node, Node) {
+/// serves each.
+fn start_cluster(faults_on_primary: FaultPlan) -> (Node, Node, Node) {
     let standby = |primary: SocketAddr| ServerOptions {
         standby_of: Some(primary.to_string()),
         sync_interval: Duration::from_millis(25),
@@ -157,15 +114,7 @@ fn start_cluster(faults_on_primary: FaultPlan, reactor: bool) -> (Node, Node, No
     a.options_mut().unwrap().peers = vec![b_addr.to_string(), c_addr.to_string()];
     b.options_mut().unwrap().peers = vec![a_addr.to_string(), c_addr.to_string()];
     c.options_mut().unwrap().peers = vec![a_addr.to_string(), b_addr.to_string()];
-    let spawn = |server: Server| -> thread::JoinHandle<std::io::Result<()>> {
-        thread::spawn(move || {
-            if reactor {
-                server.run_reactor()
-            } else {
-                server.run()
-            }
-        })
-    };
+    let spawn = |server: Server| thread::spawn(move || server.run());
     (
         Node {
             addr: a_addr,
@@ -209,10 +158,9 @@ fn await_single_promotion(b: SocketAddr, c: SocketAddr, seed: u64) -> (SocketAdd
 /// the primary (kill or partition by seed parity), assert single
 /// promotion, continue the flow on the winner, heal, and assert
 /// convergence plus zombie fencing.
-fn run_schedule(seed: u64, reactor: bool) {
+fn run_schedule(seed: u64) {
     let plan = FaultPlan::seeded(seed);
-    let (a, b, c) = start_cluster(plan.clone(), reactor);
-    let tag = if reactor { "reactor" } else { "threaded" };
+    let (a, b, c) = start_cluster(plan.clone());
 
     // Seeded workload on the primary.
     assert_eq!(
@@ -246,7 +194,7 @@ fn run_schedule(seed: u64, reactor: bool) {
     let reply = request(winner, &scale_eco("n1", 120));
     assert_eq!(
         reply.verb, "ok",
-        "[seed {seed:#x}] [{tag}] post-failover write: {:?}",
+        "[seed {seed:#x}] post-failover write: {:?}",
         reply.payload
     );
     let stats = request(winner, &Frame::new("stats"));
@@ -297,17 +245,8 @@ fn run_schedule(seed: u64, reactor: bool) {
 }
 
 #[test]
-fn seeded_failover_schedules_threaded() {
-    let _guard = serialised();
-    for seed in seeds() {
-        run_schedule(seed, false);
-    }
-}
-
-#[test]
 fn seeded_failover_schedules_reactor() {
-    let _guard = serialised();
     for seed in seeds() {
-        run_schedule(seed, true);
+        run_schedule(seed);
     }
 }

@@ -4,24 +4,14 @@
 //! transparent journal reload.
 
 use std::collections::HashMap;
-use std::thread;
 
 use hb_cells::sc89;
 use hb_io::Frame;
-use hb_server::{Client, Server, ServerOptions, DEFAULT_DESIGN, MAX_DESIGN_ID, MAX_LOAD_BYTES};
+use hb_server::{Client, ServerOptions, DEFAULT_DESIGN, MAX_DESIGN_ID, MAX_LOAD_BYTES};
 use hb_workloads::{generate, GenKind, GenParams};
 
-fn start_server(
-    options: ServerOptions,
-) -> (
-    std::net::SocketAddr,
-    thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind("127.0.0.1:0", sc89(), options).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
+mod common;
+use common::serve;
 
 /// A tiny self-contained design whose module name doubles as its
 /// identity, so every tenant's dump and fingerprint differ.
@@ -74,7 +64,7 @@ fn parse_designs(reply: &Frame) -> HashMap<String, DesignLine> {
 
 #[test]
 fn open_close_designs_lifecycle_and_isolation() {
-    let (addr, server) = start_server(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
 
     // Open two tenants; re-opening is idempotent.
@@ -164,7 +154,7 @@ fn open_close_designs_lifecycle_and_isolation() {
 
 #[test]
 fn hostile_and_unknown_design_ids_get_structured_errors() {
-    let (addr, server) = start_server(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
 
     // Routing to a design nobody opened: structured error, connection
@@ -212,7 +202,7 @@ fn lru_eviction_respects_mem_budget_and_reloads_transparently() {
         max_designs: STORM + 1,
         ..ServerOptions::default()
     };
-    let (addr, server) = start_server(options);
+    let (addr, server) = serve(options);
     let mut client = Client::connect(addr).unwrap();
 
     for i in 0..STORM {
@@ -312,7 +302,7 @@ fn big_generated_tenant_survives_eviction_with_identical_fingerprint() {
         max_designs: 2,
         ..ServerOptions::default()
     };
-    let (addr, server) = start_server(options);
+    let (addr, server) = serve(options);
     let mut client = Client::connect(addr).unwrap();
 
     let reply = client
@@ -401,7 +391,7 @@ fn max_designs_bounds_the_resident_set() {
         max_designs: 2,
         ..ServerOptions::default()
     };
-    let (addr, server) = start_server(options);
+    let (addr, server) = serve(options);
     let mut client = Client::connect(addr).unwrap();
 
     for id in ["a", "b", "c", "d"] {

@@ -111,6 +111,36 @@ fn replay_after_compaction_rebuilds_the_exact_state() {
     }
 }
 
+/// A `scale-net` edit survives compaction: the snapshot `load`
+/// carries the net's `hb.load_pct`, so replay lands on the edited
+/// worst slack.
+#[test]
+fn compaction_keeps_scale_net_edits() {
+    let text = std::fs::read_to_string("../../designs/two_phase_pipeline.hum").unwrap();
+    let mut session = Session::new(sc89());
+    let mut journal = Journal::new();
+    step(
+        &mut session,
+        &mut journal,
+        &Frame::new("load").with_payload(text),
+    );
+    let scale = Frame::new("eco")
+        .arg("op", "scale-net")
+        .arg("net", "a1y")
+        .arg("percent", 300);
+    step(&mut session, &mut journal, &scale);
+    let epoch = journal.epoch();
+    while journal.epoch() == epoch {
+        step(&mut session, &mut journal, &Frame::new("analyze"));
+    }
+    let mut rebuilt = journal.replay(sc89(), None).expect("compacted replay");
+    let analyze = Frame::new("analyze");
+    assert_eq!(
+        rebuilt.handle(&analyze).get("worst"),
+        session.handle(&analyze).get("worst")
+    );
+}
+
 /// A fresh successful `load` starts history over (and bumps the epoch
 /// so replication cursors notice); a failed one does neither.
 #[test]

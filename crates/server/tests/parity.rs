@@ -11,49 +11,21 @@
 //! transparent-latch pipeline must demonstrate the daemon's point:
 //! a nonzero `items_reused` count on the warm ECO re-analysis.
 
-use hb_cells::{sc89, Binding, Library};
+use hb_cells::{sc89, Library};
 use hb_io::Frame;
-use hb_netlist::{Design, InstRef, ModuleId};
+use hb_netlist::{Design, ModuleId};
 use hb_resynth::{apply_eco, EcoOp};
-use hb_server::{directives_from_spec, Session};
-use hb_workloads::{counter, fsm12, random_pipeline, PipelineParams, Workload};
+use hb_server::Session;
+use hb_workloads::{counter, fsm12, Workload};
 use hummingbird::{Analyzer, TimingReport};
+
+mod common;
+use common::{hum_text, latch_pipeline, resizable_instance};
 
 /// A transparent-latch pipeline small enough for a debug-profile test
 /// yet clustered enough for partial cache reuse to show.
-fn pipeline(lib: &Library) -> Workload {
-    random_pipeline(
-        lib,
-        PipelineParams {
-            stages: 4,
-            width: 8,
-            gates_per_stage: 60,
-            transparent: true,
-            period_ns: 14,
-            seed: 21,
-            imbalance_pct: 30,
-        },
-    )
-}
-
-/// The first leaf instance with drive headroom in its cell family —
-/// a deterministic, always-applicable resize target.
-fn resizable_instance(design: &Design, module: ModuleId, lib: &Library) -> String {
-    let binding = Binding::new(design, lib);
-    for (_, inst) in design.module(module).instances() {
-        let InstRef::Leaf(leaf) = inst.target() else {
-            continue;
-        };
-        let Some(cell) = binding.cell_for_leaf(leaf) else {
-            continue;
-        };
-        let variants = lib.family_variants(lib.cell(cell).family());
-        let pos = variants.iter().position(|&v| v == cell).unwrap();
-        if pos + 1 < variants.len() {
-            return inst.name().to_owned();
-        }
-    }
-    panic!("workload has no resizable instance");
+fn pipeline() -> Workload {
+    latch_pipeline(4, 8, 60)
 }
 
 fn assert_identical_slacks(
@@ -111,7 +83,7 @@ fn assert_identical_slacks(
 /// eco → (optionally constraints), mirroring every edit on a cold
 /// copy. Returns the ECO reply's reused count.
 fn run_parity(w: &Workload, lib: &Library, op: &EcoOp, constraints: bool) -> u64 {
-    let text = hb_io::write_hum_with_timing(&w.design, &w.clocks, &directives_from_spec(&w.spec));
+    let text = hum_text(w);
 
     // Warm path: resident session with a persistent cache.
     let mut session = Session::new(lib.clone());
@@ -179,7 +151,7 @@ fn run_parity(w: &Workload, lib: &Library, op: &EcoOp, constraints: bool) -> u64
 #[test]
 fn eco_resize_matches_cold_analysis_everywhere() {
     let lib = sc89();
-    for w in [fsm12(&lib, true), counter(&lib, 8, 10), pipeline(&lib)] {
+    for w in [fsm12(&lib, true), counter(&lib, 8, 10), pipeline()] {
         let inst = resizable_instance(&w.design, w.module, &lib);
         run_parity(&w, &lib, &EcoOp::RetargetDrive { inst, steps: 1 }, false);
     }
@@ -188,7 +160,7 @@ fn eco_resize_matches_cold_analysis_everywhere() {
 #[test]
 fn eco_scale_net_matches_cold_analysis() {
     let lib = sc89();
-    let w = pipeline(&lib);
+    let w = pipeline();
     // Scale the first stage-internal net the resizable instance drives.
     let module = w.design.module(w.module);
     let net = module
@@ -202,7 +174,7 @@ fn eco_scale_net_matches_cold_analysis() {
 #[test]
 fn warm_eco_reuses_cache_on_latch_pipeline() {
     let lib = sc89();
-    let w = pipeline(&lib);
+    let w = pipeline();
     let inst = resizable_instance(&w.design, w.module, &lib);
     let reused = run_parity(&w, &lib, &EcoOp::RetargetDrive { inst, steps: 1 }, false);
     assert!(

@@ -1,22 +1,28 @@
-//! Reactor transport suite: the `poll(2)` event loop against its
-//! blocking siblings.
+//! The TCP transport suite: the `poll(2)` event loop and its design
+//! workers.
 //!
 //! The load-bearing test is parity: one wire transcript — load,
 //! analyze, ECO, single/multi-node slack, a batch frame, a malformed
-//! header — is replayed through `serve_stream` and through the
-//! reactor, and the reply streams must be byte-identical (after
-//! masking the one volatile token, `seconds=`). Everything else here
-//! exercises what only the reactor offers: request pipelining,
-//! batched verbs, a thousand concurrent connections on one thread,
-//! accept-side shedding, and the bounded per-connection buffer gauge.
+//! header — is replayed through `serve_stream` and through the event
+//! loop, and the reply streams must be byte-identical (after masking
+//! the one volatile token, `seconds=`). The rest covers request
+//! pipelining, batched verbs, a thousand concurrent connections on
+//! one thread, accept-side shedding, the bounded per-connection buffer
+//! gauge, and the handoff of write-path work to per-design workers:
+//! tenant isolation, reply order, and `busy` past the lock deadline.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use hb_cells::sc89;
-use hb_io::{Frame, FrameDecoder, FrameReader};
-use hb_server::{serve_stream, Client, Server, ServerOptions};
+use hb_io::{Frame, FrameDecoder, FrameReader, ProtoError};
+use hb_server::{serve_stream, Client, ServerOptions, Session};
+
+mod common;
+use common::{hum_text, latch_pipeline, serve};
 
 /// Every net in the two-phase pipeline design — multi-node slack
 /// targets.
@@ -29,11 +35,10 @@ fn design() -> String {
     std::fs::read_to_string("../../designs/two_phase_pipeline.hum").unwrap()
 }
 
-fn start_reactor(options: ServerOptions) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind("127.0.0.1:0", sc89(), options).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run_reactor());
-    (addr, handle)
+/// A latch pipeline whose `min-period` build, on the write path, takes
+/// over half a second in a debug build.
+fn slow_design() -> String {
+    hum_text(&latch_pipeline(5, 12, 80))
 }
 
 /// A loaded, analyzed session over the pipeline design.
@@ -127,7 +132,7 @@ fn reactor_replies_match_serve_stream_byte_for_byte() {
     let mut blocking = Vec::new();
     serve_stream(sc89(), std::io::Cursor::new(wire.clone()), &mut blocking).unwrap();
 
-    let (addr, server) = start_reactor(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(&wire).unwrap();
     let mut reacted = Vec::new();
@@ -151,7 +156,7 @@ fn reactor_replies_match_serve_stream_byte_for_byte() {
 /// as in-order replies identical to their sequential twins.
 #[test]
 fn pipelined_window_replies_in_order() {
-    let (addr, server) = start_reactor(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = warm_client(addr);
 
     let sequential: Vec<Frame> = NETS
@@ -180,7 +185,7 @@ fn pipelined_window_replies_in_order() {
 /// `worst` equal to the minimum of the individual slacks.
 #[test]
 fn multi_node_slack_aggregates_individuals() {
-    let (addr, server) = start_reactor(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = warm_client(addr);
 
     let mut multi = Frame::new("slack");
@@ -233,7 +238,7 @@ fn multi_node_slack_aggregates_individuals() {
 /// would earn individually.
 #[test]
 fn batch_frame_matches_individual_replies() {
-    let (addr, server) = start_reactor(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = warm_client(addr);
 
     let mut subs = vec![Frame::new("hello"), Frame::new("worst-paths").arg("k", 2)];
@@ -277,7 +282,7 @@ fn thousand_concurrent_connections_on_one_thread() {
         max_connections: 1200,
         ..ServerOptions::default()
     };
-    let (addr, server) = start_reactor(options);
+    let (addr, server) = serve(options);
 
     let mut clients: Vec<Client> = (0..1000)
         .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
@@ -320,7 +325,7 @@ fn over_cap_connections_are_shed_with_busy() {
         retry_after_ms: 7,
         ..ServerOptions::default()
     };
-    let (addr, server) = start_reactor(options);
+    let (addr, server) = serve(options);
 
     let mut a = Client::connect(addr).unwrap();
     let mut b = Client::connect(addr).unwrap();
@@ -349,7 +354,7 @@ fn over_cap_connections_are_shed_with_busy() {
 /// request count.
 #[test]
 fn conn_buffers_reach_steady_state() {
-    let (addr, server) = start_reactor(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = warm_client(addr);
 
     let window: Vec<Frame> = (0..100)
@@ -388,5 +393,142 @@ fn conn_buffers_reach_steady_state() {
     );
 
     client.request(&Frame::new("shutdown")).unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// Tenant isolation: while tenant `a` loads, analyzes and solves
+/// `min-period` for a slow design on one connection, every read of the
+/// default tenant on another connection is answered before `a`'s last
+/// reply arrives. Judged by arrival order, not by the clock.
+#[test]
+fn one_tenants_build_never_stalls_anothers_reads() {
+    let (addr, server) = serve(ServerOptions::default());
+    let mut reader = warm_client(addr);
+    let open = Frame::new("open").arg("design", "a");
+    assert_eq!(reader.request(&open).unwrap().verb, "ok");
+
+    let mut builder = TcpStream::connect(addr).unwrap();
+    for f in [
+        Frame::new("load").with_payload(slow_design()),
+        Frame::new("analyze"),
+        Frame::new("min-period"),
+    ] {
+        builder
+            .write_all(f.arg("design", "a").encode().as_bytes())
+            .unwrap();
+    }
+    let (arrived, order) = mpsc::channel();
+    let built = {
+        let arrived = arrived.clone();
+        thread::spawn(move || {
+            let mut replies = FrameReader::new(BufReader::new(builder));
+            let got: Vec<Frame> = (0..3)
+                .map(|_| replies.read_frame().unwrap().unwrap())
+                .collect();
+            arrived.send("build").unwrap();
+            got
+        })
+    };
+    for _ in 0..20 {
+        let reply = reader
+            .request(&Frame::new("slack").arg("node", "a1y"))
+            .unwrap();
+        assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+        arrived.send("read").unwrap();
+    }
+    for reply in built.join().unwrap() {
+        assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    }
+    drop(arrived);
+    let order: Vec<&str> = order.iter().collect();
+    assert_eq!(
+        order.last(),
+        Some(&"build"),
+        "a read waited behind the other tenant's build: {order:?}"
+    );
+
+    reader.request(&Frame::new("shutdown")).unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// Reply order across the handoff: one write carrying writes (run by
+/// the design's worker) and reads (answered by the loop) gets every
+/// reply in request order, and the read after the ECO sees it.
+#[test]
+fn pipelined_writes_and_reads_reply_in_order() {
+    let (addr, server) = serve(ServerOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    let slack = Frame::new("slack").arg("node", "a1y");
+    let window = [
+        Frame::new("load").with_payload(design()),
+        Frame::new("analyze"),
+        slack.clone(),
+        Frame::new("eco")
+            .arg("op", "scale-net")
+            .arg("net", "a1y")
+            .arg("percent", 300),
+        slack,
+    ];
+    let replies = client.request_pipelined(&window).unwrap();
+
+    let mut twin = Session::new(sc89());
+    let strip = |f: &Frame| {
+        let mut f = f.clone();
+        f.args.retain(|(k, _)| k != "seconds");
+        f
+    };
+    for (req, got) in window.iter().zip(&replies) {
+        assert_eq!(strip(got), strip(&twin.handle(req)), "`{}`", req.verb);
+    }
+    assert_ne!(
+        replies[2].get("slack"),
+        replies[4].get("slack"),
+        "the second slack must reflect the ECO"
+    );
+
+    client.request(&Frame::new("shutdown")).unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// A write queued behind a long one on the same design is answered
+/// `busy` at its lock deadline — while the long one still runs — and
+/// never runs: the journal holds only the `load`.
+#[test]
+fn write_queued_past_the_lock_deadline_is_busy() {
+    let options = ServerOptions {
+        lock_deadline: Duration::from_millis(50),
+        retry_after_ms: 9,
+        // A 50 ms sweep tick, so the deadline is enforced on time.
+        frame_deadline: Duration::from_millis(200),
+        ..ServerOptions::default()
+    };
+    let (addr, server) = serve(options);
+    let mut long = TcpStream::connect(addr).unwrap();
+    let mut long_replies = FrameReader::new(BufReader::new(long.try_clone().unwrap()));
+    let load = Frame::new("load").with_payload(slow_design());
+    long.write_all(load.encode().as_bytes()).unwrap();
+    assert_eq!(long_replies.read_frame().unwrap().unwrap().verb, "ok");
+
+    long.write_all(Frame::new("min-period").encode().as_bytes())
+        .unwrap();
+    let mut queued = Client::connect(addr).unwrap();
+    let reply = queued.request(&Frame::new("analyze")).unwrap();
+    assert_eq!(reply.verb, "error", "{:?}", reply.payload);
+    assert_eq!(reply.get("code"), Some("busy"));
+    assert_eq!(reply.get("retry_after_ms"), Some("9"));
+    long.set_nonblocking(true).unwrap();
+    assert!(
+        matches!(long_replies.read_frame(), Err(ProtoError::Io(e)) if e.kind() == ErrorKind::WouldBlock),
+        "`busy` must not wait for the long write to finish"
+    );
+    long.set_nonblocking(false).unwrap();
+    let reply = long_replies.read_frame().unwrap().unwrap();
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+
+    let designs = queued.request(&Frame::new("designs")).unwrap();
+    let line = designs.payload.unwrap();
+    assert!(line.contains(" journal=1 "), "{line}");
+
+    queued.request(&Frame::new("shutdown")).unwrap();
     server.join().unwrap().unwrap();
 }

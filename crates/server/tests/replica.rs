@@ -10,17 +10,8 @@ use hb_cells::sc89;
 use hb_io::{Frame, FrameDecoder};
 use hb_server::{Client, Server, ServerOptions};
 
-fn start_server(
-    options: ServerOptions,
-) -> (
-    std::net::SocketAddr,
-    thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind("127.0.0.1:0", sc89(), options).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
+mod common;
+use common::{design_text, scale_eco, serve};
 
 fn standby_options(primary: std::net::SocketAddr) -> ServerOptions {
     ServerOptions {
@@ -29,30 +20,6 @@ fn standby_options(primary: std::net::SocketAddr) -> ServerOptions {
         promote_after: 3,
         ..ServerOptions::default()
     }
-}
-
-fn design_text(name: &str) -> String {
-    format!(
-        "design {name}\n\
-         module top\n\
-         \x20 port in din clk\n\
-         \x20 port out dout\n\
-         \x20 inst g0 BUF_X1 A=din Y=n0\n\
-         \x20 inst g1 INV_X1 A=n0 Y=n1\n\
-         \x20 inst cap DFF D=n1 CK=clk Q=dout\n\
-         end\n\
-         top top\n\
-         clock clk period 10ns rise 0ns fall 5ns\n\
-         clockport clk clk\n\
-         arrive din clk rise 1ns\n"
-    )
-}
-
-fn scale_eco(net: &str, percent: u32) -> Frame {
-    Frame::new("eco")
-        .arg("op", "scale-net")
-        .arg("net", net)
-        .arg("percent", percent)
 }
 
 /// The fingerprint column of one design's `designs` line, or None if
@@ -114,7 +81,7 @@ fn await_role(addr: std::net::SocketAddr, want: &str) {
 /// cursors advance, stale epochs force a resync from zero.
 #[test]
 fn repl_pull_streams_the_journal_with_epoch_resync() {
-    let (addr, server) = start_server(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
 
     let text = design_text("alpha");
@@ -220,8 +187,8 @@ fn repl_pull_streams_the_journal_with_epoch_resync() {
 /// dies — with the exact state the primary last acknowledged.
 #[test]
 fn standby_mirrors_mutations_and_survives_primary_death() {
-    let (primary, primary_handle) = start_server(ServerOptions::default());
-    let (standby, standby_handle) = start_server(standby_options(primary));
+    let (primary, primary_handle) = serve(ServerOptions::default());
+    let (standby, standby_handle) = serve(standby_options(primary));
     let mut client = Client::connect(primary).unwrap();
 
     // Two tenants on the primary, each mutated past its load.
@@ -351,7 +318,7 @@ fn long_design(name: &str, stages: usize) -> String {
 /// stream. Pins the off-by-one at the `max=` boundary.
 #[test]
 fn repl_pull_page_boundary_is_exact() {
-    let (addr, server) = start_server(ServerOptions::default());
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
     for req in [
         Frame::new("load").with_payload(long_design("paged", 80)),
@@ -430,7 +397,7 @@ fn repl_pull_page_boundary_is_exact() {
 /// still converges to the primary's exact fingerprint.
 #[test]
 fn standby_resync_ships_bounded_pages() {
-    let (primary, primary_handle) = start_server(ServerOptions::default());
+    let (primary, primary_handle) = serve(ServerOptions::default());
     let mut client = Client::connect(primary).unwrap();
     assert_eq!(
         client
@@ -447,7 +414,7 @@ fn standby_resync_ships_bounded_pages() {
     }
 
     let page_bytes = 2048usize;
-    let (standby, standby_handle) = start_server(ServerOptions {
+    let (standby, standby_handle) = serve(ServerOptions {
         repl_page_bytes: page_bytes,
         ..standby_options(primary)
     });
@@ -508,8 +475,8 @@ fn standby_backoff_schedules_diverge_by_seed() {
 /// nodes report their role and term on `stats` and `designs`.
 #[test]
 fn standby_fences_writes_and_reports_role() {
-    let (primary, primary_handle) = start_server(ServerOptions::default());
-    let (standby, standby_handle) = start_server(standby_options(primary));
+    let (primary, primary_handle) = serve(ServerOptions::default());
+    let (standby, standby_handle) = serve(standby_options(primary));
     let mut client = Client::connect(primary).unwrap();
     assert_eq!(
         client
@@ -573,9 +540,9 @@ fn standby_fences_writes_and_reports_role() {
 /// the primary's exact state (primary → standby → standby).
 #[test]
 fn chained_standby_mirrors_through_intermediate() {
-    let (primary, primary_handle) = start_server(ServerOptions::default());
-    let (mid, mid_handle) = start_server(standby_options(primary));
-    let (tail, tail_handle) = start_server(ServerOptions {
+    let (primary, primary_handle) = serve(ServerOptions::default());
+    let (mid, mid_handle) = serve(standby_options(primary));
+    let (tail, tail_handle) = serve(ServerOptions {
         standby_of: Some(mid.to_string()),
         sync_interval: Duration::from_millis(25),
         promote_after: 3,

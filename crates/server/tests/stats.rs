@@ -3,41 +3,22 @@
 //! undercount where queries answered under the read lock never
 //! incremented `requests`.
 
-use std::thread;
-
 use hb_cells::sc89;
 use hb_io::Frame;
 use hb_obs::parse_exposition;
-use hb_server::{Client, Server, ServerOptions};
+use hb_server::{Client, ServerOptions};
 use hb_workloads::fsm12;
 
-fn start_server() -> (
-    std::net::SocketAddr,
-    thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind("127.0.0.1:0", sc89(), ServerOptions::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn workload_text() -> String {
-    let lib = sc89();
-    let w = fsm12(&lib, true);
-    hb_io::write_hum_with_timing(
-        &w.design,
-        &w.clocks,
-        &hb_server::directives_from_spec(&w.spec),
-    )
-}
+mod common;
+use common::{hum_text, serve};
 
 #[test]
 fn every_request_is_counted() {
-    let (addr, server) = start_server();
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
 
     let reply = client
-        .request(&Frame::new("load").with_payload(workload_text()))
+        .request(&Frame::new("load").with_payload(hum_text(&fsm12(&sc89(), true))))
         .unwrap();
     assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
     assert_eq!(client.request(&Frame::new("analyze")).unwrap().verb, "ok");
@@ -117,10 +98,10 @@ fn every_request_is_counted() {
 #[test]
 fn read_path_lock_wait_excludes_handle() {
     hb_obs::arm();
-    let (addr, server) = start_server();
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
     let reply = client
-        .request(&Frame::new("load").with_payload(workload_text()))
+        .request(&Frame::new("load").with_payload(hum_text(&fsm12(&sc89(), true))))
         .unwrap();
     assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
     assert_eq!(client.request(&Frame::new("analyze")).unwrap().verb, "ok");

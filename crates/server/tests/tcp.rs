@@ -8,39 +8,22 @@ use std::thread;
 
 use hb_cells::sc89;
 use hb_io::{Frame, FrameReader};
-use hb_server::{Client, Server, ServerOptions};
+use hb_server::{Client, ServerOptions};
 use hb_workloads::fsm12;
 
-fn start_server() -> (
-    std::net::SocketAddr,
-    thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind("127.0.0.1:0", sc89(), ServerOptions::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn workload_text() -> String {
-    let lib = sc89();
-    let w = fsm12(&lib, true);
-    hb_io::write_hum_with_timing(
-        &w.design,
-        &w.clocks,
-        &hb_server::directives_from_spec(&w.spec),
-    )
-}
+mod common;
+use common::{hum_text, serve};
 
 #[test]
 fn loopback_load_analyze_eco_query_shutdown() {
-    let (addr, server) = start_server();
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
 
     let reply = client.request(&Frame::new("hello")).unwrap();
     assert_eq!(reply.get("server"), Some("hummingbird"));
 
     let reply = client
-        .request(&Frame::new("load").with_payload(workload_text()))
+        .request(&Frame::new("load").with_payload(hum_text(&fsm12(&sc89(), true))))
         .unwrap();
     assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
 
@@ -91,7 +74,7 @@ fn loopback_load_analyze_eco_query_shutdown() {
 
 #[test]
 fn hostile_bytes_get_structured_errors() {
-    let (addr, server) = start_server();
+    let (addr, server) = serve(ServerOptions::default());
 
     // Raw socket speaking garbage: malformed header → error frame,
     // connection stays up for a well-formed follow-up.
@@ -121,10 +104,10 @@ fn hostile_bytes_get_structured_errors() {
 
 #[test]
 fn concurrent_slack_queries_share_the_session() {
-    let (addr, server) = start_server();
+    let (addr, server) = serve(ServerOptions::default());
     let mut client = Client::connect(addr).unwrap();
     client
-        .request(&Frame::new("load").with_payload(workload_text()))
+        .request(&Frame::new("load").with_payload(hum_text(&fsm12(&sc89(), true))))
         .unwrap();
     let reply = client.request(&Frame::new("analyze")).unwrap();
     assert_eq!(reply.verb, "ok");

@@ -129,9 +129,9 @@ echo "what-if worst at nominal: $AT_NOM / numeric: $NUMERIC_WORST (sweep samples
 }
 
 echo "== reactor loopback smoke test"
-# The same daemon on the poll(2) event loop: serve, load, then a
-# pipelined transcript with a batched multi-node slack, then shutdown.
-$HB serve --listen 127.0.0.1:0 --reactor > "$SMOKE_DIR/reactor.log" &
+# The event loop end to end: serve, load, then a pipelined transcript
+# with a batched multi-node slack, then shutdown.
+$HB serve --listen 127.0.0.1:0 > "$SMOKE_DIR/reactor.log" &
 REACTOR_PID=$!
 RADDR=""
 for _ in $(seq 1 100); do
@@ -378,9 +378,9 @@ HB_GEN_FULL=1 cargo test -q -p hb-bench --test gen_properties
 
 echo "== server qps regression gate"
 # A quick benchmark run must stay within 20% of the committed
-# BENCH_server.json on the two load-bearing throughput numbers: the
-# blocking transport's sequential slack qps and the reactor's
-# pipelined slack qps. Quick mode uses fewer samples and the box may
+# BENCH_server.json on the load-bearing throughput numbers: sequential
+# slack qps (one design and the eight-design fleet) and pipelined
+# slack qps. Quick mode uses fewer samples and the box may
 # be loaded, so take the best of two runs; the 20% band absorbs the
 # remaining noise without letting a real regression through.
 cargo build -q --release -p hb-bench --bin server_bench
