@@ -22,9 +22,17 @@
 use hb_sta::{Algebra, Numeric};
 use hb_units::Time;
 
-use crate::analysis::{Prepared, SlackView};
-use crate::engine::SlackCache;
+use crate::analysis::{Evaluator, Prepared, SlackView, Terminals};
 use crate::sync::Replica;
+
+/// A slack evaluation as the algorithms consume it. Successive calls
+/// within one analysis may build on each other, so the last call is
+/// the analysis's current view.
+pub(crate) trait Evaluate<A: Algebra> {
+    /// Evaluates every slack at the replicas' current offsets and
+    /// returns the terminal slacks.
+    fn evaluate(&mut self, alg: &mut A, replicas: &[Replica<A::Val>]) -> &Terminals<A::Val>;
+}
 
 /// Iteration counters from Algorithm 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -78,16 +86,16 @@ fn transfer_cycle<A: Algebra>(
     Ok(any)
 }
 
-/// Runs Algorithm 1, mutating `replicas` in place, and returns the final
-/// slack view plus statistics. `evaluate` computes the slack view at the
-/// current offsets. Fails only when the algebra cannot represent a
-/// partial transfer on its current domain.
+/// Runs Algorithm 1, mutating `replicas` in place, and returns its
+/// statistics; the final view is `ev`'s last evaluation. Fails only
+/// when the algebra cannot represent a partial transfer on its current
+/// domain.
 pub(crate) fn algorithm1<A: Algebra>(
     prep: &Prepared<'_>,
     alg: &mut A,
     replicas: &mut [Replica<A::Val>],
-    mut evaluate: impl FnMut(&mut A, &[Replica<A::Val>]) -> SlackView<A::Val>,
-) -> Result<(SlackView<A::Val>, Algorithm1Stats), A::Split> {
+    ev: &mut impl Evaluate<A>,
+) -> Result<Algorithm1Stats, A::Split> {
     let mut stats = Algorithm1Stats::default();
     let cap = prep.options.max_cycles;
     let divisor = prep.options.partial_divisor.max(2);
@@ -103,10 +111,10 @@ pub(crate) fn algorithm1<A: Algebra>(
 
     // Iteration 1: complete forward slack transfer to a fixpoint.
     loop {
-        let view = evaluate(alg, replicas);
+        let view = ev.evaluate(alg, replicas);
         if view.all_positive(alg) {
             stats.converged_early = true;
-            return Ok((view, stats));
+            return Ok(stats);
         }
         if !transfer_cycle(alg, replicas, &view.replica_in, complete, forward)? {
             break;
@@ -120,10 +128,10 @@ pub(crate) fn algorithm1<A: Algebra>(
 
     // Iteration 2: complete backward slack transfer to a fixpoint.
     loop {
-        let view = evaluate(alg, replicas);
+        let view = ev.evaluate(alg, replicas);
         if view.all_positive(alg) {
             stats.converged_early = true;
-            return Ok((view, stats));
+            return Ok(stats);
         }
         if !transfer_cycle(alg, replicas, &view.replica_out, complete, backward)? {
             break;
@@ -139,7 +147,7 @@ pub(crate) fn algorithm1<A: Algebra>(
     // cycle made — returns time to paths that are fast enough so they
     // finish with strictly positive slack.
     for _ in 0..stats.backward_cycles {
-        let view = evaluate(alg, replicas);
+        let view = ev.evaluate(alg, replicas);
         let any = transfer_cycle(alg, replicas, &view.replica_in, partial, forward)?;
         stats.partial_forward_cycles += 1;
         if !any {
@@ -150,7 +158,7 @@ pub(crate) fn algorithm1<A: Algebra>(
     // Iteration 4: partial backward transfer, once per complete forward
     // cycle made.
     for _ in 0..stats.forward_cycles {
-        let view = evaluate(alg, replicas);
+        let view = ev.evaluate(alg, replicas);
         let any = transfer_cycle(alg, replicas, &view.replica_out, partial, backward)?;
         stats.partial_backward_cycles += 1;
         if !any {
@@ -159,7 +167,8 @@ pub(crate) fn algorithm1<A: Algebra>(
     }
 
     // Final step: find all node slacks.
-    Ok((evaluate(alg, replicas), stats))
+    ev.evaluate(alg, replicas);
+    Ok(stats)
 }
 
 /// Runs Algorithm 2 starting from Algorithm-1 offsets. Returns the slack
@@ -170,7 +179,7 @@ pub(crate) fn algorithm1<A: Algebra>(
 pub(crate) fn algorithm2(
     prep: &Prepared<'_>,
     replicas: &mut [Replica],
-    cache: &mut SlackCache,
+    ev: &mut Evaluator<'_, '_>,
 ) -> (SlackView, SlackView, Algorithm2Stats) {
     let mut stats = Algorithm2Stats::default();
     let cap = prep.options.max_cycles;
@@ -181,36 +190,38 @@ pub(crate) fn algorithm2(
     // Iteration 1: snatch time backward until no time is snatched, then
     // record ready times at all cell inputs: a replica whose *input*
     // terminal is too slow moves its closure later.
-    let ready_view = loop {
-        let view = prep.compute_slacks(replicas, cache);
+    loop {
+        let view = ev.evaluate(&mut Numeric, replicas);
         let backward = Replica::transfer_backward_in;
         let Ok(any) = transfer_cycle(&mut Numeric, replicas, &view.replica_in, snatch, backward);
         stats.backward_snatch_cycles += 1;
         if !any {
-            break view;
+            break;
         }
         if stats.backward_snatch_cycles >= cap {
             stats.cycle_cap_hit = true;
-            break view;
+            break;
         }
-    };
+    }
+    let ready_view = ev.view();
 
     // Iteration 2: snatch time forward until no time is snatched, then
     // record required times at all cell outputs: a replica whose
     // *output* terminal is too slow moves its assertion earlier.
-    let required_view = loop {
-        let view = prep.compute_slacks(replicas, cache);
+    loop {
+        let view = ev.evaluate(&mut Numeric, replicas);
         let forward = Replica::transfer_forward_in;
         let Ok(any) = transfer_cycle(&mut Numeric, replicas, &view.replica_out, snatch, forward);
         stats.forward_snatch_cycles += 1;
         if !any {
-            break view;
+            break;
         }
         if stats.forward_snatch_cycles >= cap {
             stats.cycle_cap_hit = true;
-            break view;
+            break;
         }
-    };
+    }
+    let required_view = ev.view();
 
     (ready_view, required_view, stats)
 }

@@ -23,9 +23,10 @@ use hb_sta::analysis::{
 use hb_sta::{Algebra, Numeric, TimingGraph};
 use hb_units::{RiseFall, Sense, Time};
 
-use crate::engine::{pos_assert, pos_close, Engine, ItemTables, SlackCache};
+use crate::algorithms::Evaluate;
+use crate::engine::{pos_assert, pos_close, Cycles, Engine, ItemTables, SlackCache};
 use crate::error::AnalyzeError;
-use crate::report::TerminalKind;
+use crate::report::{ConstraintTables, TerminalKind, TimingConstraints};
 use crate::spec::{AnalysisOptions, EdgeSpec, EngineKind, LatchModel, Spec};
 use crate::sync::{offsets, Replica, ReplicaTiming};
 
@@ -104,13 +105,11 @@ pub(crate) enum SlackStorage<V> {
     Sharded { items: Vec<Arc<ItemTables<V>>> },
 }
 
-/// The result of one full multi-pass slack evaluation at fixed offsets,
-/// in the value algebra `V` (numeric unless stated).
-pub(crate) struct SlackView<V = Time> {
-    /// Ready/required tables, in engine-native form; use
-    /// [`SlackView::ready_for_pass`] / [`SlackView::dense_ready`] to
-    /// view them densely.
-    pub storage: SlackStorage<V>,
+/// The terminal slacks of one evaluation, by kind. In this order —
+/// replica inputs, replica outputs, primary inputs, primary outputs —
+/// they are the report's terminals ([`Prepared::terminals`]).
+#[derive(Clone)]
+pub(crate) struct Terminals<V = Time> {
     /// Per replica: node slack at the data-input terminal.
     pub replica_in: Vec<V>,
     /// Per replica: node slack at the output terminal (`INF` when the
@@ -122,10 +121,19 @@ pub(crate) struct SlackView<V = Time> {
     pub po_slack: Vec<V>,
 }
 
-impl<V: Copy> SlackView<V> {
-    /// Every terminal slack: replica inputs, replica outputs, primary
-    /// inputs, primary outputs.
-    pub fn terminals(&self) -> impl Iterator<Item = &V> {
+impl<V: Copy> Terminals<V> {
+    /// Every terminal at `fill`.
+    pub fn unset(replicas: usize, pis: usize, pos: usize, fill: V) -> Terminals<V> {
+        Terminals {
+            replica_in: vec![fill; replicas],
+            replica_out: vec![fill; replicas],
+            pi_slack: vec![fill; pis],
+            po_slack: vec![fill; pos],
+        }
+    }
+
+    /// Every terminal slack, in report order.
+    pub fn iter(&self) -> impl Iterator<Item = &V> {
         self.replica_in
             .iter()
             .chain(&self.replica_out)
@@ -133,19 +141,44 @@ impl<V: Copy> SlackView<V> {
             .chain(&self.po_slack)
     }
 
+    /// The slack of terminal `t`, in report order.
+    pub fn slot_mut(&mut self, t: usize) -> &mut V {
+        let n = self.replica_in.len();
+        let n_pi = self.pi_slack.len();
+        match t {
+            t if t < n => &mut self.replica_in[t],
+            t if t < 2 * n => &mut self.replica_out[t - n],
+            t if t < 2 * n + n_pi => &mut self.pi_slack[t - 2 * n],
+            t => &mut self.po_slack[t - 2 * n - n_pi],
+        }
+    }
+
     /// The paper's global stop condition: every terminal slack strictly
     /// positive (decided in terminal order, short-circuiting).
     pub fn all_positive<A: Algebra<Val = V>>(&self, alg: &mut A) -> bool {
-        self.terminals().all(|&s| alg.gt_zero(s))
+        self.iter().all(|&s| alg.gt_zero(s))
     }
 }
 
-impl SlackView {
+impl Terminals {
     /// The worst terminal slack.
     pub fn worst(&self) -> Time {
-        self.terminals().copied().min().unwrap_or(Time::INF)
+        self.iter().copied().min().unwrap_or(Time::INF)
     }
+}
 
+/// The result of one full multi-pass slack evaluation at fixed offsets,
+/// in the value algebra `V` (numeric unless stated): the terminal
+/// slacks plus the tables a report reads.
+pub(crate) struct SlackView<V = Time> {
+    /// Ready/required tables, in engine-native form; use
+    /// [`SlackView::ready_for_pass`] to view them densely.
+    pub storage: SlackStorage<V>,
+    /// The terminal slacks.
+    pub terms: Terminals<V>,
+}
+
+impl SlackView {
     /// Per net: the smallest scalar slack over all passes.
     pub fn net_slacks(&self, prep: &Prepared<'_>) -> Vec<Time> {
         match &self.storage {
@@ -154,45 +187,21 @@ impl SlackView {
         }
     }
 
-    /// Materialises the dense forward ready table of one pass.
+    /// Materialises the dense forward ready table of one pass; nets
+    /// outside the pass keep their sentinel.
     pub fn ready_for_pass(&self, prep: &Prepared<'_>, pass: usize) -> TimeTable {
-        self.pass_table(prep, pass, false)
-    }
-
-    /// Materialises the dense ready tables of every pass.
-    pub fn dense_ready(&self, prep: &Prepared<'_>) -> Vec<TimeTable> {
-        (0..prep.passes.len())
-            .map(|p| self.pass_table(prep, p, false))
-            .collect()
-    }
-
-    /// Materialises the dense required tables of every pass.
-    pub fn dense_required(&self, prep: &Prepared<'_>) -> Vec<TimeTable> {
-        (0..prep.passes.len())
-            .map(|p| self.pass_table(prep, p, true))
-            .collect()
-    }
-
-    /// The dense ready (or, with `required`, required) table of one
-    /// pass; nets outside the pass keep their sentinel.
-    fn pass_table(&self, prep: &Prepared<'_>, pass: usize, required: bool) -> TimeTable {
         let items = match &self.storage {
-            SlackStorage::Dense { ready, .. } if !required => return ready[pass].clone(),
-            SlackStorage::Dense { required: req, .. } => return req[pass].clone(),
+            SlackStorage::Dense { ready, .. } => return ready[pass].clone(),
             SlackStorage::Sharded { items } => items,
         };
-        let mut out = table(
-            &prep.graph,
-            if required { Time::INF } else { Time::NEG_INF },
-        );
+        let mut out = table(&prep.graph, Time::NEG_INF);
         for (item, t) in prep.engine.items.iter().zip(items) {
             if item.pass == pass {
                 let shard = prep
                     .engine
                     .sharded
                     .shard(hb_sta::ClusterId::from_raw(item.cluster));
-                let local = if required { &t.required } else { &t.ready };
-                for (&net, &v) in shard.nets().iter().zip(local) {
+                for (&net, &v) in shard.nets().iter().zip(&t.ready) {
                     out[net.as_raw() as usize] = v;
                 }
             }
@@ -614,7 +623,7 @@ impl Prepared<'_> {
     /// Every reported terminal in report order — each replica's data
     /// input, then its output when connected; primary inputs; primary
     /// outputs — as `(kind, name, pulse, index)`, `index` being the
-    /// terminal's position in [`SlackView::terminals`].
+    /// terminal's position in [`Terminals::iter`].
     pub fn terminals(&self) -> Vec<(TerminalKind, String, u32, usize)> {
         let module = self.design.module(self.module);
         let (n, n_pi) = (self.replicas.len(), self.pis.len());
@@ -642,72 +651,28 @@ impl Prepared<'_> {
         self.cluster_passes[self.graph.cluster_of(net).as_raw() as usize].contains(&p)
     }
 
-    /// Evaluates all slacks at the given replica offsets, dispatching
-    /// on [`AnalysisOptions::engine`]. Both engines produce
-    /// bit-identical views.
-    pub fn compute_slacks(&self, replicas: &[Replica], cache: &mut SlackCache) -> SlackView {
-        match self.options.engine {
-            EngineKind::Reference => self.compute_slacks_reference(replicas),
-            EngineKind::Sharded => {
-                // Every participating `(cluster, pass)` pair is swept
-                // over its compact shard — in parallel when
-                // `AnalysisOptions::threads` allows, and skipped
-                // entirely when `cache` still holds its tables.
-                let offs = offsets(&mut Numeric, replicas);
-                let threads = self.options.effective_threads();
-                let items = self.engine.evaluate(&offs, cache, threads);
-                self.sharded_view(&mut Numeric, &offs, items)
+    /// Algorithm 2's constraints: the settled ready times of the
+    /// backward-snatch view and the settled required times of the
+    /// forward-snatch view. The sharded engine's tables are shared, not
+    /// copied into dense per-pass tables.
+    pub fn constraints(&self, ready: SlackView, required: SlackView) -> TimingConstraints {
+        let tables = match (ready.storage, required.storage) {
+            (SlackStorage::Sharded { items: r }, SlackStorage::Sharded { items: q }) => {
+                ConstraintTables::Sharded {
+                    nets: Arc::new(self.engine.net_items(&self.graph)),
+                    ready: r,
+                    required: q,
+                }
             }
-        }
-    }
-
-    /// The terminal slacks of one sharded evaluation at the replica
-    /// offsets `offs`, gated exactly as in the reference engine (the
-    /// seed lists were built from the same gates).
-    pub fn sharded_view<A: Algebra>(
-        &self,
-        alg: &mut A,
-        offs: &[(A::Val, A::Val)],
-        items: Vec<Arc<ItemTables<A::Val>>>,
-    ) -> SlackView<A::Val> {
-        let mut replica_in = vec![A::INF; offs.len()];
-        let mut replica_out = vec![A::INF; offs.len()];
-        let mut pi_slack = vec![A::INF; self.pis.len()];
-        let mut po_slack = vec![A::INF; self.pos.len()];
-        for (item, t) in self.engine.items.iter().zip(&items) {
-            for s in &item.close_replica_seeds {
-                let k = s.k as usize;
-                let close = s.at(alg, offs[k].1);
-                let arrive = alg.worst(t.ready[s.local as usize]);
-                let sl = alg.sub(close, arrive);
-                replica_in[k] = alg.min(replica_in[k], sl);
+            (SlackStorage::Dense { ready: r, .. }, SlackStorage::Dense { required: q, .. }) => {
+                ConstraintTables::Dense {
+                    ready: r,
+                    required: q,
+                }
             }
-            for s in &item.ready_replica_seeds {
-                let l = s.local as usize;
-                let sl = alg.slack(t.required[l], t.ready[l]);
-                let k = s.k as usize;
-                replica_out[k] = alg.min(replica_out[k], sl);
-            }
-            for s in &item.ready_pi_seeds {
-                let l = s.local as usize;
-                let sl = alg.slack(t.required[l], t.ready[l]);
-                let k = s.k as usize;
-                pi_slack[k] = alg.min(pi_slack[k], sl);
-            }
-            for s in &item.close_po_seeds {
-                let arrive = alg.worst(t.ready[s.local as usize]);
-                let sl = alg.sub(s.at(alg), arrive);
-                let k = s.k as usize;
-                po_slack[k] = alg.min(po_slack[k], sl);
-            }
-        }
-        SlackView {
-            storage: SlackStorage::Sharded { items },
-            replica_in,
-            replica_out,
-            pi_slack,
-            po_slack,
-        }
+            _ => unreachable!("both views come from one engine"),
+        };
+        TimingConstraints::new(self.passes.clone(), tables)
     }
 
     /// Per net: the smallest scalar slack `required − ready` over every
@@ -747,10 +712,7 @@ impl Prepared<'_> {
                 required: Vec::new(),
                 net_slack: Vec::new(),
             },
-            replica_in: vec![Time::INF; replicas.len()],
-            replica_out: vec![Time::INF; replicas.len()],
-            pi_slack: vec![Time::INF; self.pis.len()],
-            po_slack: vec![Time::INF; self.pos.len()],
+            terms: Terminals::unset(replicas.len(), self.pis.len(), self.pos.len(), Time::INF),
         };
         for (p, &start) in self.passes.iter().enumerate() {
             let mut ready = table(&self.graph, Time::NEG_INF);
@@ -807,26 +769,27 @@ impl Prepared<'_> {
                         pos_close(&self.timeline, start, r.close_edge) + r.input_close_offset();
                     let arrive = ready[r.data_net.as_raw() as usize].worst();
                     let s = close.saturating_sub(arrive);
-                    view.replica_in[k] = view.replica_in[k].min(s);
+                    view.terms.replica_in[k] = view.terms.replica_in[k].min(s);
                 }
                 for out in [r.output_net, r.output_bar_net].into_iter().flatten() {
                     if self.in_pass(out, p) {
                         let s = scalar_slack(slacks[out.as_raw() as usize]);
-                        view.replica_out[k] = view.replica_out[k].min(s);
+                        view.terms.replica_out[k] = view.terms.replica_out[k].min(s);
                     }
                 }
             }
             for (k, pi) in self.pis.iter().enumerate() {
                 if self.in_pass(pi.net, p) {
                     let s = scalar_slack(slacks[pi.net.as_raw() as usize]);
-                    view.pi_slack[k] = view.pi_slack[k].min(s);
+                    view.terms.pi_slack[k] = view.terms.pi_slack[k].min(s);
                 }
             }
             for (k, po) in self.pos.iter().enumerate() {
                 if self.po_pass[k] == p {
                     let close = pos_close(&self.timeline, start, po.edge) + po.offset;
                     let arrive = ready[po.net.as_raw() as usize].worst();
-                    view.po_slack[k] = view.po_slack[k].min(close.saturating_sub(arrive));
+                    view.terms.po_slack[k] =
+                        view.terms.po_slack[k].min(close.saturating_sub(arrive));
                 }
             }
 
@@ -839,5 +802,75 @@ impl Prepared<'_> {
             net_slack,
         };
         view
+    }
+}
+
+/// The numeric slack evaluations of one analysis call, by the
+/// configured engine: the sharded engine incrementally, each evaluation
+/// starting from the previous one and going through the caller's
+/// cache; the reference engine densely, from scratch.
+pub(crate) struct Evaluator<'e, 'a> {
+    prep: &'e Prepared<'a>,
+    cache: &'e mut SlackCache,
+    cycles: Cycles,
+    /// The reference engine's last view.
+    dense: Option<SlackView>,
+}
+
+impl<'e, 'a> Evaluator<'e, 'a> {
+    /// Opens an analysis of `prep` through `cache`.
+    pub fn new(prep: &'e Prepared<'a>, cache: &'e mut SlackCache) -> Evaluator<'e, 'a> {
+        if prep.options.engine == EngineKind::Sharded {
+            cache.begin();
+        }
+        Evaluator {
+            prep,
+            cache,
+            cycles: Cycles::new::<Numeric>(&prep.engine),
+            dense: None,
+        }
+    }
+
+    /// The report view of the last evaluation, full tables included.
+    pub fn view(&mut self) -> SlackView {
+        match self.prep.options.engine {
+            EngineKind::Reference => self.dense.take().expect("a view follows an evaluation"),
+            EngineKind::Sharded => {
+                let threads = self.prep.options.effective_threads();
+                let items = (self.prep.engine).materialise(&self.cycles, self.cache, threads);
+                SlackView {
+                    storage: SlackStorage::Sharded { items },
+                    terms: self.cycles.terms.clone(),
+                }
+            }
+        }
+    }
+
+    /// Closes the analysis on the cache.
+    pub fn finish(self) {
+        if self.prep.options.engine == EngineKind::Sharded {
+            self.cache.finish();
+        }
+    }
+}
+
+impl Evaluate<Numeric> for Evaluator<'_, '_> {
+    fn evaluate(&mut self, _: &mut Numeric, replicas: &[Replica]) -> &Terminals {
+        match self.prep.options.engine {
+            EngineKind::Reference => {
+                let view = self.prep.compute_slacks_reference(replicas);
+                &self.dense.insert(view).terms
+            }
+            EngineKind::Sharded => {
+                // Every participating `(cluster, pass)` pair whose seeds
+                // moved is swept over its compact shard — in parallel
+                // when `AnalysisOptions::threads` allows, and skipped
+                // entirely when `cache` still holds it.
+                let offs = offsets(&mut Numeric, replicas);
+                let threads = self.prep.options.effective_threads();
+                (self.prep.engine).evaluate(offs, &mut self.cycles, self.cache, threads);
+                &self.cycles.terms
+            }
+        }
     }
 }

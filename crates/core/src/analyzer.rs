@@ -10,12 +10,12 @@ use hb_sta::paths::critical_path;
 use hb_sta::Numeric;
 use hb_units::{Time, Transition};
 
-use crate::algorithms::{algorithm1, algorithm2, Algorithm1Stats, Algorithm2Stats};
-use crate::analysis::{prepare, PrepStats, Prepared, SlackView};
+use crate::algorithms::{algorithm1, algorithm2};
+use crate::analysis::{prepare, Evaluator, PrepStats, Prepared, SlackView};
 use crate::engine::SlackCache;
 use crate::error::AnalyzeError;
 use crate::mindelay::check_min_delays;
-use crate::report::{SlowPath, SlowStep, TerminalSlack, TimingConstraints, TimingReport};
+use crate::report::{SlowPath, SlowStep, TerminalSlack, TimingReport};
 use crate::spec::{AnalysisOptions, Spec};
 use crate::sync::Replica;
 
@@ -23,9 +23,11 @@ use crate::sync::Replica;
 const MAX_SLOW_PATHS: usize = 50;
 
 /// Tallies one analysis run into the process-global registry: run
-/// counts per kind and slack-transfer cycle counts per iteration.
-/// Purely observational — the report keeps its own authoritative copy.
-fn record_analysis_obs(kind: &str, alg1: Algorithm1Stats, alg2: Option<Algorithm2Stats>) {
+/// counts per kind, slack-transfer cycle counts per iteration, and the
+/// algorithms a cycle cap stopped. Purely observational — the report
+/// keeps its own authoritative copy.
+fn record_analysis_obs(report: &TimingReport, kind: &str) {
+    let (alg1, alg2) = (report.alg1, report.alg2);
     let g = hb_obs::global();
     g.counter_with(
         "hb_analyses_total",
@@ -48,6 +50,14 @@ fn record_analysis_obs(kind: &str, alg1: Algorithm1Stats, alg2: Option<Algorithm
     if let Some(alg2) = alg2 {
         cycles("backward_snatch", alg2.backward_snatch_cycles);
         cycles("forward_snatch", alg2.forward_snatch_cycles);
+    }
+    for algorithm in report.capped() {
+        g.counter_with(
+            "hb_alg_cap_hits_total",
+            "analyses in which a cycle cap stopped an algorithm before it settled",
+            &[("algorithm", &algorithm.to_string())],
+        )
+        .inc();
     }
 }
 
@@ -166,9 +176,10 @@ impl<'a> Analyzer<'a> {
         let start = Instant::now();
         let before = cache.stats();
         let mut replicas = self.prep.replicas.clone();
-        let Ok((view, alg1)) = algorithm1(&self.prep, &mut Numeric, &mut replicas, |_, r| {
-            self.prep.compute_slacks(r, cache)
-        });
+        let mut ev = Evaluator::new(&self.prep, cache);
+        let Ok(alg1) = algorithm1(&self.prep, &mut Numeric, &mut replicas, &mut ev);
+        let view = ev.view();
+        ev.finish();
         let min_delay = if self.prep.options.check_min_delays {
             check_min_delays(&self.prep, &replicas)
         } else {
@@ -180,7 +191,7 @@ impl<'a> Analyzer<'a> {
         report.min_delay_violations = min_delay;
         report.prep_seconds = self.prep_seconds;
         report.analysis_seconds = start.elapsed().as_secs_f64();
-        record_analysis_obs("analyze", alg1, None);
+        record_analysis_obs(&report, "analyze");
         report
     }
 
@@ -213,28 +224,26 @@ impl<'a> Analyzer<'a> {
         let start = Instant::now();
         let before = cache.stats();
         let mut replicas = self.prep.replicas.clone();
-        let Ok((view, alg1)) = algorithm1(&self.prep, &mut Numeric, &mut replicas, |_, r| {
-            self.prep.compute_slacks(r, cache)
-        });
+        let mut ev = Evaluator::new(&self.prep, cache);
+        let Ok(alg1) = algorithm1(&self.prep, &mut Numeric, &mut replicas, &mut ev);
+        let view = ev.view();
         let min_delay = if self.prep.options.check_min_delays {
             check_min_delays(&self.prep, &replicas)
         } else {
             Vec::new()
         };
         let mut report = self.build_report(&replicas, &view);
-        let (ready_view, required_view, alg2) = algorithm2(&self.prep, &mut replicas, cache);
+        drop(view);
+        let (ready_view, required_view, alg2) = algorithm2(&self.prep, &mut replicas, &mut ev);
+        ev.finish();
         report.alg1 = alg1;
         report.alg2 = Some(alg2);
         report.engine = cache.stats().since(before);
-        report.constraints = Some(TimingConstraints::new(
-            self.prep.passes.clone(),
-            ready_view.dense_ready(&self.prep),
-            required_view.dense_required(&self.prep),
-        ));
+        report.constraints = Some(self.prep.constraints(ready_view, required_view));
         report.min_delay_violations = min_delay;
         report.prep_seconds = self.prep_seconds;
         report.analysis_seconds = start.elapsed().as_secs_f64();
-        record_analysis_obs("constraints", alg1, Some(alg2));
+        record_analysis_obs(&report, "constraints");
         report
     }
 
@@ -242,7 +251,7 @@ impl<'a> Analyzer<'a> {
         let prep = &self.prep;
         let module = prep.design.module(prep.module);
 
-        let slacks: Vec<Time> = view.terminals().copied().collect();
+        let slacks: Vec<Time> = view.terms.iter().copied().collect();
         let terminal_slacks = prep
             .terminals()
             .into_iter()
@@ -256,12 +265,12 @@ impl<'a> Analyzer<'a> {
 
         // Slow endpoints, worst first.
         let mut endpoints: Vec<(Time, usize, bool)> = Vec::new(); // (slack, index, is_replica)
-        for (k, s) in view.replica_in.iter().enumerate() {
+        for (k, s) in view.terms.replica_in.iter().enumerate() {
             if *s <= Time::ZERO {
                 endpoints.push((*s, k, true));
             }
         }
-        for (k, s) in view.po_slack.iter().enumerate() {
+        for (k, s) in view.terms.po_slack.iter().enumerate() {
             if *s <= Time::ZERO {
                 endpoints.push((*s, k, false));
             }
@@ -322,8 +331,8 @@ impl<'a> Analyzer<'a> {
 
         TimingReport {
             module: prep.module,
-            ok: view.all_positive(&mut Numeric),
-            worst_slack: view.worst(),
+            ok: view.terms.all_positive(&mut Numeric),
+            worst_slack: view.terms.worst(),
             overall_period: prep.timeline.overall_period(),
             terminal_slacks,
             slow_paths,

@@ -45,9 +45,9 @@ use hb_obs::{Counter, Histogram};
 use hb_sta::Algebra;
 use hb_units::Time;
 
-use crate::algorithms::algorithm1;
-use crate::analysis::{Prepared, SlackStorage};
-use crate::engine::SlackCache;
+use crate::algorithms::{algorithm1, Evaluate};
+use crate::analysis::{Prepared, Terminals};
+use crate::engine::{Cycles, SlackCache};
 use crate::report::TerminalKind;
 use crate::sync::{offsets, Replica};
 
@@ -378,8 +378,32 @@ impl Algebra for Ctx<'_> {
 struct RegionSlack {
     span: Span,
     net_slack: Vec<Sym>,
-    /// Every terminal slack, in `SlackView::terminals` order.
+    /// Every terminal slack, in `Terminals::iter` order.
     terminals: Vec<Sym>,
+}
+
+/// The symbolic evaluations of one region run: the shared incremental
+/// engine over a per-region memo, counting item-evaluations (items plus
+/// one per slack view) against the carve budget.
+struct RegionEval<'e, 'a> {
+    prep: &'e Prepared<'a>,
+    /// The memo stays valid as the span shrinks: an affine identity on
+    /// a region restricts to any subregion.
+    memo: SlackCache<Sym>,
+    cycles: Cycles<Sym>,
+    work: &'e mut u64,
+}
+
+impl Evaluate<Ctx<'_>> for RegionEval<'_, '_> {
+    fn evaluate(&mut self, ctx: &mut Ctx<'_>, reps: &[Replica<Sym>]) -> &Terminals<Sym> {
+        let engine = &self.prep.engine;
+        *self.work += engine.items.len() as u64 + 1;
+        let offs = offsets(ctx, reps);
+        // Every decision may shrink the span, so items are swept one at
+        // a time, in item order.
+        engine.evaluate_with(ctx, offs, &mut self.cycles, &mut self.memo, None);
+        &self.cycles.terms
+    }
 }
 
 /// Runs Algorithm 1 over `span` in the symbolic instance. Returns
@@ -396,29 +420,23 @@ fn run_region(
 ) -> Option<RegionSlack> {
     let mut ctx = Ctx { g, span, deferred };
     let mut reps: Vec<Replica<Sym>> = prep.replicas.iter().map(|r| r.lift(&ctx)).collect();
-    // The memo stays valid as the span shrinks: an affine identity on
-    // a region restricts to any subregion.
-    let mut memo: SlackCache<Sym> = SlackCache::default();
-    let engine = &prep.engine;
-    let (view, _) = algorithm1(prep, &mut ctx, &mut reps, |ctx, reps| {
-        *work += engine.items.len() as u64 + 1;
-        let offs = offsets(ctx, reps);
-        // Every decision may shrink the span, so items are swept one
-        // at a time, in item order.
-        let items = engine.evaluate_with(ctx, &offs, &mut memo, None);
-        prep.sharded_view(ctx, &offs, items)
-    })
-    .ok()?;
-
-    let SlackStorage::Sharded { items } = &view.storage else {
-        unreachable!("the symbolic view is sharded");
+    let mut memo = SlackCache::default();
+    memo.begin();
+    let mut ev = RegionEval {
+        prep,
+        memo,
+        cycles: Cycles::new::<Ctx<'_>>(&prep.engine),
+        work,
     };
-    let net_slack = prep.net_slacks(&mut ctx, items);
+    algorithm1(prep, &mut ctx, &mut reps, &mut ev).ok()?;
+
+    let items = (prep.engine).materialise_with(&mut ctx, &ev.cycles, &mut ev.memo, None);
+    let net_slack = prep.net_slacks(&mut ctx, &items);
     // Record the span only after every decision has shrunk it.
     Some(RegionSlack {
         span: ctx.span,
         net_slack,
-        terminals: view.terminals().copied().collect(),
+        terminals: ev.cycles.terms.iter().copied().collect(),
     })
 }
 

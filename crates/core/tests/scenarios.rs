@@ -596,3 +596,45 @@ fn algorithm2_flags_its_cycle_cap() {
     assert!(!settled.cycle_cap_hit, "{settled:?}");
     assert!(settled.backward_snatch_cycles + settled.forward_snatch_cycles > 2);
 }
+
+/// A capped answer says so: the report's footer names the algorithm the
+/// cap stopped and `hb_alg_cap_hits_total` counts it, while an uncapped
+/// report carries no such line.
+#[test]
+fn cycle_cap_is_named_in_the_footer_and_counted() {
+    let (b, clocks, spec) = latch_loop(80, 40);
+    let lib = exact_lib(&[80, 40]);
+    let run = |max_cycles: usize| {
+        let options = AnalysisOptions {
+            max_cycles,
+            ..AnalysisOptions::default()
+        };
+        Analyzer::with_options(&b.design, b.module, &lib, &clocks, spec.clone(), options)
+            .unwrap()
+            .generate_constraints()
+    };
+    let hits = || {
+        let text = hb_obs::global().render();
+        text.lines()
+            .find_map(|l| l.strip_prefix("hb_alg_cap_hits_total{algorithm=\"2\"} "))
+            .map_or(0, |v| v.trim().parse::<u64>().unwrap())
+    };
+    let before = hits();
+    let capped = run(1);
+    assert!(capped.capped().contains(&2), "{:?}", capped.capped());
+    let footer = capped.to_string();
+    let line = footer
+        .lines()
+        .find(|l| l.trim_start().starts_with("capped:"))
+        .unwrap_or_else(|| panic!("no cap line in\n{footer}"));
+    assert!(line.contains("algorithm") && line.contains('2'), "{line}");
+    // Other tests may cap concurrently; the counter only grows.
+    assert!(
+        hits() > before,
+        "hb_alg_cap_hits_total{{algorithm=\"2\"}} not counted"
+    );
+
+    let settled = run(AnalysisOptions::default().max_cycles);
+    assert!(settled.capped().is_empty());
+    assert!(!settled.to_string().contains("capped"), "{settled}");
+}

@@ -13,12 +13,12 @@
 //!
 //! Replay is **warm**: the content-addressed
 //! [`SlackCache`](hummingbird::SlackCache) salvaged from the broken
-//! session is transplanted into the rebuilt one. Cache entries are
+//! session is transplanted into the rebuilt one. Cache versions are
 //! keyed by shard content fingerprint plus seed signature and inserted
-//! only once fully computed, so entries written before a panic are
-//! either complete and correct or absent — a replayed analysis reuses
-//! every clean cluster and re-sweeps only what the interrupted request
-//! dirtied. `fault_bench` measures this: replay comes out at least as
+//! only once fully computed, and the cache holds no per-analysis state,
+//! so versions written before a panic are either complete and correct
+//! or absent — a replayed analysis reuses every clean cluster and
+//! re-sweeps only what the interrupted request dirtied. `fault_bench` measures this: replay comes out at least as
 //! cheap as a cold `load` + `analyze`.
 //!
 //! The journal is bounded: past [`Journal::MAX_ENTRIES`] it compacts

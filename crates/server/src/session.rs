@@ -273,9 +273,15 @@ impl Session {
     }
 
     /// Salvages the content-addressed sweep cache out of a (possibly
-    /// half-mutated) session. Sound after a panic: entries are keyed
-    /// by shard content and seed signature and inserted only once
-    /// fully computed, so whatever is present is correct.
+    /// half-mutated) session. Sound after a panic, even one in the
+    /// middle of an analysis: every version is keyed by shard content
+    /// and an exact seed signature and inserted only once fully swept,
+    /// so whatever is present is correct for any design that matches
+    /// its key. The cache holds nothing positional — the incremental
+    /// state of an analysis (previous offsets, item results, terminal
+    /// view) lives in the analysis call and dies with it — and the
+    /// versions an interrupted analysis added are dropped when the next
+    /// analysis through the cache ends without using them.
     pub fn take_cache(&mut self) -> Option<SlackCache> {
         self.loaded
             .as_mut()
@@ -294,14 +300,15 @@ impl Session {
     /// A deterministic approximation of the session's resident
     /// footprint in bytes — what the fleet's memory budget accounts
     /// against. Not a malloc measurement: a stable formula over the
-    /// loaded design's cell/net counts and the cache population, so
-    /// eviction decisions reproduce across runs and platforms.
+    /// loaded design's cell/net counts plus the cache's content
+    /// ([`SlackCache::approx_bytes`]), so eviction decisions reproduce
+    /// across runs and platforms.
     pub fn approx_resident_bytes(&self) -> usize {
         let Some(l) = &self.loaded else {
             return 256;
         };
         let stats = l.design.stats(l.top);
-        256 + stats.cells * 160 + stats.nets * 96 + l.cache.len() * 256
+        256 + stats.cells * 160 + stats.nets * 96 + l.cache.approx_bytes()
     }
 
     /// The loaded state as synthetic journal frames: one `load` of the
@@ -941,18 +948,23 @@ impl Session {
     }
 
     /// A reply summarising the current report: verdict, worst slack,
-    /// cache reuse of the producing run, and the human-readable report
-    /// as payload.
+    /// cache reuse of the producing run, `capped=1` when a cycle cap
+    /// stopped an algorithm (so the answer is not exact), and the
+    /// human-readable report as payload.
     fn report_reply(&self) -> Frame {
         let report = self.last_report().expect("reanalyze succeeded");
         let stats = report.engine_stats();
-        ok().arg("ok", u8::from(report.ok()))
+        let mut reply = ok()
+            .arg("ok", u8::from(report.ok()))
             .arg("worst", report.worst_slack())
             .arg("period", report.overall_period())
             .arg("items_reused", stats.items_reused)
             .arg("items_swept", stats.items_swept())
-            .arg("seconds", format!("{:.6}", report.analysis_seconds()))
-            .with_payload(report.to_string())
+            .arg("seconds", format!("{:.6}", report.analysis_seconds()));
+        if !report.capped().is_empty() {
+            reply = reply.arg("capped", 1);
+        }
+        reply.with_payload(report.to_string())
     }
 
     fn analyze(&mut self, req: &Frame) -> Frame {
@@ -1190,5 +1202,40 @@ impl Session {
         };
         let text = hb_io::write_hum_with_timing(&loaded.design, &loaded.clocks, &loaded.timing);
         ok().arg("design", loaded.design.name()).with_payload(text)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hb_cells::sc89;
+
+    /// `capped=1` appears on a reply exactly when a cycle cap stopped
+    /// an algorithm, so uncapped replies keep their old bytes.
+    #[test]
+    fn replies_say_capped_only_when_a_cap_fired() {
+        let text = std::fs::read_to_string("../../designs/two_phase_pipeline.hum").unwrap();
+        let mut session = Session::new(sc89());
+        let load = session.handle(&Frame::new("load").with_payload(text));
+        assert_eq!(load.verb, "ok", "{:?}", load.payload);
+        let exact = session.handle(&Frame::new("constraints"));
+        assert_eq!(exact.verb, "ok", "{:?}", exact.payload);
+        assert_eq!(exact.get("capped"), None);
+        let exact = session.handle(&Frame::new("analyze"));
+        assert_eq!(exact.get("capped"), None);
+        assert!(!exact.payload.unwrap().contains("capped"));
+
+        // One complete transfer cycle is all this design's Algorithm 1
+        // makes; a cap of one stops it there.
+        session.loaded.as_mut().unwrap().options.max_cycles = 1;
+        for verb in ["analyze", "constraints"] {
+            let reply = session.handle(&Frame::new(verb));
+            assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+            assert_eq!(reply.get("capped"), Some("1"), "{verb}: {:?}", reply.args);
+        }
+        // The report footer (the `analyze` payload) names the algorithm.
+        let reply = session.handle(&Frame::new("analyze"));
+        let payload = reply.payload.unwrap();
+        assert!(payload.contains("capped: algorithm 1"), "{payload}");
     }
 }

@@ -28,9 +28,12 @@ use hb_cells::{sc89, Library};
 use hb_fault::{install_global, Fault, FaultPlan, FaultStream};
 use hb_io::{Frame, FrameReader, ProtoError};
 use hb_server::{serve_stream, Client, ServerOptions, Session, MAX_LOAD_BYTES, MAX_WORST_PATHS};
+use hb_workloads::{generate, GenKind, GenParams};
 
 mod common;
-use common::{design_text, hum_text, latch_pipeline, resizable_instance, seeds, serve};
+use common::{
+    design_text, hum_text, latch_pipeline, resizable_instance, resizable_instances, seeds, serve,
+};
 
 static CHAOS: Mutex<()> = Mutex::new(());
 
@@ -304,6 +307,92 @@ fn engine_sweep_panic_is_isolated_and_recovered() {
     let baseline = clean.handle(&Frame::new("analyze"));
     assert_eq!(retried.get("worst"), baseline.get("worst"));
     assert_eq!(retried.get("period"), baseline.get("period"));
+}
+
+/// The report text of a reply without its engine line, whose reuse
+/// counters are the only part a warm and a cold analysis may differ in.
+fn report_text(reply: &Frame) -> String {
+    let payload = reply.payload.as_deref().unwrap_or("");
+    let lines = payload
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("engine:"));
+    lines.collect::<Vec<_>>().join("\n")
+}
+
+/// A sweep panic in the middle of an `eco`'s Algorithm 1 leaves nothing
+/// behind that a later analysis could misread: the cache salvaged from
+/// the half-finished analysis (holding the versions it had swept) warms
+/// the journal replay, the client re-sends the rolled-back ECO, and a
+/// second ECO's full report — verdict, report text, every traced path
+/// and every net slack — is bit-identical to a cold analysis of the
+/// twice-edited design.
+#[test]
+fn engine_panic_mid_eco_leaves_no_stale_state() {
+    let _guard = serialised();
+    let lib = sc89();
+    // A violating latch pipeline: its Algorithm 1 runs every iteration.
+    let w = generate(&lib, &GenParams::new(GenKind::Pipeline, 1_000, 3));
+    let text = w.to_hum();
+    let insts = resizable_instances(&w.design, w.module, &lib);
+    let (first, second) = (eco_resize(&insts[0]), eco_resize(&insts[insts.len() - 1]));
+    let (addr, server) = serve(ServerOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(&Frame::new("load").with_payload(text))
+        .unwrap();
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    assert_eq!(client.request(&Frame::new("analyze")).unwrap().verb, "ok");
+
+    // The third engine evaluation from here is the third cycle of the
+    // ECO's Algorithm 1.
+    install_global(FaultPlan::seeded(7).armed(hb_fault::ENGINE_SWEEP_PANIC, Fault::nth(3)));
+    let crashed = client.request(&first).unwrap();
+    install_global(FaultPlan::none());
+    assert_eq!(crashed.verb, "error", "{:?}", crashed.payload);
+    assert_eq!(crashed.get("code"), Some("internal"));
+    assert_eq!(crashed.get("recovered"), Some("1"), "{:?}", crashed.payload);
+
+    let retried = client.request(&first).unwrap();
+    assert_eq!(retried.verb, "ok", "{:?}", retried.payload);
+    assert_ne!(retried.get("ok"), Some("1"), "the design must violate");
+    let warm = client.request(&second).unwrap();
+    assert_eq!(warm.verb, "ok", "{:?}", warm.payload);
+    let module = w.design.module(w.module);
+    let mut slack = Frame::new("slack");
+    for (_, net) in module.nets() {
+        slack = slack.arg("node", net.name());
+    }
+    let paths = Frame::new("worst-paths").arg("k", 50);
+    let warm_paths = client.request(&paths).unwrap();
+    let warm_slacks = client.request(&slack).unwrap();
+    let dump = client.request(&Frame::new("dump")).unwrap();
+    client.request(&Frame::new("shutdown")).unwrap();
+    server.join().unwrap().unwrap();
+
+    let mut cold = Session::new(lib);
+    let reply = cold.handle(&Frame::new("load").with_payload(dump.payload.unwrap()));
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    let cold_report = cold.handle(&Frame::new("analyze"));
+    assert_eq!(cold_report.verb, "ok", "{:?}", cold_report.payload);
+    for key in ["ok", "worst", "period"] {
+        assert_eq!(warm.get(key), cold_report.get(key), "{key} diverged");
+    }
+    assert_eq!(
+        report_text(&warm),
+        report_text(&cold_report),
+        "reports diverged"
+    );
+    assert_eq!(
+        warm_paths.payload,
+        cold.handle(&paths).payload,
+        "paths diverged"
+    );
+    let cold_slacks = cold.handle(&slack);
+    assert_eq!(warm_slacks.verb, "ok", "{:?}", warm_slacks.payload);
+    assert_eq!(
+        warm_slacks.payload, cold_slacks.payload,
+        "net slacks diverged"
+    );
 }
 
 /// Invariant 1+codec: a client whose transport misbehaves on a seeded

@@ -85,7 +85,17 @@ pub fn scale_eco(net: &str, percent: u64) -> Frame {
 /// The first leaf instance with drive headroom in its cell family —
 /// a deterministic, always-applicable resize target.
 pub fn resizable_instance(design: &Design, module: ModuleId, lib: &Library) -> String {
+    resizable_instances(design, module, lib)
+        .into_iter()
+        .next()
+        .expect("workload has no resizable instance")
+}
+
+/// Every leaf instance with drive headroom in its cell family, in
+/// instance order: each can be resized up one step and back down.
+pub fn resizable_instances(design: &Design, module: ModuleId, lib: &Library) -> Vec<String> {
     let binding = Binding::new(design, lib);
+    let mut out = Vec::new();
     for (_, inst) in design.module(module).instances() {
         let InstRef::Leaf(leaf) = inst.target() else {
             continue;
@@ -96,8 +106,8 @@ pub fn resizable_instance(design: &Design, module: ModuleId, lib: &Library) -> S
         let variants = lib.family_variants(lib.cell(cell).family());
         let pos = variants.iter().position(|&v| v == cell).unwrap();
         if pos + 1 < variants.len() {
-            return inst.name().to_owned();
+            out.push(inst.name().to_owned());
         }
     }
-    panic!("workload has no resizable instance");
+    out
 }

@@ -50,6 +50,13 @@ done
 [ -n "$ADDR" ] || { echo "serve never announced its port"; exit 1; }
 $HB query "$ADDR" load designs/two_phase_pipeline.hum
 $HB query "$ADDR" analyze
+# A repeated analysis of an unchanged design is served entirely from
+# the slack cache's versions: it must sweep nothing.
+$HB query "$ADDR" analyze | tee "$SMOKE_DIR/reanalyze.out"
+grep -q " items_swept=0 " "$SMOKE_DIR/reanalyze.out" || {
+    echo "a repeated analyze re-swept items: $(head -1 "$SMOKE_DIR/reanalyze.out")"
+    exit 1
+}
 $HB query "$ADDR" eco resize b0 1 | tee "$SMOKE_DIR/eco.out"
 grep -q "items_reused" "$SMOKE_DIR/eco.out"
 $HB query "$ADDR" slack mid
