@@ -20,12 +20,14 @@ use hb_netlist::{Design, ModuleId, NetId, PinDir};
 use hb_sta::analysis::{
     propagate_ready_max, propagate_required, scalar_slack, slack_table, table, TimeTable,
 };
+use hb_sta::paths::{critical_path, Path};
 use hb_sta::{Algebra, Numeric, TimingGraph};
-use hb_units::{RiseFall, Sense, Time};
+use hb_units::{RiseFall, Sense, Time, Transition};
 
 use crate::algorithms::Evaluate;
 use crate::engine::{pos_assert, pos_close, Cycles, Engine, ItemTables, SlackCache};
 use crate::error::AnalyzeError;
+use crate::mindelay::{check_min_delays, MinDelayViolation};
 use crate::report::{ConstraintTables, TerminalKind, TimingConstraints};
 use crate::spec::{AnalysisOptions, EdgeSpec, EngineKind, LatchModel, Spec};
 use crate::sync::{offsets, Replica, ReplicaTiming};
@@ -57,21 +59,16 @@ pub struct PrepStats {
     pub global_passes: usize,
 }
 
-/// Everything derived from the design before any offsets move.
+/// Everything derived from the design before any offsets move. Its only
+/// graph is the engine's shards: [`prepare`] drops the whole graph.
 pub(crate) struct Prepared<'a> {
     pub design: &'a Design,
     pub module: ModuleId,
-    #[allow(dead_code)]
     pub library: &'a Library,
-    #[allow(dead_code)]
-    pub binding: Binding,
-    pub graph: TimingGraph,
     pub timeline: Timeline,
     pub options: AnalysisOptions,
     /// Initial replicas (offsets at the late end of their windows).
     pub replicas: Vec<Replica>,
-    /// The clock period governing each replica (for min-delay checks).
-    pub replica_period: Vec<Time>,
     pub pis: Vec<Boundary>,
     pub pos: Vec<Boundary>,
     /// Distinct global window starts.
@@ -86,14 +83,18 @@ pub(crate) struct Prepared<'a> {
     /// The sharded engine schedule (shards + `(cluster, pass)` items).
     pub engine: Engine,
     pub stats: PrepStats,
+    /// The supplementary (min-delay) violations, found at preparation
+    /// when `options.check_min_delays` is set (empty otherwise).
+    pub min_delays: Vec<MinDelayViolation>,
 }
 
 /// The backing storage of a [`SlackView`]'s ready/required tables.
 pub(crate) enum SlackStorage<V> {
     /// Dense whole-graph tables, one pair per global pass, plus the
     /// per-net slacks (the reference engine's native format; numeric
-    /// only).
+    /// only), and the reference engine's own graph they index.
     Dense {
+        graph: Arc<TimingGraph>,
         ready: Vec<TimeTable>,
         required: Vec<TimeTable>,
         net_slack: Vec<Time>,
@@ -171,8 +172,7 @@ impl Terminals {
 /// in the value algebra `V` (numeric unless stated): the terminal
 /// slacks plus the tables a report reads.
 pub(crate) struct SlackView<V = Time> {
-    /// Ready/required tables, in engine-native form; use
-    /// [`SlackView::ready_for_pass`] to view them densely.
+    /// Ready/required tables, in engine-native form.
     pub storage: SlackStorage<V>,
     /// The terminal slacks.
     pub terms: Terminals<V>,
@@ -187,26 +187,32 @@ impl SlackView {
         }
     }
 
-    /// Materialises the dense forward ready table of one pass; nets
-    /// outside the pass keep their sentinel.
-    pub fn ready_for_pass(&self, prep: &Prepared<'_>, pass: usize) -> TimeTable {
-        let items = match &self.storage {
-            SlackStorage::Dense { ready, .. } => return ready[pass].clone(),
-            SlackStorage::Sharded { items } => items,
+    /// The worst path into `net` in global pass `pass`, ending in the
+    /// net's later transition. The reference engine traces it on its
+    /// own graph and the pass's dense table; the sharded engine on the
+    /// shard of the net's `(cluster, pass)` item and the item's local
+    /// table. `None` when the net is not reached in the pass.
+    pub fn critical_path(&self, prep: &Prepared<'_>, pass: usize, net: NetId) -> Option<Path> {
+        let later = |at: RiseFall<Time>| match at.rise >= at.fall {
+            true => Transition::Rise,
+            false => Transition::Fall,
         };
-        let mut out = table(&prep.graph, Time::NEG_INF);
-        for (item, t) in prep.engine.items.iter().zip(items) {
-            if item.pass == pass {
-                let shard = prep
-                    .engine
-                    .sharded
-                    .shard(hb_sta::ClusterId::from_raw(item.cluster));
-                for (&net, &v) in shard.nets().iter().zip(&t.ready) {
-                    out[net.as_raw() as usize] = v;
-                }
+        match &self.storage {
+            SlackStorage::Dense { graph, ready, .. } => {
+                let ready = &ready[pass];
+                critical_path(graph, ready, net, later(ready[net.as_raw() as usize]))
+            }
+            SlackStorage::Sharded { items } => {
+                let sharded = &prep.engine.sharded;
+                let cluster = sharded.cluster_of(net);
+                let i = (prep.engine.items.iter())
+                    .position(|it| it.cluster == cluster.as_raw() && it.pass == pass)?;
+                let ready = &items[i].ready;
+                let local = sharded.local_of(net);
+                let tr = later(ready[local as usize]);
+                sharded.shard(cluster).critical_path(ready, local, tr)
             }
         }
-        out
     }
 }
 
@@ -598,16 +604,13 @@ pub(crate) fn prepare<'a>(
     );
     drop(plan_span);
 
-    Ok(Prepared {
+    let mut prep = Prepared {
         design,
         module,
         library,
-        binding,
-        graph,
         timeline,
         options,
         replicas,
-        replica_period,
         pis,
         pos,
         passes,
@@ -616,14 +619,21 @@ pub(crate) fn prepare<'a>(
         po_pass,
         engine,
         stats,
-    })
+        min_delays: Vec::new(),
+    };
+    // The check reads no offset: on the initial replicas it gives the
+    // answer it would after Algorithm 1. The graph is dropped on return.
+    if options.check_min_delays {
+        prep.min_delays = check_min_delays(&prep, &graph, &replica_period);
+    }
+    Ok(prep)
 }
 
 impl Prepared<'_> {
     /// Every reported terminal in report order — each replica's data
-    /// input, then its output when connected; primary inputs; primary
-    /// outputs — as `(kind, name, pulse, index)`, `index` being the
-    /// terminal's position in [`Terminals::iter`].
+    /// input, then its output when Q or QN is connected; primary
+    /// inputs; primary outputs — as `(kind, name, pulse, index)`,
+    /// `index` being the terminal's position in [`Terminals::iter`].
     pub fn terminals(&self) -> Vec<(TerminalKind, String, u32, usize)> {
         let module = self.design.module(self.module);
         let (n, n_pi) = (self.replicas.len(), self.pis.len());
@@ -633,7 +643,7 @@ impl Prepared<'_> {
         for (k, r) in self.replicas.iter().enumerate() {
             let name = module.instance(r.inst).name();
             push(TerminalKind::SyncInput, name, r.pulse_index, k);
-            if r.output_net.is_some() {
+            if r.output_net.is_some() || r.output_bar_net.is_some() {
                 push(TerminalKind::SyncOutput, name, r.pulse_index, n + k);
             }
         }
@@ -646,9 +656,11 @@ impl Prepared<'_> {
         out
     }
 
-    /// Whether `net`'s cluster participates in global pass `p`.
-    fn in_pass(&self, net: NetId, p: usize) -> bool {
-        self.cluster_passes[self.graph.cluster_of(net).as_raw() as usize].contains(&p)
+    /// Whether `net`'s cluster in `graph` participates in global pass
+    /// `p`. Clusters are numbered deterministically, so the shards'
+    /// numbering indexes the reference engine's own graph too.
+    fn in_pass(&self, graph: &TimingGraph, net: NetId, p: usize) -> bool {
+        self.cluster_passes[graph.cluster_of(net).as_raw() as usize].contains(&p)
     }
 
     /// Algorithm 2's constraints: the settled ready times of the
@@ -659,7 +671,7 @@ impl Prepared<'_> {
         let tables = match (ready.storage, required.storage) {
             (SlackStorage::Sharded { items: r }, SlackStorage::Sharded { items: q }) => {
                 ConstraintTables::Sharded {
-                    nets: Arc::new(self.engine.net_items(&self.graph)),
+                    nets: Arc::new(self.engine.net_items()),
                     ready: r,
                     required: q,
                 }
@@ -683,7 +695,7 @@ impl Prepared<'_> {
         alg: &mut A,
         items: &[Arc<ItemTables<A::Val>>],
     ) -> Vec<A::Val> {
-        let mut out = vec![A::INF; self.graph.node_count()];
+        let mut out = vec![A::INF; self.engine.sharded.node_count()];
         for (item, t) in self.engine.items.iter().zip(items) {
             let shard = self
                 .engine
@@ -698,27 +710,24 @@ impl Prepared<'_> {
         out
     }
 
-    /// The reference evaluation: dense whole-graph sweeps per pass,
-    /// single-threaded. Kept verbatim for differential testing and as
-    /// the benchmark baseline.
-    pub fn compute_slacks_reference(&self, replicas: &[Replica]) -> SlackView {
+    /// The reference evaluation on the reference engine's own `graph`:
+    /// dense whole-graph sweeps per pass, single-threaded. Kept verbatim
+    /// for differential testing and as the benchmark baseline.
+    pub fn compute_slacks_reference(
+        &self,
+        graph: &Arc<TimingGraph>,
+        replicas: &[Replica],
+    ) -> SlackView {
         let pass_count = self.passes.len();
         let mut ready_tables: Vec<TimeTable> = Vec::with_capacity(pass_count);
         let mut required_tables: Vec<TimeTable> = Vec::with_capacity(pass_count);
-        let mut net_slack = vec![Time::INF; self.graph.node_count()];
-        let mut view = SlackView {
-            storage: SlackStorage::Dense {
-                ready: Vec::new(),
-                required: Vec::new(),
-                net_slack: Vec::new(),
-            },
-            terms: Terminals::unset(replicas.len(), self.pis.len(), self.pos.len(), Time::INF),
-        };
+        let mut net_slack = vec![Time::INF; graph.node_count()];
+        let mut terms = Terminals::unset(replicas.len(), self.pis.len(), self.pos.len(), Time::INF);
         for (p, &start) in self.passes.iter().enumerate() {
-            let mut ready = table(&self.graph, Time::NEG_INF);
+            let mut ready = table(graph, Time::NEG_INF);
             for r in replicas {
                 for out in [r.output_net, r.output_bar_net].into_iter().flatten() {
-                    if self.in_pass(out, p) {
+                    if self.in_pass(graph, out, p) {
                         let at = pos_assert(&self.timeline, start, r.assert_edge)
                             + r.output_assert_offset();
                         let slot = &mut ready[out.as_raw() as usize];
@@ -727,15 +736,15 @@ impl Prepared<'_> {
                 }
             }
             for pi in &self.pis {
-                if self.in_pass(pi.net, p) {
+                if self.in_pass(graph, pi.net, p) {
                     let at = pos_assert(&self.timeline, start, pi.edge) + pi.offset;
                     let slot = &mut ready[pi.net.as_raw() as usize];
                     *slot = (*slot).max(RiseFall::splat(at));
                 }
             }
-            propagate_ready_max(&self.graph, &mut ready);
+            propagate_ready_max(graph, &mut ready);
 
-            let mut required = table(&self.graph, Time::INF);
+            let mut required = table(graph, Time::INF);
             for (k, r) in replicas.iter().enumerate() {
                 if self.replica_pass[k] == p {
                     let at =
@@ -751,7 +760,7 @@ impl Prepared<'_> {
                     *slot = (*slot).min(RiseFall::splat(at));
                 }
             }
-            propagate_required(&self.graph, &mut required);
+            propagate_required(graph, &mut required);
 
             let slacks = slack_table(&ready, &required);
             for (i, s) in slacks.iter().enumerate() {
@@ -769,50 +778,57 @@ impl Prepared<'_> {
                         pos_close(&self.timeline, start, r.close_edge) + r.input_close_offset();
                     let arrive = ready[r.data_net.as_raw() as usize].worst();
                     let s = close.saturating_sub(arrive);
-                    view.terms.replica_in[k] = view.terms.replica_in[k].min(s);
+                    terms.replica_in[k] = terms.replica_in[k].min(s);
                 }
                 for out in [r.output_net, r.output_bar_net].into_iter().flatten() {
-                    if self.in_pass(out, p) {
+                    if self.in_pass(graph, out, p) {
                         let s = scalar_slack(slacks[out.as_raw() as usize]);
-                        view.terms.replica_out[k] = view.terms.replica_out[k].min(s);
+                        terms.replica_out[k] = terms.replica_out[k].min(s);
                     }
                 }
             }
             for (k, pi) in self.pis.iter().enumerate() {
-                if self.in_pass(pi.net, p) {
+                if self.in_pass(graph, pi.net, p) {
                     let s = scalar_slack(slacks[pi.net.as_raw() as usize]);
-                    view.terms.pi_slack[k] = view.terms.pi_slack[k].min(s);
+                    terms.pi_slack[k] = terms.pi_slack[k].min(s);
                 }
             }
             for (k, po) in self.pos.iter().enumerate() {
                 if self.po_pass[k] == p {
                     let close = pos_close(&self.timeline, start, po.edge) + po.offset;
                     let arrive = ready[po.net.as_raw() as usize].worst();
-                    view.terms.po_slack[k] =
-                        view.terms.po_slack[k].min(close.saturating_sub(arrive));
+                    terms.po_slack[k] = terms.po_slack[k].min(close.saturating_sub(arrive));
                 }
             }
 
             ready_tables.push(ready);
             required_tables.push(required);
         }
-        view.storage = SlackStorage::Dense {
-            ready: ready_tables,
-            required: required_tables,
-            net_slack,
-        };
-        view
+        SlackView {
+            storage: SlackStorage::Dense {
+                graph: graph.clone(),
+                ready: ready_tables,
+                required: required_tables,
+                net_slack,
+            },
+            terms,
+        }
     }
 }
 
 /// The numeric slack evaluations of one analysis call, by the
-/// configured engine: the sharded engine incrementally, each evaluation
-/// starting from the previous one and going through the caller's
-/// cache; the reference engine densely, from scratch.
+/// configured engine: the sharded engine incrementally on the prepared
+/// shards, each evaluation starting from the previous one and going
+/// through the caller's cache; the reference engine densely, from
+/// scratch, on a whole graph of its own that it builds from the design
+/// when the analysis opens, so the oracle shares no structure with the
+/// shards.
 pub(crate) struct Evaluator<'e, 'a> {
     prep: &'e Prepared<'a>,
     cache: &'e mut SlackCache,
     cycles: Cycles,
+    /// The reference engine's own graph.
+    graph: Option<Arc<TimingGraph>>,
     /// The reference engine's last view.
     dense: Option<SlackView>,
 }
@@ -820,13 +836,24 @@ pub(crate) struct Evaluator<'e, 'a> {
 impl<'e, 'a> Evaluator<'e, 'a> {
     /// Opens an analysis of `prep` through `cache`.
     pub fn new(prep: &'e Prepared<'a>, cache: &'e mut SlackCache) -> Evaluator<'e, 'a> {
-        if prep.options.engine == EngineKind::Sharded {
-            cache.begin();
-        }
+        let graph = match prep.options.engine {
+            EngineKind::Reference => {
+                let (design, library) = (prep.design, prep.library);
+                let binding = Binding::new(design, library);
+                let graph = TimingGraph::build(design, prep.module, &binding, library)
+                    .expect("preparation built this design's graph");
+                Some(Arc::new(graph))
+            }
+            EngineKind::Sharded => {
+                cache.begin();
+                None
+            }
+        };
         Evaluator {
             prep,
             cache,
             cycles: Cycles::new::<Numeric>(&prep.engine),
+            graph,
             dense: None,
         }
     }
@@ -858,7 +885,8 @@ impl Evaluate<Numeric> for Evaluator<'_, '_> {
     fn evaluate(&mut self, _: &mut Numeric, replicas: &[Replica]) -> &Terminals {
         match self.prep.options.engine {
             EngineKind::Reference => {
-                let view = self.prep.compute_slacks_reference(replicas);
+                let graph = self.graph.as_ref().expect("built when the analysis opened");
+                let view = self.prep.compute_slacks_reference(graph, replicas);
                 &self.dense.insert(view).terms
             }
             EngineKind::Sharded => {

@@ -1,20 +1,17 @@
 //! The top-level analyzer facade.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use hb_cells::Library;
 use hb_clock::ClockSet;
 use hb_netlist::{Design, ModuleId};
-use hb_sta::paths::critical_path;
 use hb_sta::Numeric;
-use hb_units::{Time, Transition};
+use hb_units::Time;
 
 use crate::algorithms::{algorithm1, algorithm2};
 use crate::analysis::{prepare, Evaluator, PrepStats, Prepared, SlackView};
 use crate::engine::SlackCache;
 use crate::error::AnalyzeError;
-use crate::mindelay::check_min_delays;
 use crate::report::{SlowPath, SlowStep, TerminalSlack, TimingReport};
 use crate::spec::{AnalysisOptions, Spec};
 use crate::sync::Replica;
@@ -180,15 +177,9 @@ impl<'a> Analyzer<'a> {
         let Ok(alg1) = algorithm1(&self.prep, &mut Numeric, &mut replicas, &mut ev);
         let view = ev.view();
         ev.finish();
-        let min_delay = if self.prep.options.check_min_delays {
-            check_min_delays(&self.prep, &replicas)
-        } else {
-            Vec::new()
-        };
         let mut report = self.build_report(&replicas, &view);
         report.alg1 = alg1;
         report.engine = cache.stats().since(before);
-        report.min_delay_violations = min_delay;
         report.prep_seconds = self.prep_seconds;
         report.analysis_seconds = start.elapsed().as_secs_f64();
         record_analysis_obs(&report, "analyze");
@@ -196,10 +187,10 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Runs Algorithm 1 symbolically in the overall clock period and
-    /// returns the resulting piecewise-linear [`ParametricSlack`]
-    /// table: O(1) slack evaluation at any grid period (bit-identical
-    /// to a cold numeric run there) and direct min-period solving,
-    /// with no further sweeps.
+    /// returns the resulting piecewise-linear
+    /// [`ParametricSlack`](crate::ParametricSlack) table: O(1) slack
+    /// evaluation at any grid period (bit-identical to a cold numeric
+    /// run there) and direct min-period solving, with no further sweeps.
     ///
     /// # Errors
     ///
@@ -227,11 +218,6 @@ impl<'a> Analyzer<'a> {
         let mut ev = Evaluator::new(&self.prep, cache);
         let Ok(alg1) = algorithm1(&self.prep, &mut Numeric, &mut replicas, &mut ev);
         let view = ev.view();
-        let min_delay = if self.prep.options.check_min_delays {
-            check_min_delays(&self.prep, &replicas)
-        } else {
-            Vec::new()
-        };
         let mut report = self.build_report(&replicas, &view);
         drop(view);
         let (ready_view, required_view, alg2) = algorithm2(&self.prep, &mut replicas, &mut ev);
@@ -240,7 +226,6 @@ impl<'a> Analyzer<'a> {
         report.alg2 = Some(alg2);
         report.engine = cache.stats().since(before);
         report.constraints = Some(self.prep.constraints(ready_view, required_view));
-        report.min_delay_violations = min_delay;
         report.prep_seconds = self.prep_seconds;
         report.analysis_seconds = start.elapsed().as_secs_f64();
         record_analysis_obs(&report, "constraints");
@@ -278,9 +263,6 @@ impl<'a> Analyzer<'a> {
         endpoints.sort_by_key(|&(s, _, _)| s);
 
         let mut slow_paths = Vec::new();
-        // Slow-path tracing needs dense per-pass ready tables;
-        // materialise each needed pass once.
-        let mut ready_memo: HashMap<usize, hb_sta::analysis::TimeTable> = HashMap::new();
         for &(slack, k, is_replica) in endpoints.iter().take(MAX_SLOW_PATHS) {
             let (net, pass, endpoint) = if is_replica {
                 let r = &replicas[k];
@@ -292,16 +274,7 @@ impl<'a> Analyzer<'a> {
             } else {
                 (prep.pos[k].net, prep.po_pass[k], prep.pos[k].port.clone())
             };
-            let ready = ready_memo
-                .entry(pass)
-                .or_insert_with(|| view.ready_for_pass(prep, pass));
-            let arrival = ready[net.as_raw() as usize];
-            let tr = if arrival.rise >= arrival.fall {
-                Transition::Rise
-            } else {
-                Transition::Fall
-            };
-            if let Some(path) = critical_path(&prep.graph, ready, net, tr) {
+            if let Some(path) = view.critical_path(prep, pass, net) {
                 let steps = path
                     .steps
                     .iter()
@@ -343,7 +316,7 @@ impl<'a> Analyzer<'a> {
             alg2: None,
             engine: Default::default(),
             constraints: None,
-            min_delay_violations: Vec::new(),
+            min_delay_violations: prep.min_delays.clone(),
             prep_seconds: self.prep_seconds,
             analysis_seconds: 0.0,
         }

@@ -465,12 +465,11 @@ impl Engine {
     }
 
     /// The per-net index into this engine's item tables.
-    pub fn net_items(&self, graph: &TimingGraph) -> NetItems {
-        let at = (0..graph.node_count() as u32)
-            .map(|n| {
-                let net = NetId::from_raw(n);
-                (graph.cluster_of(net).as_raw(), self.sharded.local_of(net))
-            })
+    pub fn net_items(&self) -> NetItems {
+        let sharded = &self.sharded;
+        let at = (0..sharded.node_count() as u32)
+            .map(NetId::from_raw)
+            .map(|net| (sharded.cluster_of(net).as_raw(), sharded.local_of(net)))
             .collect();
         let items: Vec<(u32, (u32, u32))> = (self.items.iter().enumerate())
             .map(|(i, item)| (item.cluster, (item.pass as u32, i as u32)))

@@ -17,14 +17,20 @@
 //! earliest arrival at a data input falls inside the hold window of the
 //! element's *previous* capture — the previous closure time plus the
 //! capture control-path delay (clock skew) plus the element hold time.
+//!
+//! The check reads no offset: its seeds sit at ideal edges, and its
+//! bound uses only what preparation fixes (nets, passes, control-path
+//! delay, hold time, clock period). Algorithm 1 cannot change its
+//! answer, so it runs once, at preparation, on the whole graph's
+//! minimum delays while preparation still holds that graph.
 
 use std::fmt;
 
 use hb_sta::analysis::{propagate_ready_min, table};
+use hb_sta::TimingGraph;
 use hb_units::{RiseFall, Time};
 
 use crate::analysis::Prepared;
-use crate::sync::Replica;
 
 /// One violated supplementary (minimum-delay) constraint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,10 +54,13 @@ impl fmt::Display for MinDelayViolation {
     }
 }
 
-/// Checks every replica's supplementary constraint at the given offsets.
+/// Checks every replica's supplementary constraint on `graph`, the
+/// whole graph `prep` was prepared from, with `period[k]` the clock
+/// period governing replica `k`.
 pub(crate) fn check_min_delays(
     prep: &Prepared<'_>,
-    replicas: &[Replica],
+    graph: &TimingGraph,
+    period: &[Time],
 ) -> Vec<MinDelayViolation> {
     let mut violations = Vec::new();
     let overall = prep.timeline.overall_period();
@@ -59,15 +68,15 @@ pub(crate) fn check_min_delays(
         // Earliest arrivals: seed sources at their ideal assertion edges
         // with zero offset (conservative early bound), propagate minimum
         // delays.
-        let mut early = table(&prep.graph, Time::INF);
+        let mut early = table(graph, Time::INF);
         let seed = |early: &mut Vec<RiseFall<Time>>, net: hb_netlist::NetId, at: Time| {
             let slot = &mut early[net.as_raw() as usize];
             *slot = (*slot).min(RiseFall::splat(at));
         };
         let mut seeded = false;
-        for r in replicas {
+        for r in &prep.replicas {
             for out in [r.output_net, r.output_bar_net].into_iter().flatten() {
-                if prep.cluster_passes[prep.graph.cluster_of(out).as_raw() as usize].contains(&p) {
+                if prep.cluster_passes[graph.cluster_of(out).as_raw() as usize].contains(&p) {
                     let at = (prep.timeline.edge_time(r.assert_edge) - start).rem_euclid(overall);
                     seed(&mut early, out, at);
                     seeded = true;
@@ -75,7 +84,7 @@ pub(crate) fn check_min_delays(
             }
         }
         for pi in &prep.pis {
-            if prep.cluster_passes[prep.graph.cluster_of(pi.net).as_raw() as usize].contains(&p) {
+            if prep.cluster_passes[graph.cluster_of(pi.net).as_raw() as usize].contains(&p) {
                 let at = (prep.timeline.edge_time(pi.edge) - start).rem_euclid(overall) + pi.offset;
                 seed(&mut early, pi.net, at);
                 seeded = true;
@@ -84,9 +93,9 @@ pub(crate) fn check_min_delays(
         if !seeded {
             continue;
         }
-        propagate_ready_min(&prep.graph, &mut early);
+        propagate_ready_min(graph, &mut early);
 
-        for (k, r) in replicas.iter().enumerate() {
+        for (k, r) in prep.replicas.iter().enumerate() {
             if prep.replica_pass[k] != p {
                 continue;
             }
@@ -100,7 +109,7 @@ pub(crate) fn check_min_delays(
             // control-path delay. New data arriving within the hold
             // window after that earlier capture races it.
             let close = (prep.timeline.edge_time(r.close_edge) - start).rem_euclid_end(overall);
-            let prev_close = close - prep.replica_period[k];
+            let prev_close = close - period[k];
             if arrive < close && arrive >= prev_close {
                 let bound = prev_close + r.cdel() + r.hold();
                 if arrive < bound {

@@ -70,8 +70,9 @@ pub enum EngineKind {
     #[default]
     Sharded,
     /// The reference engine: one dense whole-graph forward and backward
-    /// sweep per global pass, single-threaded. Kept for differential
-    /// testing and benchmarking.
+    /// sweep per global pass, single-threaded, on a timing graph it
+    /// builds for each analysis. Kept for differential testing and
+    /// benchmarking.
     Reference,
 }
 

@@ -958,7 +958,7 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
         nominal_k,
         k_lo,
         k_max,
-        node_count: prep.graph.node_count(),
+        node_count: prep.engine.sharded.node_count(),
         terminals,
         slots,
         regions,

@@ -7,8 +7,9 @@ use hb_netlist::{Design, ModuleId, PinDir};
 use hb_units::{Time, Transition};
 use hummingbird::{Analyzer, EdgeSpec, Spec, TerminalKind};
 
-/// `in -> DFFQN -> {Q -> short chain -> DFF, QN -> long chain -> DFF}`.
-fn dffqn_design(q_chain: usize, qn_chain: usize) -> (Design, ModuleId, ClockSet, Spec) {
+/// `in -> DFFQN -> {Q -> short chain -> DFF, QN -> long chain -> DFF}`;
+/// with `q_chain` `None`, Q is left unconnected.
+fn dffqn_design(q_chain: Option<usize>, qn_chain: usize) -> (Design, ModuleId, ClockSet, Spec) {
     let lib = sc89();
     let mut d = Design::new("qn");
     lib.declare_into(&mut d).unwrap();
@@ -21,12 +22,10 @@ fn dffqn_design(q_chain: usize, qn_chain: usize) -> (Design, ModuleId, ClockSet,
     let dff = d.leaf_by_name("DFF").unwrap();
     let buf = d.leaf_by_name("BUF_X1").unwrap();
 
-    let q = d.add_net(m, "q").unwrap();
     let qn = d.add_net(m, "qn").unwrap();
     let src = d.add_leaf_instance(m, "src", dffqn).unwrap();
     d.connect(m, src, "D", input).unwrap();
     d.connect(m, src, "CK", ck).unwrap();
-    d.connect(m, src, "Q", q).unwrap();
     d.connect(m, src, "QN", qn).unwrap();
 
     let chain = |d: &mut Design, from, len: usize, tag: &str| {
@@ -40,9 +39,14 @@ fn dffqn_design(q_chain: usize, qn_chain: usize) -> (Design, ModuleId, ClockSet,
         }
         prev
     };
-    let q_end = chain(&mut d, q, q_chain, "cq");
-    let qn_end = chain(&mut d, qn, qn_chain, "cn");
-    for (name, net) in [("capq", q_end), ("capn", qn_end)] {
+    let mut ends = Vec::new();
+    if let Some(q_chain) = q_chain {
+        let q = d.add_net(m, "q").unwrap();
+        d.connect(m, src, "Q", q).unwrap();
+        ends.push(("capq", chain(&mut d, q, q_chain, "cq")));
+    }
+    ends.push(("capn", chain(&mut d, qn, qn_chain, "cn")));
+    for (name, net) in ends {
         let out = d.add_net(m, format!("{name}_q")).unwrap();
         let ff = d.add_leaf_instance(m, name, dff).unwrap();
         d.connect(m, ff, "D", net).unwrap();
@@ -67,13 +71,13 @@ fn dffqn_design(q_chain: usize, qn_chain: usize) -> (Design, ModuleId, ClockSet,
 fn qn_paths_are_timed() {
     let lib = sc89();
     // Short on both: meets.
-    let (d, m, clocks, spec) = dffqn_design(2, 2);
+    let (d, m, clocks, spec) = dffqn_design(Some(2), 2);
     let report = Analyzer::new(&d, m, &lib, &clocks, spec).unwrap().analyze();
     assert!(report.ok(), "{report}");
 
     // Long QN chain: the violation must be found *through the bar
     // output*, even though Q's path is fine.
-    let (d, m, clocks, spec) = dffqn_design(2, 40);
+    let (d, m, clocks, spec) = dffqn_design(Some(2), 40);
     let report = Analyzer::new(&d, m, &lib, &clocks, spec).unwrap().analyze();
     assert!(!report.ok(), "{report}");
     let path = &report.slow_paths()[0];
@@ -84,7 +88,7 @@ fn qn_paths_are_timed() {
 #[test]
 fn qn_source_terminal_reports_worst_of_both_outputs() {
     let lib = sc89();
-    let (d, m, clocks, spec) = dffqn_design(2, 10);
+    let (d, m, clocks, spec) = dffqn_design(Some(2), 10);
     let report = Analyzer::new(&d, m, &lib, &clocks, spec).unwrap().analyze();
     let src_out = report
         .terminal_slacks()
@@ -99,4 +103,22 @@ fn qn_source_terminal_reports_worst_of_both_outputs() {
         .find(|t| t.kind == TerminalKind::SyncInput && t.name == "capn")
         .expect("capn input");
     assert_eq!(src_out.slack, capn_in.slack);
+}
+
+/// An element whose only connected output is QN still has an output
+/// terminal row, carrying the QN side's slack.
+#[test]
+fn qn_only_element_has_an_output_terminal() {
+    let lib = sc89();
+    let (d, m, clocks, spec) = dffqn_design(None, 40);
+    let report = Analyzer::new(&d, m, &lib, &clocks, spec).unwrap().analyze();
+    assert!(!report.ok(), "{report}");
+    let slack = |kind, name| {
+        let mut rows = report.terminal_slacks().iter();
+        rows.find(|t| t.kind == kind && t.name == name)
+            .map(|t| t.slack)
+    };
+    let src_out = slack(TerminalKind::SyncOutput, "src")
+        .expect("the QN-only source flop has an output terminal");
+    assert_eq!(Some(src_out), slack(TerminalKind::SyncInput, "capn"));
 }

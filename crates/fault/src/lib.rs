@@ -13,7 +13,7 @@
 //!
 //! * [`FaultStream`] wraps any `Read`/`Write` pair and injects short
 //!   reads/writes, [`ErrorKind::Interrupted`]/[`ErrorKind::WouldBlock`]
-//!   errors, and bounded stalls (see [`stream`]);
+//!   errors, and bounded stalls (see the `stream` module);
 //! * explicit plans threaded through constructors (`hb-server`'s
 //!   `ServerOptions::faults`, `Session::with_faults`);
 //! * the process-global plan ([`install_global`]) for hooks too deep

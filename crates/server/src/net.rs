@@ -427,8 +427,8 @@ pub(crate) fn serve_write(shared: &Shared, job: WriteJob) -> Frame {
 /// mode test harnesses drive. Single-threaded: requests are answered
 /// in order until `shutdown`, end-of-input, or an unrecoverable
 /// protocol error. Routing, panic isolation and journal recovery
-/// match the TCP path exactly — both go through [`route`] and
-/// [`serve_write`], this loop simply running write jobs inline — so
+/// match the TCP path exactly — both go through `route` and
+/// `serve_write`, this loop simply running write jobs inline — so
 /// a stdio transcript and a TCP transcript answer byte-identically.
 ///
 /// # Errors
@@ -560,7 +560,7 @@ impl Client {
 
     /// One request with overload-aware retry: reconnects per attempt,
     /// honours the server's `retry_after_ms` hint on `busy` replies,
-    /// and backs off with seeded decorrelated jitter (see [`Backoff`])
+    /// and backs off with seeded decorrelated jitter (see `Backoff`)
     /// on connect or transport failures. Returns the first conclusive
     /// reply; the last attempt's outcome — even `busy` — is returned
     /// as-is.

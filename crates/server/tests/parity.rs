@@ -294,3 +294,69 @@ fn eco_constraints_match_cold_generation() {
     let inst = resizable_instance(&w.design, w.module, &lib);
     run_parity(&w, &lib, &[EcoOp::RetargetDrive { inst, steps: 1 }], true);
 }
+
+/// The daemon's `min-delays=1` path. The supplementary check runs when
+/// an analysis is prepared, so the session's re-preparation after an
+/// ECO must carry the edited design's violations, equal to a cold
+/// analysis of it, and `min-delays=0` must drop them.
+#[test]
+fn min_delay_violations_follow_the_session_through_an_eco() {
+    let lib = sc89();
+    let text = std::fs::read_to_string("../../designs/skew_race.hum").unwrap();
+    let file = hb_io::parse_hum(&text, &lib).unwrap();
+    let mut design = file.design;
+    let top = design.top().unwrap();
+    let cold = |design: &Design| {
+        let spec =
+            hb_server::spec_from_directives(design, top, &file.clocks, &file.timing).unwrap();
+        let options = AnalysisOptions {
+            check_min_delays: true,
+            ..AnalysisOptions::default()
+        };
+        let analyzer =
+            Analyzer::with_options(design, top, &lib, &file.clocks, spec, options).unwrap();
+        analyzer.analyze().min_delay_violations().to_vec()
+    };
+    let mut session = Session::new(lib.clone());
+    let reply = session.handle(&Frame::new("load").with_payload(text));
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    let warm = |session: &Session| {
+        session
+            .last_report()
+            .unwrap()
+            .min_delay_violations()
+            .to_vec()
+    };
+    let counted = |reply: &Frame| {
+        assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+        let payload = reply.payload.as_deref().unwrap_or("");
+        (payload.lines())
+            .find_map(|l| {
+                l.trim()
+                    .strip_suffix(" supplementary (min-delay) violations")
+            })
+            .map_or(0, |n| n.parse::<usize>().unwrap())
+    };
+
+    let reply = session.handle(&Frame::new("analyze").arg("min-delays", 1));
+    assert_eq!(counted(&reply), 1);
+    let before = warm(&session);
+    assert_eq!(before, cold(&design));
+
+    // A faster race-path inverter deepens the violation: the edited
+    // design's answer, not a stale one, must come back.
+    let op = EcoOp::RetargetDrive {
+        inst: "d0".into(),
+        steps: 1,
+    };
+    let reply = session.handle(&eco_frame(&op));
+    assert_eq!(counted(&reply), 1);
+    apply_eco(&mut design, top, &lib, &op).unwrap();
+    let after = warm(&session);
+    assert_eq!(after, cold(&design));
+    assert_ne!(after, before, "the ECO moves the violation's shortfall");
+
+    let reply = session.handle(&Frame::new("analyze").arg("min-delays", 0));
+    assert_eq!(counted(&reply), 0);
+    assert!(warm(&session).is_empty());
+}

@@ -7,12 +7,11 @@
 //! because "speed is an important issue".
 //!
 //! All functions operate on dense per-net vectors indexed by
-//! [`NetId::as_raw`]; the caller seeds the vectors (cluster input
-//! assertion times forward, cluster output closure times backward) and
-//! sentinel values ([`Time::NEG_INF`] / [`Time::INF`]) mark unreached
-//! nodes.
+//! [`NetId::as_raw`](hb_netlist::NetId::as_raw); the caller seeds the
+//! vectors (cluster input assertion times forward, cluster output
+//! closure times backward) and sentinel values ([`Time::NEG_INF`] /
+//! [`Time::INF`]) mark unreached nodes.
 
-use hb_netlist::NetId;
 use hb_units::{RiseFall, Sense, Time};
 
 use crate::graph::TimingGraph;
@@ -81,24 +80,6 @@ pub fn propagate_required(graph: &TimingGraph, required: &mut TimeTable) {
     }
 }
 
-/// Backward propagation of earliest-permissible arrival (hold-style)
-/// bounds: `L_i = max_z (L_z − p_iz)` with minimum arc delays.
-/// Unconstrained nets keep [`Time::NEG_INF`].
-pub fn propagate_required_min(graph: &TimingGraph, lower: &mut TimeTable) {
-    for &net in graph.topo().iter().rev() {
-        for &ai in graph.fanin_arcs(net) {
-            let arc = graph.arc(ai);
-            let low_out = lower[arc.to.as_raw() as usize];
-            if low_out.rise <= Time::NEG_INF && low_out.fall <= Time::NEG_INF {
-                continue;
-            }
-            let low_in = lower_backward(arc.sense, low_out, arc.delay.min);
-            let slot = &mut lower[arc.from.as_raw() as usize];
-            *slot = (*slot).max(low_in);
-        }
-    }
-}
-
 /// Maps a required time at an arc's output back to the arc's input: the
 /// input transition `tr` must arrive by
 /// `min over reachable output transitions (required_out − delay)`.
@@ -115,19 +96,6 @@ fn required_backward(
     }
 }
 
-fn lower_backward(
-    sense: Sense,
-    lower_out: RiseFall<Time>,
-    delay: RiseFall<Time>,
-) -> RiseFall<Time> {
-    let minus = lower_out.zip_with(delay, Time::saturating_sub);
-    match sense {
-        Sense::Positive => minus,
-        Sense::Negative => minus.swapped(),
-        Sense::NonUnate => RiseFall::splat(minus.rise.max(minus.fall)),
-    }
-}
-
 /// Per-net slack: `required − ready` (saturating), rise/fall split.
 pub fn slack_table(ready: &TimeTable, required: &TimeTable) -> TimeTable {
     ready
@@ -140,11 +108,6 @@ pub fn slack_table(ready: &TimeTable, required: &TimeTable) -> TimeTable {
 /// The scalar node slack: the minimum of the rise and fall slacks.
 pub fn scalar_slack(slack: RiseFall<Time>) -> Time {
     slack.rise.min(slack.fall)
-}
-
-/// The worst (smallest) scalar slack at `net`.
-pub fn node_slack(slacks: &TimeTable, net: NetId) -> Time {
-    scalar_slack(slacks[net.as_raw() as usize])
 }
 
 #[cfg(test)]
@@ -276,7 +239,7 @@ mod tests {
         // Source slack equals the worst endpoint slack through the
         // critical path (block method invariant: the minimum node slack
         // along a critical path is constant).
-        let start = node_slack(&slacks, a);
+        let start = scalar_slack(slacks[a.as_raw() as usize]);
         assert_eq!(start, scalar_slack(end));
     }
 
@@ -309,22 +272,6 @@ mod tests {
         // Both input transitions see the tighter (5 ns) output bound.
         assert_eq!(ra.rise, ra.fall);
         assert!(ra.rise < Time::from_ns(5));
-    }
-
-    #[test]
-    fn lower_bound_propagation() {
-        let (d, m, lib) = reconvergent();
-        let g = graph_of(&d, m, &lib);
-        let module = d.module(m);
-        let a = module.net_by_name("a").unwrap();
-        let y = module.net_by_name("y").unwrap();
-
-        let mut lower = table(&g, Time::NEG_INF);
-        lower[y.as_raw() as usize] = RiseFall::splat(Time::from_ns(1));
-        propagate_required_min(&g, &mut lower);
-        let la = lower[a.as_raw() as usize];
-        assert!(la.worst().is_finite());
-        assert!(la.worst() < Time::from_ns(1), "min delays relax backwards");
     }
 
     #[test]

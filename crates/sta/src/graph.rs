@@ -103,7 +103,6 @@ pub struct TimingGraph {
     fanout_idx: Vec<u32>,
     topo: Vec<NetId>,
     syncs: Vec<SyncInst>,
-    net_loads: Vec<i64>,
     cluster_of: Vec<ClusterId>,
     clusters: Vec<Cluster>,
 }
@@ -297,7 +296,6 @@ impl TimingGraph {
             fanout_idx,
             topo,
             syncs,
-            net_loads,
             cluster_of,
             clusters,
         })
@@ -349,11 +347,6 @@ impl TimingGraph {
         &self.syncs
     }
 
-    /// The estimated load of `net` in femtofarads.
-    pub fn net_load_ff(&self, net: NetId) -> i64 {
-        self.net_loads[net.as_raw() as usize]
-    }
-
     /// The cluster containing `net`.
     pub fn cluster_of(&self, net: NetId) -> ClusterId {
         self.cluster_of[net.as_raw() as usize]
@@ -374,23 +367,6 @@ impl TimingGraph {
             .iter()
             .enumerate()
             .map(|(i, c)| (ClusterId(i as u32), c))
-    }
-
-    /// The maximum combinational depth (in arcs) over the whole graph.
-    pub fn max_depth(&self) -> usize {
-        let mut depth = vec![0usize; self.node_count];
-        let mut best = 0;
-        for &net in &self.topo {
-            let d = depth[net.as_raw() as usize];
-            for &ai in self.fanout_arcs(net) {
-                let to = self.arcs[ai as usize].to.as_raw() as usize;
-                if depth[to] < d + 1 {
-                    depth[to] = d + 1;
-                    best = best.max(d + 1);
-                }
-            }
-        }
-        best
     }
 }
 
@@ -623,7 +599,6 @@ mod tests {
             d.module(m).net(sync.output_net.expect("connected")).name(),
             "q"
         );
-        assert_eq!(g.max_depth(), 2);
     }
 
     #[test]

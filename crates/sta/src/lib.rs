@@ -16,13 +16,14 @@
 //!   analysis mode (SM1H);
 //! * [`analysis`] — forward ready-time propagation (paper equation 1),
 //!   backward required-time propagation, slack formation (equation 2),
-//!   and the minimum-delay variants used by the supplementary path
+//!   and the forward minimum-delay sweep of the supplementary path
 //!   constraints;
 //! * [`clusters`](TimingGraph::clusters) — the paper's *clusters*:
 //!   maximal connected networks of combinational logic, the unit at
 //!   which analysis passes are planned;
 //! * [`shard`] — per-cluster CSR subgraphs whose sweeps are written
-//!   once over the value [`algebra`] (numeric or symbolic);
+//!   once over the value [`algebra`] (numeric or symbolic), and which
+//!   trace critical paths on their own;
 //! * [`paths`] — critical-path extraction and the exhaustive
 //!   path-enumeration baseline that the paper rejects on cost grounds
 //!   (reproduced here for the ablation benchmark).

@@ -2,11 +2,13 @@
 //!
 //! The block method reports node slacks without materializing paths; for
 //! re-synthesis guidance and for reporting, the analyzer still needs the
-//! actual worst path through a violating endpoint
-//! ([`critical_path`]). For the ablation study, [`enumerate_max_arrival`]
-//! reproduces the naive path-enumeration procedure that the paper calls
-//! "computationally expensive" and rejects in favour of the block
-//! method.
+//! actual worst path through a violating endpoint: [`critical_path`]
+//! traces it over the whole graph and a dense ready table, and
+//! [`ClusterShard::critical_path`](crate::ClusterShard::critical_path)
+//! over one cluster's shard and its local table, both by one walk. For
+//! the ablation study, [`enumerate_max_arrival`] reproduces the naive
+//! path-enumeration procedure that the paper calls "computationally
+//! expensive" and rejects in favour of the block method.
 
 use hb_netlist::{InstId, NetId};
 use hb_units::{RiseFall, Sense, Time, Transition};
@@ -77,190 +79,85 @@ pub fn critical_path(
     sink: NetId,
     transition: Transition,
 ) -> Option<Path> {
-    let mut time = ready[sink.as_raw() as usize][transition];
+    let fanin = |net: NetId| {
+        graph.fanin_arcs(net).iter().map(|&ai| {
+            let arc = graph.arc(ai);
+            (arc.from, arc.sense, arc.delay.max, arc.inst)
+        })
+    };
+    trace(
+        sink,
+        transition,
+        |net: NetId| ready[net.as_raw() as usize],
+        fanin,
+        |net| net,
+    )
+}
+
+/// The walk behind [`critical_path`] and
+/// [`ClusterShard::critical_path`](crate::ClusterShard::critical_path),
+/// over any node numbering: `ready` reads a node's arrivals, `fanin`
+/// lists its incoming arcs as `(from, sense, max delay, instance)`, and
+/// `net` names its net. At each node the first arc in fanin order that
+/// explains the arrival is taken, so two numberings that list each
+/// net's fanin in the same order trace the same path.
+pub(crate) fn trace<N, I>(
+    sink: N,
+    transition: Transition,
+    ready: impl Fn(N) -> RiseFall<Time>,
+    fanin: impl Fn(N) -> I,
+    net: impl Fn(N) -> NetId,
+) -> Option<Path>
+where
+    N: Copy,
+    I: Iterator<Item = (N, Sense, RiseFall<Time>, InstId)>,
+{
+    let mut time = ready(sink)[transition];
     if !time.is_finite() {
         return None;
     }
     let mut steps = vec![PathStep {
-        net: sink,
+        net: net(sink),
         inst: None,
         transition,
         time,
     }];
-    let mut net = sink;
-    let mut tr = transition;
-    loop {
-        let mut found = None;
-        for &ai in graph.fanin_arcs(net) {
-            let arc = graph.arc(ai);
-            let candidates: &[Transition] = match arc.sense {
-                Sense::Positive => &[tr][..],
-                Sense::Negative => match tr {
-                    Transition::Rise => &[Transition::Fall],
-                    Transition::Fall => &[Transition::Rise],
-                },
-                Sense::NonUnate => &Transition::BOTH,
-            };
-            for &tr_in in candidates {
-                let at_in = ready[arc.from.as_raw() as usize][tr_in];
-                if at_in.is_finite() && at_in.saturating_add(arc.delay.max[tr]) == time {
-                    found = Some((arc.from, tr_in, at_in, arc.inst));
-                    break;
-                }
-            }
-            if found.is_some() {
-                break;
-            }
-        }
-        match found {
-            Some((from, tr_in, at_in, inst)) => {
-                // Attribute the traversed instance to the step we already
-                // recorded at `net`.
-                let last = steps.last_mut().expect("at least the sink");
-                last.inst = Some(inst);
-                steps.push(PathStep {
-                    net: from,
-                    inst: None,
-                    transition: tr_in,
-                    time: at_in,
-                });
-                net = from;
-                tr = tr_in;
-                time = at_in;
-            }
-            None => break,
-        }
+    let (mut node, mut tr) = (sink, transition);
+    let explaining = |node: N, tr: Transition, time: Time| {
+        fanin(node).find_map(|(from, sense, delay, inst)| {
+            paired(sense, tr).iter().find_map(|&tr_in| {
+                let at_in = ready(from)[tr_in];
+                let explains = at_in.is_finite() && at_in.saturating_add(delay[tr]) == time;
+                explains.then_some((from, tr_in, at_in, inst))
+            })
+        })
+    };
+    while let Some((from, tr_in, at_in, inst)) = explaining(node, tr, time) {
+        // Attribute the traversed instance to the step already recorded
+        // at `node`.
+        steps.last_mut().expect("at least the sink").inst = Some(inst);
+        steps.push(PathStep {
+            net: net(from),
+            inst: None,
+            transition: tr_in,
+            time: at_in,
+        });
+        (node, tr, time) = (from, tr_in, at_in);
     }
     steps.reverse();
     Some(Path { steps })
 }
 
-/// Enumerates the `k` worst (latest-arriving) source-to-`sink` paths
-/// for the given transition, exactly, using the block-method arrival
-/// table as an admissible bound: a partial (suffix) path from some net
-/// can complete to at best `ready[net] + suffix_delay`, so branches
-/// that cannot beat the current k-th best are pruned.
-///
-/// Paths are returned worst first. `ready` must be a completed
-/// [`crate::analysis::propagate_ready_max`] table; the paths end at
-/// `sink` and begin at seeded nets (those whose arrival no arc
-/// explains).
-pub fn k_worst_paths(
-    graph: &TimingGraph,
-    ready: &TimeTable,
-    sink: NetId,
-    transition: Transition,
-    k: usize,
-) -> Vec<Path> {
-    if k == 0 || !ready[sink.as_raw() as usize][transition].is_finite() {
-        return Vec::new();
+/// The transitions at one end of an arc of unateness `sense` that pair
+/// with `tr` at its other end (the relation is symmetric).
+fn paired(sense: Sense, tr: Transition) -> &'static [Transition] {
+    match (sense, tr) {
+        (Sense::NonUnate, _) => &Transition::BOTH,
+        (Sense::Positive, Transition::Rise) | (Sense::Negative, Transition::Fall) => {
+            &[Transition::Rise]
+        }
+        _ => &[Transition::Fall],
     }
-    let mut found: Vec<Path> = Vec::new();
-    // A suffix under construction, sink-first. Each element is
-    // (net, transition-at-net, arc-index-into-net) — the arc is the one
-    // the suffix descended through, `None` only on the current frontier.
-    let mut suffix: Vec<(NetId, Transition, Option<u32>)> = vec![(sink, transition, None)];
-
-    fn materialize(
-        graph: &TimingGraph,
-        ready: &TimeTable,
-        suffix: &[(NetId, Transition, Option<u32>)],
-    ) -> Path {
-        // Source-first order.
-        let nodes: Vec<_> = suffix.iter().rev().copied().collect();
-        let (src, src_tr, _) = nodes[0];
-        let mut time = ready[src.as_raw() as usize][src_tr];
-        let mut steps = vec![PathStep {
-            net: src,
-            inst: None,
-            transition: src_tr,
-            time,
-        }];
-        // nodes[i].2 is the arc into nodes[i-1]... careful: arcs were
-        // recorded on the *consumer* entry; entry i carries the arc that
-        // produces entry i's predecessor in suffix order, i.e. node
-        // i+1 in source-first order carries None, while node i's arc is
-        // stored on the consumer. Walk pairs and read the consumer arc.
-        for pair in nodes.windows(2) {
-            let (_, _, _) = pair[0];
-            let (net, tr, arc_idx) = pair[1];
-            let ai = arc_idx.expect("every non-frontier consumer recorded its arc");
-            let arc = graph.arc(ai);
-            time = time.saturating_add(arc.delay.max[tr]);
-            steps.push(PathStep {
-                net,
-                inst: Some(arc.inst),
-                transition: tr,
-                time,
-            });
-        }
-        Path { steps }
-    }
-
-    fn descend(
-        graph: &TimingGraph,
-        ready: &TimeTable,
-        suffix: &mut Vec<(NetId, Transition, Option<u32>)>,
-        suffix_delay: Time,
-        found: &mut Vec<Path>,
-        k: usize,
-    ) {
-        let &(net, tr, _) = suffix.last().expect("non-empty suffix");
-        let bound = ready[net.as_raw() as usize][tr].saturating_add(suffix_delay);
-        if found.len() == k
-            && bound
-                <= found
-                    .last()
-                    .expect("k > 0")
-                    .steps
-                    .last()
-                    .expect("steps")
-                    .time
-        {
-            return;
-        }
-        let mut extended = false;
-        for &ai in graph.fanin_arcs(net) {
-            let arc = graph.arc(ai);
-            let candidates: &[Transition] = match arc.sense {
-                Sense::Positive => &[tr][..],
-                Sense::Negative => match tr {
-                    Transition::Rise => &[Transition::Fall],
-                    Transition::Fall => &[Transition::Rise],
-                },
-                Sense::NonUnate => &Transition::BOTH,
-            };
-            for &tr_in in candidates {
-                if !ready[arc.from.as_raw() as usize][tr_in].is_finite() {
-                    continue;
-                }
-                extended = true;
-                // Record which arc produced this node, then descend.
-                suffix.last_mut().expect("non-empty").2 = Some(ai);
-                suffix.push((arc.from, tr_in, None));
-                descend(
-                    graph,
-                    ready,
-                    suffix,
-                    suffix_delay.saturating_add(arc.delay.max[tr]),
-                    found,
-                    k,
-                );
-                suffix.pop();
-            }
-        }
-        if !extended {
-            let path = materialize(graph, ready, suffix);
-            let arrival = path.steps.last().expect("steps").time;
-            let pos = found
-                .binary_search_by(|p| arrival.cmp(&p.steps.last().expect("steps").time))
-                .unwrap_or_else(|e| e);
-            found.insert(pos, path);
-            found.truncate(k);
-        }
-    }
-    descend(graph, ready, &mut suffix, Time::ZERO, &mut found, k);
-    found
 }
 
 /// Statistics from a path enumeration run.
@@ -320,15 +217,7 @@ fn dfs(
     let mut extended = false;
     for &ai in graph.fanout_arcs(net) {
         let arc = graph.arc(ai);
-        let outs: &[Transition] = match arc.sense {
-            Sense::Positive => &[tr][..],
-            Sense::Negative => match tr {
-                Transition::Rise => &[Transition::Fall],
-                Transition::Fall => &[Transition::Rise],
-            },
-            Sense::NonUnate => &Transition::BOTH,
-        };
-        for &tr_out in outs {
+        for &tr_out in paired(arc.sense, tr) {
             extended = true;
             dfs(
                 graph,
@@ -444,86 +333,6 @@ mod tests {
             );
         }
         assert!(path.steps.first().unwrap().inst.is_none());
-    }
-
-    #[test]
-    fn k_worst_paths_orders_and_bounds() {
-        let (d, m, lib) = ladder();
-        let binding = Binding::new(&d, &lib);
-        let g = crate::TimingGraph::build(&d, m, &binding, &lib).unwrap();
-        let module = d.module(m);
-        let a = module.net_by_name("a").unwrap();
-        let sink = module.net_by_name("l2b").unwrap();
-
-        let mut ready = table(&g, Time::NEG_INF);
-        ready[a.as_raw() as usize] = RiseFall::ZERO;
-        propagate_ready_max(&g, &mut ready);
-
-        let paths = k_worst_paths(&g, &ready, sink, Transition::Rise, 5);
-        assert!(!paths.is_empty());
-        // Worst first, matching the block arrival exactly.
-        assert_eq!(
-            paths[0].steps.last().unwrap().time,
-            ready[sink.as_raw() as usize].rise
-        );
-        for pair in paths.windows(2) {
-            assert!(
-                pair[0].steps.last().unwrap().time >= pair[1].steps.last().unwrap().time,
-                "worst first"
-            );
-        }
-        // Each path is internally consistent.
-        for p in &paths {
-            assert_eq!(p.source(), a);
-            assert_eq!(p.sink(), sink);
-            for pair in p.steps.windows(2) {
-                assert!(pair[0].time <= pair[1].time);
-                assert!(pair[1].inst.is_some());
-            }
-            assert!(p.steps.first().unwrap().inst.is_none());
-        }
-        // The top path agrees with critical_path.
-        let cp = critical_path(&g, &ready, sink, Transition::Rise).unwrap();
-        assert_eq!(
-            paths[0].steps.last().unwrap().time,
-            cp.steps.last().unwrap().time
-        );
-        // Requesting more paths than exist returns them all, distinct.
-        let all = k_worst_paths(&g, &ready, sink, Transition::Rise, 10_000);
-        let mut keys: Vec<Vec<(u32, Transition)>> = all
-            .iter()
-            .map(|p| {
-                p.steps
-                    .iter()
-                    .map(|s| (s.net.as_raw(), s.transition))
-                    .collect()
-            })
-            .collect();
-        let n = keys.len();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), n, "no duplicate paths");
-        // k=0 and unreached sinks are empty.
-        assert!(k_worst_paths(&g, &ready, sink, Transition::Rise, 0).is_empty());
-        let cold = table(&g, Time::NEG_INF);
-        assert!(k_worst_paths(&g, &cold, sink, Transition::Rise, 3).is_empty());
-    }
-
-    #[test]
-    fn k_worst_paths_matches_full_enumeration_count() {
-        let (d, m, lib) = ladder();
-        let binding = Binding::new(&d, &lib);
-        let g = crate::TimingGraph::build(&d, m, &binding, &lib).unwrap();
-        let module = d.module(m);
-        let a = module.net_by_name("a").unwrap();
-        let sink = module.net_by_name("l2a").unwrap();
-        let mut ready = table(&g, Time::NEG_INF);
-        ready[a.as_raw() as usize] = RiseFall::ZERO;
-        propagate_ready_max(&g, &mut ready);
-        // The k=2 prefix of the exhaustive list equals the k=2 call.
-        let all = k_worst_paths(&g, &ready, sink, Transition::Fall, 10_000);
-        let two = k_worst_paths(&g, &ready, sink, Transition::Fall, 2);
-        assert_eq!(&all[..2.min(all.len())], &two[..]);
     }
 
     #[test]

@@ -15,22 +15,33 @@
 //! [`crate::analysis::propagate_required`]; because all merges are
 //! exact `i64` max/min, a local sweep scattered back into a dense table
 //! is bit-identical to the whole-graph sweep.
+//!
+//! A [`ShardedGraph`] stands alone once built: it knows each net's
+//! cluster and local index, and each shard keeps its arcs in the whole
+//! graph's arc order, so [`ClusterShard::critical_path`] traces in a
+//! local ready table the path [`crate::paths::critical_path`] traces in
+//! the dense one. A prepared analysis holds the shards and drops the
+//! [`TimingGraph`] they came from.
 
-use hb_netlist::NetId;
-use hb_units::{RiseFall, Time};
+use hb_netlist::{InstId, NetId};
+use hb_units::{RiseFall, Time, Transition};
 
 use crate::algebra::Algebra;
 use crate::graph::{ClusterId, TimingGraph};
+use crate::paths::{trace, Path};
 
-/// One arc of a [`ClusterShard`], with endpoints as local indices and
-/// only the max-delay half (the min half stays on the whole-graph path
-/// used by the supplementary checks).
+/// One arc of a [`ClusterShard`], with endpoints as local indices, the
+/// max-delay half and the contributing instance. The min-delay half is
+/// left out: only the supplementary (min-delay) check reads it, on the
+/// whole graph, while preparation still holds that.
 #[derive(Clone, Copy, Debug)]
 pub struct LocalArc {
     /// Local index of the driving net.
     pub from: u32,
     /// Local index of the driven net.
     pub to: u32,
+    /// The contributing instance.
+    pub inst: InstId,
     /// The arc's unateness.
     pub sense: hb_units::Sense,
     /// The arc's maximum rise/fall delay.
@@ -138,15 +149,43 @@ impl ClusterShard {
             if req_out.rise == A::INF && req_out.fall == A::INF {
                 continue;
             }
-            let arcs =
-                &self.fanin_arcs[self.fanin_heads[v] as usize..self.fanin_heads[v + 1] as usize];
-            for &ai in arcs {
-                let arc = &self.arcs[ai as usize];
+            for arc in self.fanin(v) {
                 let req_in = alg.required_backward(arc.sense, req_out, arc.delay_max);
                 let slot = &mut required[arc.from as usize];
                 *slot = alg.min_rf(*slot, req_in);
             }
         }
+    }
+
+    /// The arcs driving local node `v`, in the whole graph's arc order.
+    fn fanin(&self, v: usize) -> impl Iterator<Item = &LocalArc> {
+        let arcs = &self.fanin_arcs[self.fanin_heads[v] as usize..self.fanin_heads[v + 1] as usize];
+        arcs.iter().map(|&ai| &self.arcs[ai as usize])
+    }
+
+    /// Traces the worst path that establishes `ready[sink][transition]`
+    /// in a swept local ready table — [`crate::paths::critical_path`]
+    /// on the shard, with `sink` a local index. Each net's fanin keeps
+    /// the whole graph's order, so the path is the one the dense tracer
+    /// finds in a dense table holding the same values.
+    ///
+    /// Returns `None` if the sink was never reached (sentinel arrival).
+    pub fn critical_path(
+        &self,
+        ready: &[RiseFall<Time>],
+        sink: u32,
+        transition: Transition,
+    ) -> Option<Path> {
+        let fanin = |v: u32| {
+            (self.fanin(v as usize)).map(|arc| (arc.from, arc.sense, arc.delay_max, arc.inst))
+        };
+        trace(
+            sink,
+            transition,
+            |v: u32| ready[v as usize],
+            fanin,
+            |v| self.nets[v as usize],
+        )
     }
 }
 
@@ -154,13 +193,17 @@ impl ClusterShard {
 #[derive(Clone, Debug)]
 pub struct ShardedGraph {
     shards: Vec<ClusterShard>,
+    /// Global net raw index → its cluster.
+    cluster_of: Vec<ClusterId>,
     /// Global net raw index → local index within its cluster.
     local_of: Vec<u32>,
 }
 
 impl ShardedGraph {
-    /// Partitions `graph` into one shard per cluster. Every net appears
-    /// in exactly one shard; every arc stays within its shard.
+    /// Partitions `graph` into one shard per cluster, numbered as the
+    /// graph numbers its clusters. Every net appears in exactly one
+    /// shard; every arc stays within its shard, and a shard keeps its
+    /// arcs in the graph's arc order.
     pub fn new(graph: &TimingGraph) -> ShardedGraph {
         let cluster_count = graph.clusters().count();
         // Count per-cluster arcs up front so each shard's vectors are
@@ -195,6 +238,7 @@ impl ShardedGraph {
             shards[c].arcs.push(LocalArc {
                 from: local_of[arc.from.as_raw() as usize],
                 to: local_of[arc.to.as_raw() as usize],
+                inst: arc.inst,
                 sense: arc.sense,
                 delay_max: arc.delay.max,
             });
@@ -226,12 +270,29 @@ impl ShardedGraph {
             shard.fanout_heads = out_deg;
             shard.fanin_heads = in_deg;
         }
-        ShardedGraph { shards, local_of }
+        let cluster_of = (0..graph.node_count() as u32)
+            .map(|n| graph.cluster_of(NetId::from_raw(n)))
+            .collect();
+        ShardedGraph {
+            shards,
+            cluster_of,
+            local_of,
+        }
     }
 
     /// The number of shards (= clusters).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The number of nets over all shards.
+    pub fn node_count(&self) -> usize {
+        self.cluster_of.len()
+    }
+
+    /// The cluster containing `net`.
+    pub fn cluster_of(&self, net: NetId) -> ClusterId {
+        self.cluster_of[net.as_raw() as usize]
     }
 
     /// The shard of a cluster.
@@ -357,10 +418,12 @@ mod tests {
             .map(|c| sharded.shards[c].len())
             .sum();
         assert_eq!(total, graph.node_count());
+        assert_eq!(sharded.node_count(), graph.node_count());
         for (c, cluster) in graph.clusters() {
             let shard = sharded.shard(c);
             assert_eq!(shard.len(), cluster.nets.len());
             for &net in &cluster.nets {
+                assert_eq!(sharded.cluster_of(net), c);
                 assert_eq!(shard.nets()[sharded.local_of(net) as usize], net);
             }
         }
@@ -368,5 +431,54 @@ mod tests {
             .map(|c| sharded.shards[c].arc_count())
             .sum();
         assert_eq!(arc_total, graph.arc_count());
+    }
+
+    /// Two equal paths reconverge on a NAND2 whose pins time alike, so
+    /// both of its arcs explain the output's arrival. Both tracers take
+    /// the first in the whole graph's fanin order: the same path.
+    #[test]
+    fn tracers_break_ties_alike() {
+        let lib = sc89();
+        let mut d = Design::new("tie");
+        lib.declare_into(&mut d).unwrap();
+        let m = d.add_module("top").unwrap();
+        let [a, b, c, y] = ["a", "b", "c", "y"].map(|n| d.add_net(m, n).unwrap());
+        d.add_port(m, "a", hb_netlist::PinDir::Input, a).unwrap();
+        let buf = d.leaf_by_name("BUF_X1").unwrap();
+        let nand = d.leaf_by_name("NAND2_X1").unwrap();
+        for (name, to) in [("u1", b), ("u2", c)] {
+            let u = d.add_leaf_instance(m, name, buf).unwrap();
+            d.connect(m, u, "A", a).unwrap();
+            d.connect(m, u, "Y", to).unwrap();
+        }
+        let u3 = d.add_leaf_instance(m, "u3", nand).unwrap();
+        d.connect(m, u3, "A", b).unwrap();
+        d.connect(m, u3, "B", c).unwrap();
+        d.connect(m, u3, "Y", y).unwrap();
+        d.set_top(m).unwrap();
+        let binding = Binding::new(&d, &lib);
+        let graph = TimingGraph::build(&d, m, &binding, &lib).unwrap();
+        let sharded = ShardedGraph::new(&graph);
+
+        let mut ready = table(&graph, Time::NEG_INF);
+        ready[a.as_raw() as usize] = RiseFall::ZERO;
+        propagate_ready_max(&graph, &mut ready);
+        assert_eq!(ready[b.as_raw() as usize], ready[c.as_raw() as usize]);
+        let shard = sharded.shard(sharded.cluster_of(y));
+        let mut local = shard.table(Time::NEG_INF);
+        local[sharded.local_of(a) as usize] = RiseFall::ZERO;
+        shard.sweep_ready_max(&mut Numeric, &mut local);
+        for tr in Transition::BOTH {
+            let dense = crate::paths::critical_path(&graph, &ready, y, tr).expect("reached");
+            assert_eq!(dense.steps[1].net, b, "the first fanin arc wins");
+            let traced = shard.critical_path(&local, sharded.local_of(y), tr);
+            assert_eq!(traced, Some(dense));
+        }
+    }
+
+    /// The arc's instance rides in what was its padding.
+    #[test]
+    fn local_arc_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<LocalArc>(), 32);
     }
 }

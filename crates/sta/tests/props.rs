@@ -8,7 +8,7 @@ use hb_sta::analysis::{
     propagate_ready_max, propagate_ready_min, propagate_required, slack_table, table,
 };
 use hb_sta::paths::{critical_path, enumerate_max_arrival};
-use hb_sta::TimingGraph;
+use hb_sta::{Numeric, ShardedGraph, TimingGraph};
 use hb_units::{RiseFall, Time, Transition};
 
 const CASES: u64 = 64;
@@ -98,7 +98,9 @@ fn min_arrival_below_max() {
 
 /// Every critical path is explainable: monotone arrivals, endpoints
 /// consistent, and the block-method invariant that the path slack is
-/// constant along a critical path.
+/// constant along a critical path. Traced on the endpoint's shard over
+/// a local sweep, every reached endpoint gives the dense tracer's path,
+/// step by step.
 #[test]
 fn critical_paths_are_consistent() {
     for case in 0..CASES {
@@ -143,6 +145,24 @@ fn critical_paths_are_consistent() {
         for step in &path.steps {
             let s = slacks[step.net.as_raw() as usize][step.transition];
             assert_eq!(s, Time::ZERO, "critical path has zero slack throughout");
+        }
+
+        let sharded = ShardedGraph::new(&g);
+        for (id, _) in d.module(m).nets() {
+            let shard = sharded.shard(sharded.cluster_of(id));
+            let mut local = shard.table(Time::NEG_INF);
+            if sharded.cluster_of(a) == shard.cluster() {
+                local[sharded.local_of(a) as usize] = RiseFall::ZERO;
+            }
+            shard.sweep_ready_max(&mut Numeric, &mut local);
+            for tr in Transition::BOTH {
+                let traced = shard.critical_path(&local, sharded.local_of(id), tr);
+                assert_eq!(
+                    traced,
+                    critical_path(&g, &ready, id, tr),
+                    "case {case}: net {id} {tr:?}"
+                );
+            }
         }
     }
 }

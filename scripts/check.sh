@@ -10,6 +10,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace --no-deps --lib (warnings denied)"
+# No dangling or private intra-doc links. `--lib` skips the binaries:
+# the `hummingbird` library and binary would collide in the doc tree.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib -q
+
 echo "== cargo test -q"
 cargo test -q
 
