@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 
 use hb_cells::Library;
-use hb_netlist::{Design, InstRef, ModuleId, NetId, PinDir};
+use hb_netlist::{Design, InstRef, ModuleId, PinDir};
 
 use crate::error::ParseError;
 
@@ -108,7 +108,7 @@ pub fn parse_blif(text: &str, library: &Library) -> Result<Design, ParseError> {
                     PinDir::Output
                 };
                 for name in tokens {
-                    let net = net_or_new(&mut design, module, name).map_err(&err)?;
+                    let net = design.net_or_add(module, name);
                     design
                         .add_port(module, name, dir, net)
                         .map_err(|e| err(e.to_string()))?;
@@ -130,7 +130,7 @@ pub fn parse_blif(text: &str, library: &Library) -> Result<Design, ParseError> {
                 for token in tokens {
                     match token.split_once('=') {
                         Some((pin, net_name)) => {
-                            let net = net_or_new(&mut design, module, net_name).map_err(&err)?;
+                            let net = design.net_or_add(module, net_name);
                             design
                                 .connect(module, inst, pin, net)
                                 .map_err(|e| err(e.to_string()))?;
@@ -156,7 +156,7 @@ pub fn parse_blif(text: &str, library: &Library) -> Result<Design, ParseError> {
                         .pin_def(spec.control)
                         .name()
                         .to_owned();
-                    let net = net_or_new(&mut design, module, control_net_name).map_err(&err)?;
+                    let net = design.net_or_add(module, control_net_name);
                     design
                         .connect(module, inst, &control_pin, net)
                         .map_err(|e| err(e.to_string()))?;
@@ -186,7 +186,7 @@ pub fn parse_blif(text: &str, library: &Library) -> Result<Design, ParseError> {
                     let (pin, net_name) = token
                         .split_once('=')
                         .ok_or_else(|| err(format!("expected port=net, got {token:?}")))?;
-                    let net = net_or_new(&mut design, module, net_name).map_err(&err)?;
+                    let net = design.net_or_add(module, net_name);
                     design
                         .connect(module, inst, pin, net)
                         .map_err(|e| err(e.to_string()))?;
@@ -202,14 +202,8 @@ pub fn parse_blif(text: &str, library: &Library) -> Result<Design, ParseError> {
     design
         .set_top(top)
         .map_err(|e| ParseError::new(0, e.to_string()))?;
+    design.shrink_to_fit();
     Ok(design)
-}
-
-fn net_or_new(design: &mut Design, module: ModuleId, name: &str) -> Result<NetId, String> {
-    if let Some(net) = design.module(module).net_by_name(name) {
-        return Ok(net);
-    }
-    design.add_net(module, name).map_err(|e| e.to_string())
 }
 
 /// Serializes a design to mapped BLIF. The top model is emitted first

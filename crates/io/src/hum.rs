@@ -20,14 +20,16 @@
 //! net attribute (such as the `hb.load_pct` a `scale-net` ECO sets);
 //! key and value are single tokens. Child modules must be
 //! defined before they are instantiated (the writer emits them in
-//! dependency order). Times accept the `hb-units` syntax (`40ns`,
-//! `2.5ns`, `250ps`).
+//! dependency order). The optional `design` line comes at most once,
+//! before the first module, and an `inst` line names each pin at most
+//! once. A net's endpoints keep file order. Times accept the
+//! `hb-units` syntax (`40ns`, `2.5ns`, `250ps`).
 
 use std::fmt::Write as _;
 
 use hb_cells::Library;
 use hb_clock::ClockSet;
-use hb_netlist::{Design, InstRef, ModuleId, NetId, PinDir};
+use hb_netlist::{Design, InstRef, ModuleId, PinDir, PortId};
 use hb_units::{Time, Transition};
 
 use crate::error::ParseError;
@@ -98,20 +100,21 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
     let mut timing: Vec<TimingDirective> = Vec::new();
     let mut named = false;
 
-    // Pre-scan instance counts per module so the arenas are reserved
-    // once instead of grown through log2(n) copies — at a million
-    // cells the copies dominate parse time. Each `inst` line also
-    // introduces roughly one fresh net (its output).
-    let mut inst_counts: Vec<usize> = Vec::new();
+    // Pre-scan each module's size so its arena is reserved once
+    // instead of grown through log2(n) copies. Every `inst` line
+    // drives about one fresh net (its output) and every port token
+    // binds one more.
+    let mut sizes: Vec<(usize, usize)> = Vec::new();
     for raw in text.lines() {
-        let line = raw.split('#').next().unwrap_or("");
-        match line.split_whitespace().next() {
-            Some("module") => inst_counts.push(0),
-            Some("inst") => {
-                if let Some(count) = inst_counts.last_mut() {
-                    *count += 1;
-                }
+        let mut tokens = code(raw).split_whitespace();
+        match (tokens.next(), sizes.last_mut()) {
+            (Some("module"), _) => sizes.push((0, 0)),
+            (Some("inst"), Some((insts, nets))) => {
+                *insts += 1;
+                *nets += 1;
             }
+            // The tokens after the direction.
+            (Some("port"), Some((_, nets))) => *nets += tokens.count().saturating_sub(1),
             _ => {}
         }
     }
@@ -119,11 +122,7 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
 
     for (index, raw) in text.lines().enumerate() {
         let lineno = index + 1;
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        let mut tokens = line.split_whitespace();
+        let mut tokens = code(raw).split_whitespace();
         let Some(keyword) = tokens.next() else {
             continue;
         };
@@ -133,15 +132,20 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
                 let name = tokens
                     .next()
                     .ok_or_else(|| err("design needs a name".into()))?;
-                if !named {
-                    // `Design` has no rename; rebuild with the right name.
-                    let mut renamed = Design::new(name);
-                    library
-                        .declare_into(&mut renamed)
-                        .map_err(|e| err(e.to_string()))?;
-                    design = renamed;
-                    named = true;
+                if named {
+                    return Err(err("a second `design` line".into()));
                 }
+                if module_index > 0 {
+                    return Err(err("`design` after a module".into()));
+                }
+                // `Design` has no rename; rebuild with the right name.
+                // Nothing is lost: no module exists yet.
+                let mut renamed = Design::new(name);
+                library
+                    .declare_into(&mut renamed)
+                    .map_err(|e| err(e.to_string()))?;
+                design = renamed;
+                named = true;
             }
             "module" => {
                 if current.is_some() {
@@ -151,8 +155,8 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
                     .next()
                     .ok_or_else(|| err("module needs a name".into()))?;
                 let id = design.add_module(name).map_err(|e| err(e.to_string()))?;
-                let insts = inst_counts.get(module_index).copied().unwrap_or(0);
-                design.reserve(id, insts, insts + 16);
+                let (insts, nets) = sizes.get(module_index).copied().unwrap_or_default();
+                design.reserve(id, insts, nets);
                 module_index += 1;
                 current = Some(id);
             }
@@ -179,7 +183,7 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
                         Some((p, n)) => (p, n),
                         None => (token, token),
                     };
-                    let net = net_by_name_or_new(&mut design, module, net_name).map_err(&err)?;
+                    let net = design.net_or_add(module, net_name);
                     design
                         .add_port(module, name, dir, net)
                         .map_err(|e| err(e.to_string()))?;
@@ -194,24 +198,26 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
                     .next()
                     .ok_or_else(|| err("inst needs a cell or module name".into()))?;
                 let inst = if let Some(leaf) = design.leaf_by_name(target) {
-                    design
-                        .add_leaf_instance(module, inst_name, leaf)
-                        .map_err(|e| err(e.to_string()))?
+                    design.add_leaf_instance(module, inst_name, leaf)
                 } else if let Some(child) = design.module_by_name(target) {
-                    design
-                        .add_module_instance(module, inst_name, child)
-                        .map_err(|e| err(e.to_string()))?
+                    design.add_module_instance(module, inst_name, child)
                 } else {
                     return Err(err(format!("unknown cell or module {target:?}")));
-                };
+                }
+                .map_err(|e| err(e.to_string()))?;
                 for conn in tokens {
                     let (pin, net_name) = conn
                         .split_once('=')
                         .ok_or_else(|| err(format!("expected pin=net, got {conn:?}")))?;
-                    let net = net_by_name_or_new(&mut design, module, net_name).map_err(&err)?;
-                    design
-                        .connect(module, inst, pin, net)
+                    let slot = design
+                        .pin_slot(module, inst, pin)
                         .map_err(|e| err(e.to_string()))?;
+                    // The instance is new, so a bound pin was named on this line.
+                    if design.module(module).instance(inst).conn(slot).is_some() {
+                        return Err(err(format!("pin {pin:?} is connected twice")));
+                    }
+                    let net = design.net_or_add(module, net_name);
+                    design.connect_slot(module, inst, slot, net);
                 }
             }
             "netattr" => {
@@ -221,7 +227,7 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
                 else {
                     return Err(err("netattr takes NET KEY VALUE".into()));
                 };
-                let net = net_by_name_or_new(&mut design, module, net_name).map_err(&err)?;
+                let net = design.net_or_add(module, net_name);
                 design.module_mut(module).set_net_attr(net, key, value);
             }
             "top" => {
@@ -323,24 +329,12 @@ pub fn parse_hum(text: &str, library: &Library) -> Result<HumFile, ParseError> {
     if current.is_some() {
         return Err(ParseError::new(0, "unterminated module (missing `end`)"));
     }
+    design.shrink_to_fit();
     Ok(HumFile {
         design,
         clocks,
         timing,
     })
-}
-
-fn net_by_name_or_new(design: &mut Design, module: ModuleId, name: &str) -> Result<NetId, String> {
-    if let Some(net) = design.module(module).net_by_name(name) {
-        return Ok(net);
-    }
-    design.add_net(module, name).map_err(|e| e.to_string())
-}
-
-/// A (port name, net name) pair used while emitting port lines.
-struct PortView<'a> {
-    name: &'a str,
-    net: &'a str,
 }
 
 /// Serializes a design (and clocks) to `.hum` text. Child modules are
@@ -380,64 +374,7 @@ pub fn write_hum_with_timing(
     }
 
     for id in order {
-        let module = design.module(id);
-        let _ = writeln!(out, "module {}", module.name());
-        let port_token = |p: &crate::hum::PortView<'_>| -> String {
-            if p.name == p.net {
-                p.name.to_owned()
-            } else {
-                format!("{}={}", p.name, p.net)
-            }
-        };
-        let ins: Vec<String> = module
-            .ports()
-            .filter(|(_, p)| p.dir() == PinDir::Input)
-            .map(|(_, p)| {
-                port_token(&PortView {
-                    name: p.name(),
-                    net: module.net(p.net()).name(),
-                })
-            })
-            .collect();
-        if !ins.is_empty() {
-            let _ = writeln!(out, "  port in {}", ins.join(" "));
-        }
-        let outs: Vec<String> = module
-            .ports()
-            .filter(|(_, p)| p.dir() == PinDir::Output)
-            .map(|(_, p)| {
-                port_token(&PortView {
-                    name: p.name(),
-                    net: module.net(p.net()).name(),
-                })
-            })
-            .collect();
-        if !outs.is_empty() {
-            let _ = writeln!(out, "  port out {}", outs.join(" "));
-        }
-        for (inst_id, inst) in module.instances() {
-            let target = match inst.target() {
-                InstRef::Leaf(l) => design.leaf(l).name().to_owned(),
-                InstRef::Module(m) => design.module(m).name().to_owned(),
-            };
-            let mut line = format!("  inst {} {}", inst.name(), target);
-            for (slot, net) in inst.conns() {
-                let _ = write!(
-                    line,
-                    " {}={}",
-                    design.pin_name(id, inst_id, slot),
-                    module.net(net).name()
-                );
-            }
-            let _ = writeln!(out, "{line}");
-        }
-        for (_, net) in module.nets() {
-            for (key, value) in net.attrs() {
-                let _ = writeln!(out, "  netattr {} {key} {value}", net.name());
-            }
-        }
-        let _ = writeln!(out, "end");
-        let _ = writeln!(out);
+        write_module(&mut out, design, id);
     }
 
     if let Some(top) = design.top() {
@@ -479,6 +416,69 @@ pub fn write_hum_with_timing(
         }
     }
     out
+}
+
+/// A line without its comment.
+fn code(raw: &str) -> &str {
+    match raw.find('#') {
+        Some(pos) => &raw[..pos],
+        None => raw,
+    }
+}
+
+/// Writes one `module … end` block, each line straight into `out`.
+fn write_module(out: &mut String, design: &Design, id: ModuleId) {
+    let module = design.module(id);
+    out.push_str("module ");
+    out.push_str(module.name());
+    out.push('\n');
+    for (dir, keyword) in [(PinDir::Input, "  port in"), (PinDir::Output, "  port out")] {
+        let mut ports = module.ports().filter(|(_, p)| p.dir() == dir).peekable();
+        if ports.peek().is_none() {
+            continue;
+        }
+        out.push_str(keyword);
+        for (_, port) in ports {
+            // A port bound to a differently named net is `name=net`.
+            let net = module.net(port.net()).name();
+            out.push(' ');
+            out.push_str(port.name());
+            if net != port.name() {
+                out.push('=');
+                out.push_str(net);
+            }
+        }
+        out.push('\n');
+    }
+    for (_, inst) in module.instances() {
+        out.push_str("  inst ");
+        out.push_str(inst.name());
+        out.push(' ');
+        let target = inst.target();
+        out.push_str(match target {
+            InstRef::Leaf(l) => design.leaf(l).name(),
+            InstRef::Module(m) => design.module(m).name(),
+        });
+        for (slot, net) in inst.conns() {
+            out.push(' ');
+            out.push_str(match target {
+                InstRef::Leaf(l) => design.leaf(l).pin_def(slot).name(),
+                InstRef::Module(m) => design
+                    .module(m)
+                    .port(PortId::from_raw(slot.as_raw()))
+                    .name(),
+            });
+            out.push('=');
+            out.push_str(module.net(net).name());
+        }
+        out.push('\n');
+    }
+    for (_, net) in module.nets() {
+        for (key, value) in net.attrs() {
+            let _ = writeln!(out, "  netattr {} {key} {value}", net.name());
+        }
+    }
+    out.push_str("end\n\n");
 }
 
 #[cfg(test)]
@@ -623,6 +623,48 @@ top top
             .unwrap_err()
             .message()
             .contains("direction"));
+    }
+
+    #[test]
+    fn endpoints_keep_file_order_across_port_lines() {
+        use hb_netlist::{Endpoint, PinSlot};
+        let lib = sc89();
+        let text = "\
+module top
+  inst u1 INV_X1 A=a Y=y
+  port in a
+  inst u2 NAND2_X1 B=a A=a Y=z
+  port out y z
+end
+top top
+";
+        let file = parse_hum(text, &lib).unwrap();
+        let m = file.design.module(file.design.top().unwrap());
+        let inst = |n: &str| m.instance_by_name(n).unwrap();
+        let pin = |n: &str, slot: u32, dir| Endpoint::Pin {
+            inst: inst(n),
+            slot: PinSlot::from_raw(slot),
+            dir,
+        };
+        let a = m.net(m.net_by_name("a").unwrap());
+        assert_eq!(
+            a.endpoints(),
+            [
+                pin("u1", 0, PinDir::Input),
+                Endpoint::Port(m.port_by_name("a").unwrap()),
+                pin("u2", 1, PinDir::Input),
+                pin("u2", 0, PinDir::Input),
+            ],
+            "file order: u1.A, the port, then u2's pins in token order"
+        );
+        let y = m.net(m.net_by_name("y").unwrap());
+        assert_eq!(
+            y.endpoints(),
+            [
+                pin("u1", 1, PinDir::Output),
+                Endpoint::Port(m.port_by_name("y").unwrap())
+            ]
+        );
     }
 
     #[test]

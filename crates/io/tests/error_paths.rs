@@ -20,6 +20,23 @@ fn malformed_hum_headers_report_the_line() {
         ("design d\nend\n", "outside a module", 2),
         ("design d\nmodule t\nport sideways x\nend\n", "direction", 3),
         ("design d\nmodule t\n", "unterminated module", 0),
+        // A `design` line rebuilds the design, so it must come first.
+        (
+            "module top\nport in a\ndesign foo\ninst u1 INV_X1 A=a Y=y\n",
+            "`design` after a module",
+            3,
+        ),
+        (
+            "module sub\nend\ndesign foo\nmodule top\ninst s0 sub\nend\n",
+            "`design` after a module",
+            3,
+        ),
+        ("design a\ndesign b\n", "second `design`", 2),
+        (
+            "design d\nmodule t\nport in a\ninst u1 INV_X1 A=a A=b Y=y\nend\n",
+            "connected twice",
+            4,
+        ),
     ];
     for &(text, needle, line) in cases {
         let e = parse_hum(text, &lib).unwrap_err();
@@ -29,6 +46,120 @@ fn malformed_hum_headers_report_the_line() {
             e.message()
         );
         assert_eq!(e.line(), line, "{text:?}: wrong line in {e}");
+    }
+}
+
+/// Seeded line-level mutations of real `.hum` texts: the sample
+/// designs and a small generated design of each family. Whatever the
+/// mutation, `parse_hum` returns rather than panics, and a text it
+/// accepts is byte-stable through write → parse → write.
+#[test]
+fn mutated_hum_never_panics_and_accepted_text_round_trips() {
+    use hb_workloads::{generate, GenKind, GenParams};
+
+    let lib = sc89();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../designs");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "hum"))
+        .collect();
+    paths.sort();
+    let mut sources: Vec<String> = paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
+    for kind in [GenKind::Pipeline, GenKind::Sbox, GenKind::Sram] {
+        sources.push(generate(&lib, &GenParams::new(kind, 1000, 17)).to_hum());
+    }
+
+    let write = |file: &hb_io::HumFile| {
+        hb_io::write_hum_with_timing(&file.design, &file.clocks, &file.timing)
+    };
+    let (mut accepted, mut rejected) = (0, 0);
+    for seed in 0..240u64 {
+        let mut rng = SmallRng::seed_from_u64(0x0C7_1989 + seed);
+        let source = &sources[seed as usize % sources.len()];
+        let mut lines: Vec<String> = source.lines().map(str::to_owned).collect();
+        for _ in 0..rng.gen_range(1..4) {
+            mutate_lines(&mut rng, &mut lines);
+        }
+        let text = lines.join("\n");
+        let parsed = std::panic::catch_unwind(|| parse_hum(&text, &lib));
+        let Ok(parsed) = parsed else {
+            panic!("seed {seed}: parse_hum panicked on:\n{text}");
+        };
+        let Ok(file) = parsed else {
+            rejected += 1;
+            continue;
+        };
+        accepted += 1;
+        let once = write(&file);
+        let again = parse_hum(&once, &lib)
+            .unwrap_or_else(|e| panic!("seed {seed}: written text fails to parse: {e}"));
+        assert_eq!(
+            write(&again),
+            once,
+            "seed {seed}: write → parse → write moved bytes"
+        );
+    }
+    assert!(
+        accepted > 20 && rejected > 20,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}
+
+/// One random line-level edit: drop, duplicate or swap lines, cut a
+/// line short, repeat a `pin=net` token, or move the `design` line.
+fn mutate_lines(rng: &mut SmallRng, lines: &mut Vec<String>) {
+    if lines.is_empty() {
+        return;
+    }
+    let i = rng.gen_range(0..lines.len());
+    match rng.gen_range(0..6) {
+        0 => {
+            lines.remove(i);
+        }
+        1 => lines.insert(i, lines[i].clone()),
+        2 => {
+            let j = rng.gen_range(0..lines.len());
+            lines.swap(i, j);
+        }
+        3 => {
+            let line = &mut lines[i];
+            let mut cut = rng.gen_range(0..line.len() + 1);
+            while !line.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            line.truncate(cut);
+        }
+        4 => {
+            let insts: Vec<usize> = (0..lines.len())
+                .filter(|&k| lines[k].trim_start().starts_with("inst "))
+                .collect();
+            if insts.is_empty() {
+                return;
+            }
+            let line = &mut lines[insts[rng.gen_range(0..insts.len())]];
+            let mut tokens: Vec<&str> = line.split_whitespace().collect();
+            let conns: Vec<usize> = (3..tokens.len())
+                .filter(|&k| tokens[k].contains('='))
+                .collect();
+            if conns.is_empty() {
+                return;
+            }
+            let token = tokens[conns[rng.gen_range(0..conns.len())]];
+            tokens.insert(rng.gen_range(3..tokens.len() + 1), token);
+            *line = format!("  {}", tokens.join(" "));
+        }
+        _ => {
+            let Some(at) = lines.iter().position(|l| l.starts_with("design")) else {
+                return;
+            };
+            let line = lines.remove(at);
+            let to = rng.gen_range(0..lines.len() + 1);
+            lines.insert(to, line);
+        }
     }
 }
 

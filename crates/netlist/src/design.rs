@@ -6,7 +6,7 @@ use std::fmt;
 use crate::error::NetlistError;
 use crate::ids::{InstId, LeafId, ModuleId, NetId, PinSlot, PortId};
 use crate::leaf::{LeafDef, PinDir};
-use crate::module::{Endpoint, InstRef, Instance, Module, Net, Port};
+use crate::module::{InstRef, Module};
 
 /// A complete design: leaf-cell interface declarations plus a module
 /// hierarchy.
@@ -178,14 +178,20 @@ impl Design {
     /// indexes) for at least `insts` / `nets` more entries.
     ///
     /// Bulk producers — the `.hum` parser, the design generator — know
-    /// their counts up front; reserving once avoids the repeated
-    /// grow-and-copy cycles that dominate million-cell construction.
+    /// their counts up front; reserving once avoids rehashing the name
+    /// indexes and the grow-and-copy cycles of the arena arrays.
+    /// An over-estimate holds its memory until [`Design::shrink_to_fit`].
     pub fn reserve(&mut self, module: ModuleId, insts: usize, nets: usize) {
-        let m = &mut self.modules[module.idx()];
-        m.insts.reserve(insts);
-        m.inst_by_name.reserve(insts);
-        m.nets.reserve(nets);
-        m.net_by_name.reserve(nets);
+        self.modules[module.idx()].reserve(insts, nets);
+    }
+
+    /// Packs every module's endpoint ranges and releases spare arena
+    /// capacity. Bulk producers call it once they are done; edits made
+    /// afterwards keep working.
+    pub fn shrink_to_fit(&mut self) {
+        for m in &mut self.modules {
+            m.shrink_to_fit();
+        }
     }
 
     /// Adds a net to a module.
@@ -196,25 +202,23 @@ impl Design {
     pub fn add_net(
         &mut self,
         module: ModuleId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
     ) -> Result<NetId, NetlistError> {
-        let m = &mut self.modules[module.idx()];
-        let name = name.into();
-        if m.net_by_name.contains_key(&name) {
-            return Err(NetlistError::DuplicateName { kind: "net", name });
+        let name = name.as_ref();
+        self.modules[module.idx()]
+            .push_net(name)
+            .map_err(|_| NetlistError::DuplicateName {
+                kind: "net",
+                name: name.to_owned(),
+            })
+    }
+
+    /// Returns the net called `name` in a module, adding it if there is
+    /// none — how readers create nets implicitly on first reference.
+    pub fn net_or_add(&mut self, module: ModuleId, name: &str) -> NetId {
+        match self.modules[module.idx()].push_net(name) {
+            Ok(id) | Err(id) => id,
         }
-        assert!(
-            m.nets.len() < u32::MAX as usize,
-            "net arena exceeds the u32 id space"
-        );
-        let id = NetId::from_raw(m.nets.len() as u32);
-        m.net_by_name.insert(name.clone(), id);
-        m.nets.push(Net {
-            name: name.into_boxed_str(),
-            endpoints: Vec::new(),
-            attrs: Default::default(),
-        });
-        Ok(id)
     }
 
     /// Adds a boundary port bound to an existing internal net.
@@ -229,20 +233,9 @@ impl Design {
         dir: PinDir,
         net: NetId,
     ) -> Result<PortId, NetlistError> {
-        let m = &mut self.modules[module.idx()];
-        let name = name.into();
-        if m.port_by_name.contains_key(&name) {
-            return Err(NetlistError::DuplicateName { kind: "port", name });
-        }
-        assert!(
-            m.ports.len() < u32::MAX as usize,
-            "port arena exceeds the u32 id space"
-        );
-        let id = PortId::from_raw(m.ports.len() as u32);
-        m.port_by_name.insert(name.clone(), id);
-        m.ports.push(Port { name, dir, net });
-        m.nets[net.idx()].endpoints.push(Endpoint::Port(id));
-        Ok(id)
+        self.modules[module.idx()]
+            .push_port(name.into(), dir, net)
+            .map_err(|name| NetlistError::DuplicateName { kind: "port", name })
     }
 
     /// Instantiates a leaf cell.
@@ -254,11 +247,11 @@ impl Design {
     pub fn add_leaf_instance(
         &mut self,
         module: ModuleId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         leaf: LeafId,
     ) -> Result<InstId, NetlistError> {
         let pin_count = self.leaves[leaf.idx()].pin_count();
-        self.add_instance_raw(module, name.into(), InstRef::Leaf(leaf), pin_count)
+        self.add_instance_raw(module, name.as_ref(), InstRef::Leaf(leaf), pin_count)
     }
 
     /// Instantiates a child module.
@@ -272,40 +265,26 @@ impl Design {
     pub fn add_module_instance(
         &mut self,
         module: ModuleId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         child: ModuleId,
     ) -> Result<InstId, NetlistError> {
         let pin_count = self.modules[child.idx()].ports.len();
-        self.add_instance_raw(module, name.into(), InstRef::Module(child), pin_count)
+        self.add_instance_raw(module, name.as_ref(), InstRef::Module(child), pin_count)
     }
 
     fn add_instance_raw(
         &mut self,
         module: ModuleId,
-        name: String,
+        name: &str,
         target: InstRef,
         pin_count: usize,
     ) -> Result<InstId, NetlistError> {
-        let m = &mut self.modules[module.idx()];
-        if m.inst_by_name.contains_key(&name) {
-            return Err(NetlistError::DuplicateName {
+        self.modules[module.idx()]
+            .push_instance(name, target, pin_count)
+            .map_err(|_| NetlistError::DuplicateName {
                 kind: "instance",
-                name,
-            });
-        }
-        assert!(
-            m.insts.len() < u32::MAX as usize,
-            "instance arena exceeds the u32 id space"
-        );
-        let id = InstId::from_raw(m.insts.len() as u32);
-        m.inst_by_name.insert(name.clone(), id);
-        m.insts.push(Instance {
-            name: name.into_boxed_str(),
-            target,
-            conns: vec![None; pin_count].into_boxed_slice(),
-            attrs: Default::default(),
-        });
-        Ok(id)
+                name: name.to_owned(),
+            })
     }
 
     /// Resolves a pin name on an instance's interface to its slot.
@@ -320,8 +299,7 @@ impl Design {
         inst: InstId,
         pin: &str,
     ) -> Result<PinSlot, NetlistError> {
-        let instance = &self.modules[module.idx()].insts[inst.idx()];
-        let (slot, iface_name) = match instance.target {
+        let (slot, iface_name) = match self.modules[module.idx()].instance(inst).target() {
             InstRef::Leaf(l) => (
                 self.leaves[l.idx()].pin_by_name(pin),
                 self.leaves[l.idx()].name(),
@@ -347,8 +325,7 @@ impl Design {
     ///
     /// Panics if the slot is out of range.
     pub fn pin_dir(&self, module: ModuleId, inst: InstId, slot: PinSlot) -> PinDir {
-        let instance = &self.modules[module.idx()].insts[inst.idx()];
-        match instance.target {
+        match self.modules[module.idx()].instance(inst).target() {
             InstRef::Leaf(l) => self.leaves[l.idx()].pin_def(slot).dir(),
             InstRef::Module(child) => self.modules[child.idx()].ports[slot.idx()].dir,
         }
@@ -360,8 +337,7 @@ impl Design {
     ///
     /// Panics if the slot is out of range.
     pub fn pin_name(&self, module: ModuleId, inst: InstId, slot: PinSlot) -> &str {
-        let instance = &self.modules[module.idx()].insts[inst.idx()];
-        match instance.target {
+        match self.modules[module.idx()].instance(inst).target() {
             InstRef::Leaf(l) => self.leaves[l.idx()].pin_def(slot).name(),
             InstRef::Module(child) => &self.modules[child.idx()].ports[slot.idx()].name,
         }
@@ -394,13 +370,7 @@ impl Design {
     /// Panics if ids are out of range.
     pub fn connect_slot(&mut self, module: ModuleId, inst: InstId, slot: PinSlot, net: NetId) {
         let dir = self.pin_dir(module, inst, slot);
-        let m = &mut self.modules[module.idx()];
-        if let Some(old) = m.insts[inst.idx()].conns[slot.idx()].replace(net) {
-            detach_endpoint(&mut m.nets[old.idx()], inst, slot);
-        }
-        m.nets[net.idx()]
-            .endpoints
-            .push(Endpoint::Pin { inst, slot, dir });
+        self.modules[module.idx()].connect_pin(inst, slot, net, dir);
     }
 
     /// Disconnects pin `slot` of `inst`, returning the net it was bound
@@ -410,12 +380,7 @@ impl Design {
     ///
     /// Panics if ids are out of range.
     pub fn disconnect(&mut self, module: ModuleId, inst: InstId, slot: PinSlot) -> Option<NetId> {
-        let m = &mut self.modules[module.idx()];
-        let old = m.insts[inst.idx()].conns[slot.idx()].take();
-        if let Some(net) = old {
-            detach_endpoint(&mut m.nets[net.idx()], inst, slot);
-        }
-        old
+        self.modules[module.idx()].disconnect_pin(inst, slot)
     }
 
     /// Retargets an instance to a different leaf definition with an
@@ -435,12 +400,12 @@ impl Design {
         inst: InstId,
         new_leaf: LeafId,
     ) -> Result<(), NetlistError> {
-        let instance = &self.modules[module.idx()].insts[inst.idx()];
-        let old_leaf = match instance.target {
+        let instance = self.modules[module.idx()].instance(inst);
+        let old_leaf = match instance.target() {
             InstRef::Leaf(l) => l,
             InstRef::Module(_) => {
                 return Err(NetlistError::InterfaceMismatch {
-                    inst: instance.name.to_string(),
+                    inst: instance.name().to_owned(),
                     detail: "instance targets a module, not a leaf".to_owned(),
                 })
             }
@@ -449,7 +414,7 @@ impl Design {
         let new = &self.leaves[new_leaf.idx()];
         if old.pin_count() != new.pin_count() {
             return Err(NetlistError::InterfaceMismatch {
-                inst: instance.name.to_string(),
+                inst: instance.name().to_owned(),
                 detail: format!("pin count {} vs {}", old.pin_count(), new.pin_count()),
             });
         }
@@ -457,7 +422,7 @@ impl Design {
             let other = new.pin_def(slot);
             if other.name() != pin.name() || other.dir() != pin.dir() {
                 return Err(NetlistError::InterfaceMismatch {
-                    inst: instance.name.to_string(),
+                    inst: instance.name().to_owned(),
                     detail: format!(
                         "pin {} is {}/{} vs {}/{}",
                         slot,
@@ -469,7 +434,7 @@ impl Design {
                 });
             }
         }
-        self.modules[module.idx()].insts[inst.idx()].target = InstRef::Leaf(new_leaf);
+        self.modules[module.idx()].set_target(inst, InstRef::Leaf(new_leaf));
         Ok(())
     }
 
@@ -484,12 +449,12 @@ impl Design {
         let m = &self.modules[root.idx()];
         let mut stats = DesignStats {
             cells: 0,
-            nets: m.nets.len(),
+            nets: m.net_count(),
             module_insts: 0,
             depth: 0,
         };
-        for inst in &m.insts {
-            match inst.target {
+        for (_, inst) in m.instances() {
+            match inst.target() {
                 InstRef::Leaf(_) => stats.cells += 1,
                 InstRef::Module(child) => {
                     let sub = self.stats(child);
@@ -504,12 +469,6 @@ impl Design {
         }
         stats
     }
-}
-
-fn detach_endpoint(net: &mut Net, inst: InstId, slot: PinSlot) {
-    net.endpoints.retain(
-        |ep| !matches!(ep, Endpoint::Pin { inst: i, slot: s, .. } if *i == inst && *s == slot),
-    );
 }
 
 impl fmt::Display for Design {
@@ -527,6 +486,7 @@ impl fmt::Display for Design {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::Endpoint;
 
     fn inv_design() -> (Design, LeafId, ModuleId) {
         let mut d = Design::new("t");

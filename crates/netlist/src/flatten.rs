@@ -39,6 +39,7 @@ impl Design {
             out.add_port(flat, port.name().to_owned(), port.dir(), net)?;
         }
         out.set_top(flat)?;
+        out.shrink_to_fit();
         Ok(out)
     }
 }
@@ -78,18 +79,25 @@ fn inline(
             }
         }
     }
+    // One buffer for every prefixed name: the arena copies the bytes.
+    let mut name = String::from(prefix);
+    fn prefixed<'a>(name: &'a mut String, prefix: &str, base: &str) -> &'a str {
+        name.truncate(prefix.len());
+        name.push_str(base);
+        name
+    }
     for (net_id, net) in module.nets() {
         if net_map[net_id.as_raw() as usize].is_none() {
-            let id = out.add_net(out_m, format!("{prefix}{}", net.name()))?;
+            let id = out.add_net(out_m, prefixed(&mut name, prefix, net.name()))?;
             net_map[net_id.as_raw() as usize] = Some(id);
         }
     }
 
-    for (inst_id, inst) in module.instances() {
+    for (_, inst) in module.instances() {
         match inst.target() {
             InstRef::Leaf(leaf) => {
                 let new_id =
-                    out.add_leaf_instance(out_m, format!("{prefix}{}", inst.name()), leaf)?;
+                    out.add_leaf_instance(out_m, prefixed(&mut name, prefix, inst.name()), leaf)?;
                 for (slot, net) in inst.conns() {
                     let mapped = net_map[net.as_raw() as usize].expect("all nets mapped");
                     out.connect_slot(out_m, new_id, slot, mapped);
@@ -108,7 +116,6 @@ fn inline(
                     .collect();
                 let child_prefix = format!("{prefix}{}/", inst.name());
                 inline(src, out, out_m, child, &child_prefix, &binding)?;
-                let _ = inst_id;
             }
         }
     }

@@ -6,7 +6,6 @@
 //! registers one `LeafDef` per library cell; the database only needs
 //! enough structure to normalize connectivity.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::ids::PinSlot;
@@ -89,7 +88,6 @@ impl PinDef {
 pub struct LeafDef {
     name: String,
     pins: Vec<PinDef>,
-    by_name: HashMap<String, PinSlot>,
 }
 
 impl LeafDef {
@@ -98,7 +96,6 @@ impl LeafDef {
         LeafDef {
             name: name.into(),
             pins: Vec::new(),
-            by_name: HashMap::new(),
         }
     }
 
@@ -110,10 +107,8 @@ impl LeafDef {
     /// authored statically and a duplicate is a programming error.
     pub fn pin(mut self, name: impl Into<String>, dir: PinDir) -> LeafDef {
         let name = name.into();
-        let slot = PinSlot(self.pins.len() as u32);
-        let previous = self.by_name.insert(name.clone(), slot);
         assert!(
-            previous.is_none(),
+            self.pin_by_name(&name).is_none(),
             "duplicate pin {name:?} on leaf {:?}",
             self.name
         );
@@ -139,9 +134,13 @@ impl LeafDef {
             .map(|(i, p)| (PinSlot(i as u32), p))
     }
 
-    /// Looks up a pin slot by name.
+    /// Looks up a pin slot by name. A cell has a handful of pins, so
+    /// this is a scan.
     pub fn pin_by_name(&self, name: &str) -> Option<PinSlot> {
-        self.by_name.get(name).copied()
+        self.pins
+            .iter()
+            .position(|p| p.name() == name)
+            .map(|i| PinSlot(i as u32))
     }
 
     /// Returns the definition of the pin in `slot`.

@@ -60,6 +60,7 @@ mod flatten;
 mod ids;
 mod leaf;
 mod module;
+mod names;
 mod validate;
 
 pub use design::{Design, DesignStats};

@@ -64,7 +64,7 @@ impl Design {
             return Ok(());
         }
         let m = self.module(id);
-        for (net_id, net) in m.nets() {
+        for (_, net) in m.nets() {
             let mut drivers = 0usize;
             for ep in net.endpoints() {
                 let drives = match ep {
@@ -90,7 +90,6 @@ impl Design {
                     })
                 }
             }
-            let _ = net_id;
         }
         for (inst_id, inst) in m.instances() {
             for slot in 0..inst.pin_count() {

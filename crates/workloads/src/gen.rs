@@ -230,12 +230,13 @@ pub fn generate(lib: &Library, params: &GenParams) -> Workload {
         params.cells
     );
     let clocks = params.clocks.clamp(2, 8);
-    let w = match params.kind {
+    let mut w = match params.kind {
         GenKind::Pipeline => gen_pipeline(lib, params.cells, params.seed, clocks),
         GenKind::Sbox => gen_sbox(lib, params.cells, params.seed, clocks),
         GenKind::Sram => gen_sram(lib, params.cells, params.seed, clocks),
     };
     debug_assert_eq!(w.design.module(w.module).instance_count(), params.cells);
+    w.design.shrink_to_fit();
     w
 }
 

@@ -83,6 +83,20 @@ tail -n +2 "$SMOKE_DIR/metrics.out" | awk '
         print "metrics exposition ok: hb_requests_total=" sum
     }
 '
+# A `design` line after a module is a parse error at that line, not a
+# worker panic: the reply is `error code=parse` and nothing recovers.
+printf 'module top\n  port in a\ndesign foo\n  inst u1 INV_X1 A=a Y=y\nend\n' \
+    > "$SMOKE_DIR/late_design.hum"
+$HB query "$ADDR" load "$SMOKE_DIR/late_design.hum" \
+    > "$SMOKE_DIR/late_design.out" 2> "$SMOKE_DIR/late_design.err" || true
+head -1 "$SMOKE_DIR/late_design.out" | grep -q "^error code=parse" || {
+    echo "a late design line was not a parse error: $(head -1 "$SMOKE_DIR/late_design.out")"
+    exit 1
+}
+$HB query "$ADDR" stats | tee "$SMOKE_DIR/late_design.stats"
+grep -q " recoveries=0 " "$SMOKE_DIR/late_design.stats" || {
+    echo "a malformed load cost a recovery"; exit 1
+}
 WARM=$(sed -n 's/^ok .*worst=\([^ ]*\).*/\1/p' "$SMOKE_DIR/eco.out")
 $HB query "$ADDR" shutdown
 wait "$SERVE_PID"
