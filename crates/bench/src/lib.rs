@@ -26,7 +26,7 @@ pub mod microbench;
 
 use hb_cells::Library;
 use hb_workloads::Workload;
-use hummingbird::{AnalysisOptions, Analyzer, TimingReport};
+use hummingbird::{AnalysisOptions, Analyzer};
 
 /// One row of the Table 1 reproduction.
 #[derive(Clone, Debug)]
@@ -109,23 +109,6 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
         ));
     }
     out
-}
-
-/// Convenience: prepare and run a workload, returning the report.
-///
-/// # Panics
-///
-/// As [`table1_row`].
-pub fn analyze_workload(library: &Library, workload: &Workload) -> TimingReport {
-    Analyzer::new(
-        &workload.design,
-        workload.module,
-        library,
-        &workload.clocks,
-        workload.spec.clone(),
-    )
-    .expect("benchmark workloads satisfy the analyzer's assumptions")
-    .analyze()
 }
 
 #[cfg(test)]

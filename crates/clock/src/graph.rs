@@ -134,12 +134,6 @@ impl<'a> EdgeGraph<'a> {
         self.timeline
     }
 
-    /// The candidate window-start times (one per removable arc, after
-    /// merging arcs between simultaneous edges).
-    pub fn candidate_starts(&self) -> &[Time] {
-        &self.starts
-    }
-
     /// Whether breaking the period at `start` satisfies `req`.
     pub fn start_satisfies(&self, start: Time, req: Requirement) -> bool {
         let overall = self.timeline.overall_period();

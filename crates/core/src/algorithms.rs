@@ -25,6 +25,11 @@ use hb_units::Time;
 use crate::analysis::{Evaluator, Prepared, SlackView, Terminals};
 use crate::sync::Replica;
 
+/// The divisor `n > 1` for *partial* slack transfer in iterations 3
+/// and 4 of Algorithm 1 (the paper's `n`): each partial cycle moves an
+/// `n`-th of a node's positive, finite slack.
+pub(crate) const PARTIAL_DIVISOR: i64 = 2;
+
 /// A slack evaluation as the algorithms consume it. Successive calls
 /// within one analysis may build on each other, so the last call is
 /// the analysis's current view.
@@ -98,12 +103,12 @@ pub(crate) fn algorithm1<A: Algebra>(
 ) -> Result<Algorithm1Stats, A::Split> {
     let mut stats = Algorithm1Stats::default();
     let cap = prep.options.max_cycles;
-    let divisor = prep.options.partial_divisor.max(2);
     // Only strictly positive, finite slack is transferred: all of it in
-    // the complete iterations, a `divisor`-th of it in the partial ones.
+    // the complete iterations, a `PARTIAL_DIVISOR`-th of it in the
+    // partial ones.
     let complete = |a: &mut A, s: A::Val| Ok((a.gt_zero(s) && a.is_finite(s)).then_some(s));
     let partial = |a: &mut A, s: A::Val| match a.gt_zero(s) && a.is_finite(s) {
-        true => a.div_pos(s, divisor).map(Some),
+        true => a.div_pos(s, PARTIAL_DIVISOR).map(Some),
         false => Ok(None),
     };
     let forward = Replica::transfer_forward_in;

@@ -110,8 +110,8 @@ impl<'a> Analyzer<'a> {
         )
     }
 
-    /// Prepares an analysis with explicit options (latch model, partial
-    /// transfer divisor, min-delay checking).
+    /// Prepares an analysis with explicit options (latch model,
+    /// min-delay checking, engine).
     ///
     /// # Errors
     ///

@@ -1038,12 +1038,6 @@ impl<V> SlackCache<V> {
         newest.chain(older).sum()
     }
 
-    /// Drops every memoised sweep but keeps the lifetime counters.
-    pub fn invalidate_all(&mut self) {
-        self.newest.clear();
-        self.older.clear();
-    }
-
     /// The reuse counters, for reporting.
     pub fn stats(&self) -> EngineStats {
         EngineStats {

@@ -81,9 +81,6 @@ pub enum EngineKind {
 pub struct AnalysisOptions {
     /// The latch model (paper vs baseline).
     pub latch_model: LatchModel,
-    /// The divisor `n > 1` for *partial* slack transfer in iterations 3
-    /// and 4 of Algorithm 1.
-    pub partial_divisor: i64,
     /// Safety cap on slack-transfer cycles per direction. The paper
     /// bounds each iteration by one more than the number of
     /// synchronising elements in a directed path; this cap guards
@@ -105,7 +102,6 @@ impl Default for AnalysisOptions {
     fn default() -> AnalysisOptions {
         AnalysisOptions {
             latch_model: LatchModel::Transparent,
-            partial_divisor: 2,
             max_cycles: 64,
             check_min_delays: false,
             threads: 0,
@@ -251,7 +247,7 @@ mod tests {
     fn options_default() {
         let o = AnalysisOptions::default();
         assert_eq!(o.latch_model, LatchModel::Transparent);
-        assert!(o.partial_divisor > 1);
+        const _: () = assert!(crate::algorithms::PARTIAL_DIVISOR > 1);
         assert!(o.max_cycles > 0);
         assert!(!o.check_min_delays);
     }

@@ -11,9 +11,12 @@
 //!
 //! Three ways faults reach the code under test:
 //!
-//! * [`FaultStream`] wraps any `Read`/`Write` pair and injects short
+//! * the `io.*` points, whose rules live in one read and one write
+//!   function ([`FaultPlan::read`], [`FaultPlan::write`]): short
 //!   reads/writes, [`ErrorKind::Interrupted`]/[`ErrorKind::WouldBlock`]
-//!   errors, and bounded stalls (see the `stream` module);
+//!   errors, and bounded stalls. [`FaultStream`] wraps any
+//!   `Read`/`Write` pair in them, and the daemon's event loop calls
+//!   them on every socket read and write (see the `stream` module);
 //! * explicit plans threaded through constructors (`hb-server`'s
 //!   `ServerOptions::faults`, `Session::with_faults`);
 //! * the process-global plan ([`install_global`]) for hooks too deep
@@ -193,15 +196,7 @@ impl FaultPlan {
     /// Panics when called on the disarmed plan — arming order must be
     /// explicit about the seed.
     pub fn armed(self, point: &str, fault: Fault) -> FaultPlan {
-        let inner = self.inner.as_ref().expect("arm a seeded plan");
-        lock(&inner.points).insert(
-            point.to_owned(),
-            PointState {
-                fault,
-                checks: 0,
-                fired: 0,
-            },
-        );
+        self.arm(point, fault);
         self
     }
 

@@ -1,12 +1,15 @@
-//! Fault-injecting wrappers over arbitrary byte streams.
+//! The `io.*` fault points, and a wrapper that applies them to any
+//! byte stream.
 //!
-//! [`FaultStream`] sits between a codec and its transport and makes
-//! the transport misbehave on the plan's schedule: reads come back
-//! short, fail with [`ErrorKind::Interrupted`] or
-//! [`ErrorKind::WouldBlock`], or stall for a bounded duration; writes
-//! likewise. Everything a real TCP stream can do on a bad day, on
-//! demand and reproducibly — which is exactly what a resumable frame
-//! decoder has to shrug off.
+//! [`FaultPlan::read`] and [`FaultPlan::write`] are the one place the
+//! `io.read.*`/`io.write.*` rules live: each makes one transport call
+//! misbehave on the plan's schedule — stall for a bounded duration,
+//! fail with [`ErrorKind::Interrupted`] or [`ErrorKind::WouldBlock`],
+//! or come back short. [`FaultStream`] wraps a `Read`/`Write` pair in
+//! them; the daemon's event loop calls them on its nonblocking
+//! sockets, which it cannot wrap. Everything a real TCP stream can do
+//! on a bad day, on demand and reproducibly — which is exactly what a
+//! resumable frame decoder has to shrug off.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::thread;
@@ -16,15 +19,76 @@ use crate::{
     IO_WRITE_STALL,
 };
 
+impl FaultPlan {
+    /// One `read` of `reader` into `buf` under the `io.read.*` points,
+    /// checked in the order stall, err, short. `flip` is the stream's
+    /// own toggle: it alternates the injected error between
+    /// `Interrupted` (which robust readers retry internally) and
+    /// `WouldBlock` (which resumable readers must surface without
+    /// losing partial frames).
+    ///
+    /// # Errors
+    ///
+    /// The injected error, or whatever `reader` returns.
+    pub fn read(
+        &self,
+        flip: &mut bool,
+        reader: &mut impl Read,
+        buf: &mut [u8],
+    ) -> io::Result<usize> {
+        if self.fires(IO_READ_STALL) {
+            thread::sleep(self.stall());
+        }
+        if self.fires(IO_READ_ERR) {
+            *flip = !*flip;
+            let kind = if *flip {
+                ErrorKind::Interrupted
+            } else {
+                ErrorKind::WouldBlock
+            };
+            return Err(io::Error::new(kind, "injected fault: io.read.err"));
+        }
+        let want = if self.fires(IO_READ_SHORT) {
+            buf.len().min(1)
+        } else {
+            buf.len()
+        };
+        reader.read(&mut buf[..want])
+    }
+
+    /// One `write` of `buf` to `writer` under the `io.write.*` points,
+    /// checked in the order stall, err, short. The injected error is
+    /// `Interrupted`, which `write_all` retries.
+    ///
+    /// # Errors
+    ///
+    /// The injected error, or whatever `writer` returns.
+    pub fn write(&self, writer: &mut impl Write, buf: &[u8]) -> io::Result<usize> {
+        if self.fires(IO_WRITE_STALL) {
+            thread::sleep(self.stall());
+        }
+        if self.fires(IO_WRITE_ERR) {
+            return Err(io::Error::new(
+                ErrorKind::Interrupted,
+                "injected fault: io.write.err",
+            ));
+        }
+        let want = if self.fires(IO_WRITE_SHORT) {
+            buf.len().min(1)
+        } else {
+            buf.len()
+        };
+        writer.write(&buf[..want])
+    }
+}
+
 /// A `Read`/`Write` pair whose operations fail on the plan's schedule.
 /// With the disarmed plan it is a transparent pass-through.
 pub struct FaultStream<R, W> {
     reader: R,
     writer: W,
     plan: FaultPlan,
-    /// Alternates the injected read error between `Interrupted` (which
-    /// robust readers retry internally) and `WouldBlock` (which
-    /// resumable readers must surface without losing partial frames).
+    /// This stream's injected-read-error toggle (see [`FaultPlan::read`]).
     flip: bool,
 }
 
@@ -59,40 +123,13 @@ impl<R, W> FaultStream<R, W> {
 
 impl<R: Read, W> Read for FaultStream<R, W> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.plan.fires(IO_READ_STALL) {
-            thread::sleep(self.plan.stall());
-        }
-        if self.plan.fires(IO_READ_ERR) {
-            self.flip = !self.flip;
-            let kind = if self.flip {
-                ErrorKind::Interrupted
-            } else {
-                ErrorKind::WouldBlock
-            };
-            return Err(io::Error::new(kind, "injected fault: io.read.err"));
-        }
-        if self.plan.fires(IO_READ_SHORT) && buf.len() > 1 {
-            return self.reader.read(&mut buf[..1]);
-        }
-        self.reader.read(buf)
+        self.plan.read(&mut self.flip, &mut self.reader, buf)
     }
 }
 
 impl<R, W: Write> Write for FaultStream<R, W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.plan.fires(IO_WRITE_STALL) {
-            thread::sleep(self.plan.stall());
-        }
-        if self.plan.fires(IO_WRITE_ERR) {
-            return Err(io::Error::new(
-                ErrorKind::Interrupted,
-                "injected fault: io.write.err",
-            ));
-        }
-        if self.plan.fires(IO_WRITE_SHORT) && buf.len() > 1 {
-            return self.writer.write(&buf[..1]);
-        }
-        self.writer.write(buf)
+        self.plan.write(&mut self.writer, buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {

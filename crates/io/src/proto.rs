@@ -13,19 +13,20 @@
 //! can be driven by hand (`printf 'stats\n' | nc ...`); anything that
 //! needs spaces or newlines — designs, reports, error messages — rides
 //! in the payload, whose byte length is declared up front. Because the
-//! payload is length-prefixed, the reader never scans it, and because
-//! the header is line-delimited, a reader that rejects a malformed
+//! payload is length-prefixed, the decoder never scans it, and because
+//! the header is line-delimited, a decoder that rejects a malformed
 //! header is resynchronised at the next newline and the connection
 //! survives.
 //!
-//! [`FrameReader`] reads from any [`BufRead`], so short reads from a
-//! TCP stream (frames split across segments) reassemble naturally.
-//! Hard limits on header and payload size make a hostile peer's worst
-//! case a bounded allocation followed by a structured error.
+//! [`FrameDecoder`] is the one decoder: bytes go in as a transport
+//! delivers them, so frames split across reads reassemble naturally.
+//! The event loop feeds it from nonblocking sockets; [`FrameReader`]
+//! is its pull loop over any [`BufRead`], for blocking streams. Hard
+//! limits on header and payload size make a hostile peer's worst case
+//! a bounded allocation followed by a structured error.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
-use std::time::{Duration, Instant};
 
 /// Maximum accepted header-line length in bytes (including newline).
 pub const MAX_HEADER: usize = 64 * 1024;
@@ -194,10 +195,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 }
 
 /// Parses one already-delimited, UTF-8-validated, NUL-free header line
-/// into a frame plus its declared payload length. Shared by the
-/// blocking [`FrameReader`] and the nonblocking [`FrameDecoder`] so the
-/// two classify malformed input identically.
-fn parse_header_str(line: &str) -> Result<(Frame, Option<usize>), ProtoError> {
+/// into a frame plus its declared payload length.
+fn parse_header(line: &str) -> Result<(Frame, Option<usize>), ProtoError> {
     let mut tokens = line.split_whitespace();
     let verb = tokens
         .next()
@@ -232,72 +231,19 @@ fn parse_header_str(line: &str) -> Result<(Frame, Option<usize>), ProtoError> {
     Ok((frame, payload_len))
 }
 
-/// Finishes a frame from its raw payload body (`need` declared bytes
-/// plus the terminating newline), applying the same checks in the same
-/// order as the blocking reader: terminator, NUL, UTF-8.
-fn finish_payload(frame: Frame, mut body: Vec<u8>) -> Result<Frame, ProtoError> {
-    let newline = body.pop().expect("total > 0");
-    if newline != b'\n' {
-        return Err(ProtoError::Malformed(
-            "payload is not newline-terminated at its declared length".into(),
-        ));
-    }
-    if body.contains(&b'\0') {
-        return Err(ProtoError::Nul);
-    }
-    let payload = String::from_utf8(body).map_err(|_| ProtoError::Encoding)?;
-    let mut frame = frame;
-    frame.payload = Some(payload);
-    Ok(frame)
-}
-
-/// Decode progress carried across [`FrameReader::read_frame`] calls
-/// when a read times out mid-frame.
-enum Pending {
-    /// Between frames: nothing buffered, a timeout here is pure idle.
-    Idle,
-    /// Mid-header: the bytes accumulated before the stream stalled.
-    Header(Vec<u8>),
-    /// Mid-payload: the decoded header plus the body bytes read so
-    /// far (of `need` + 1, counting the terminating newline).
-    Payload {
-        frame: Frame,
-        need: usize,
-        body: Vec<u8>,
-    },
-}
-
-/// An incremental frame decoder over any buffered byte stream.
+/// A blocking frame reader: a pull loop that feeds a [`FrameDecoder`]
+/// from any buffered byte stream until a frame is complete.
 ///
-/// The decoder is *resumable*: [`io::ErrorKind::Interrupted`] is
-/// retried internally, and [`io::ErrorKind::WouldBlock`] /
-/// [`io::ErrorKind::TimedOut`] (a socket read deadline expiring)
-/// surface as [`ProtoError::Io`] **without losing partial progress** —
-/// the next `read_frame` call picks up the half-read frame where the
-/// timeout left it. [`FrameReader::mid_frame`] tells a server whether
-/// a timeout struck inside a frame (a stalled or slow-dripping peer)
-/// or between frames (an idle one), which is the difference between a
-/// slowloris cut-off and an idle-reaper decision.
-///
-/// With [`FrameReader::set_frame_timeout`] armed, the decoder also
-/// bounds how long any *single frame* may take to arrive, measured
-/// from its first byte: a peer dripping bytes just fast enough to keep
-/// the socket's read timeout from ever firing still gets cut off. The
-/// expiry surfaces as a resumable [`io::ErrorKind::TimedOut`] error;
-/// [`FrameReader::frame_age`] tells the caller how stale the partial
-/// frame is.
+/// [`io::ErrorKind::Interrupted`] is retried. Any other read error
+/// surfaces as [`ProtoError::Io`] while the decoder keeps the partial
+/// frame, so an expired read deadline (`WouldBlock`/`TimedOut`) is
+/// resumable: the next `read_frame` call picks up the half-read frame
+/// where the error left it. [`FrameReader::mid_frame`] tells whether
+/// it struck inside a frame (a stalled peer) or between frames (an
+/// idle one).
 pub struct FrameReader<R> {
     inner: R,
-    pending: Pending,
-    /// When the current frame's first byte arrived; `None` between
-    /// frames.
-    started: Option<Instant>,
-    /// Per-frame arrival budget; checked between reads, so enforcement
-    /// granularity is one buffered chunk.
-    limit: Option<Duration>,
-    /// The header accumulation buffer, reclaimed after every decoded
-    /// frame so steady-state decoding allocates nothing per request.
-    scratch: Vec<u8>,
+    decoder: FrameDecoder,
 }
 
 impl<R: BufRead> FrameReader<R> {
@@ -305,63 +251,14 @@ impl<R: BufRead> FrameReader<R> {
     pub fn new(inner: R) -> FrameReader<R> {
         FrameReader {
             inner,
-            pending: Pending::Idle,
-            started: None,
-            limit: None,
-            scratch: Vec::new(),
+            decoder: FrameDecoder::new(),
         }
     }
 
-    /// Bytes of reusable decode-buffer capacity this reader holds
-    /// (header scratch plus any stashed partial frame) — the
-    /// per-connection memory a transport reports to its gauges.
-    pub fn buffer_capacity(&self) -> usize {
-        self.scratch.capacity()
-            + match &self.pending {
-                Pending::Idle => 0,
-                Pending::Header(buf) => buf.capacity(),
-                Pending::Payload { body, .. } => body.capacity(),
-            }
-    }
-
-    /// Unwraps the underlying stream.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    /// Whether the decoder holds a partially read frame — i.e. the
-    /// last [`ProtoError::Io`] timeout struck mid-frame rather than
-    /// between frames.
+    /// Whether the reader holds part of a frame — i.e. the last
+    /// [`ProtoError::Io`] struck mid-frame rather than between frames.
     pub fn mid_frame(&self) -> bool {
-        !matches!(self.pending, Pending::Idle)
-    }
-
-    /// Bounds how long one frame may take to arrive, first byte to
-    /// last. `None` (the default) waits forever. Expiry surfaces as a
-    /// resumable [`io::ErrorKind::TimedOut`] [`ProtoError::Io`].
-    pub fn set_frame_timeout(&mut self, limit: Option<Duration>) {
-        self.limit = limit;
-    }
-
-    /// How long ago the current partial frame's first byte arrived;
-    /// `None` between frames. The slowloris clock.
-    pub fn frame_age(&self) -> Option<Duration> {
-        self.started.map(|s| s.elapsed())
-    }
-
-    /// Whether the current frame has outlived the configured budget.
-    fn frame_overdue(&self) -> bool {
-        match (self.limit, self.started) {
-            (Some(limit), Some(started)) => started.elapsed() >= limit,
-            _ => false,
-        }
-    }
-
-    fn overdue_error() -> ProtoError {
-        ProtoError::Io(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "frame deadline exceeded",
-        ))
+        self.decoder.mid_frame()
     }
 
     /// Reads the next frame; `Ok(None)` on a clean end-of-stream (the
@@ -371,155 +268,25 @@ impl<R: BufRead> FrameReader<R> {
     ///
     /// See [`ProtoError`]; [`ProtoError::recoverable`] distinguishes
     /// errors that leave the stream aligned from those that do not.
-    /// A `WouldBlock`/`TimedOut` [`ProtoError::Io`] is resumable:
-    /// call `read_frame` again once the stream is readable.
+    /// A [`ProtoError::Io`] loses no decoded bytes: call `read_frame`
+    /// again once the stream is readable.
     pub fn read_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        let result = self.read_frame_inner();
-        // The frame clock only survives a resumable mid-frame timeout;
-        // anything that realigns the stream restarts it.
-        if matches!(self.pending, Pending::Idle) {
-            self.started = None;
-        }
-        result
-    }
-
-    fn read_frame_inner(&mut self) -> Result<Option<Frame>, ProtoError> {
-        let (frame, need, body) = match std::mem::replace(&mut self.pending, Pending::Idle) {
-            Pending::Payload { frame, need, body } => (frame, need, body),
-            Pending::Header(partial) => match self.parse_header(partial)? {
-                None => return Ok(None),
-                Some((frame, None)) => return Ok(Some(frame)),
-                Some((frame, Some(need))) => (frame, need, Vec::new()),
-            },
-            Pending::Idle => {
-                // Steady-state path: accumulate the header into the
-                // reclaimed scratch buffer instead of a fresh Vec.
-                let mut buf = std::mem::take(&mut self.scratch);
-                buf.clear();
-                match self.parse_header(buf)? {
-                    None => return Ok(None),
-                    Some((frame, None)) => return Ok(Some(frame)),
-                    Some((frame, Some(need))) => (frame, need, Vec::new()),
-                }
-            }
-        };
-        let payload = self.read_payload(frame, need, body)?;
-        Ok(Some(payload))
-    }
-
-    /// Reads and parses one header line (resuming from `partial`).
-    /// Returns the frame plus its declared payload length, if any.
-    fn parse_header(
-        &mut self,
-        partial: Vec<u8>,
-    ) -> Result<Option<(Frame, Option<usize>)>, ProtoError> {
-        let buf = match self.read_header_line(partial)? {
-            Some(buf) => buf,
-            None => return Ok(None),
-        };
-        let line = std::str::from_utf8(&buf).map_err(|_| ProtoError::Encoding)?;
-        if line.contains('\0') {
-            return Err(ProtoError::Nul);
-        }
-        let parsed = parse_header_str(line)?;
-        // The accumulation buffer is done with; reclaim it so the next
-        // frame decodes without a fresh allocation.
-        self.scratch = buf;
-        Ok(Some(parsed))
-    }
-
-    /// Reads one newline-terminated header line, enforcing
-    /// [`MAX_HEADER`]. Returns `None` on immediate end-of-stream.
-    /// On a resumable timeout, progress is stashed in `self.pending`.
-    fn read_header_line(&mut self, mut buf: Vec<u8>) -> Result<Option<Vec<u8>>, ProtoError> {
         loop {
+            if let Some(frame) = self.decoder.next_frame()? {
+                return Ok(Some(frame));
+            }
             let chunk = match self.inner.fill_buf() {
                 Ok(chunk) => chunk,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if is_timeout(&e) => {
-                    if !buf.is_empty() {
-                        self.pending = Pending::Header(buf);
-                    }
-                    return Err(ProtoError::Io(e));
-                }
                 Err(e) => return Err(ProtoError::Io(e)),
             };
             if chunk.is_empty() {
-                return if buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(ProtoError::Truncated)
-                };
+                return self.decoder.finish().map(|()| None);
             }
-            if self.started.is_none() {
-                self.started = Some(Instant::now());
-            }
-            match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if buf.len() + pos > MAX_HEADER {
-                        return Err(ProtoError::Oversized {
-                            what: "header",
-                            limit: MAX_HEADER,
-                        });
-                    }
-                    buf.extend_from_slice(&chunk[..pos]);
-                    self.inner.consume(pos + 1);
-                    break;
-                }
-                None => {
-                    let len = chunk.len();
-                    if buf.len() + len > MAX_HEADER {
-                        return Err(ProtoError::Oversized {
-                            what: "header",
-                            limit: MAX_HEADER,
-                        });
-                    }
-                    buf.extend_from_slice(chunk);
-                    self.inner.consume(len);
-                    // A drip arriving faster than the socket timeout
-                    // never errors above; bound it here.
-                    if self.frame_overdue() {
-                        self.pending = Pending::Header(buf);
-                        return Err(Self::overdue_error());
-                    }
-                }
-            }
+            let n = chunk.len();
+            self.decoder.feed(chunk);
+            self.inner.consume(n);
         }
-        Ok(Some(buf))
-    }
-
-    /// Reads the remaining payload bytes (`need` + newline, resuming
-    /// from `body`) and finishes the frame. On a resumable timeout,
-    /// progress is stashed in `self.pending`.
-    fn read_payload(
-        &mut self,
-        frame: Frame,
-        need: usize,
-        mut body: Vec<u8>,
-    ) -> Result<Frame, ProtoError> {
-        let total = need + 1; // the declared bytes plus the newline
-        while body.len() < total {
-            let chunk = match self.inner.fill_buf() {
-                Ok(chunk) => chunk,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if is_timeout(&e) => {
-                    self.pending = Pending::Payload { frame, need, body };
-                    return Err(ProtoError::Io(e));
-                }
-                Err(e) => return Err(ProtoError::Io(e)),
-            };
-            if chunk.is_empty() {
-                return Err(ProtoError::Truncated);
-            }
-            let take = chunk.len().min(total - body.len());
-            body.extend_from_slice(&chunk[..take]);
-            self.inner.consume(take);
-            if body.len() < total && self.frame_overdue() {
-                self.pending = Pending::Payload { frame, need, body };
-                return Err(Self::overdue_error());
-            }
-        }
-        finish_payload(frame, body)
     }
 }
 
@@ -528,9 +295,9 @@ impl<R: BufRead> FrameReader<R> {
 /// trade; correctness is insensitive to it.
 const DECODER_COMPACT: usize = 8 * 1024;
 
-/// An incremental *push* decoder for the frame protocol — the
-/// nonblocking twin of [`FrameReader`], built for readiness-driven
-/// event loops.
+/// The incremental *push* decoder for the frame protocol, built for
+/// readiness-driven event loops; [`FrameReader`] drives the same
+/// decoder from blocking streams.
 ///
 /// Bytes go in via [`FrameDecoder::feed`] whenever the transport has
 /// them; [`FrameDecoder::next_frame`] hands back every complete frame
@@ -540,10 +307,9 @@ const DECODER_COMPACT: usize = 8 * 1024;
 /// peers are the design case: one `feed` may carry many back-to-back
 /// frames, and `next_frame` drains them without further I/O.
 ///
-/// Error classification matches [`FrameReader`] exactly (the reactor
-/// parity suite depends on it): [`ProtoError::recoverable`] errors
-/// leave the buffer aligned on the next frame boundary and decoding
-/// may continue; anything else means the connection should close.
+/// [`ProtoError::recoverable`] errors leave the buffer aligned on the
+/// next frame boundary and decoding may continue; anything else means
+/// the connection should close.
 ///
 /// The internal buffer is reused for the life of the decoder and
 /// compacted in place, so a connection's steady-state decode cost is
@@ -621,87 +387,71 @@ impl FrameDecoder {
     /// [`ProtoError::Malformed`]) consume the offending frame and
     /// leave the buffer aligned, so decoding may continue.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        if let Some((frame, need)) = self.awaiting.take() {
-            match self.take_payload(need)? {
-                Some(body) => return finish_payload(frame, body).map(Some),
-                None => {
-                    self.awaiting = Some((frame, need));
-                    return Ok(None);
+        let (mut frame, need) = match self.awaiting.take() {
+            Some(awaiting) => awaiting,
+            None => match self.next_header()? {
+                None => return Ok(None),
+                Some((frame, None)) => {
+                    self.compact();
+                    return Ok(Some(frame));
                 }
-            }
-        }
-        let line_end = match self.buf[self.start..].iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if pos > MAX_HEADER {
-                    return Err(ProtoError::Oversized {
-                        what: "header",
-                        limit: MAX_HEADER,
-                    });
-                }
-                self.start + pos
-            }
-            None => {
-                if self.buf.len() - self.start > MAX_HEADER {
-                    return Err(ProtoError::Oversized {
-                        what: "header",
-                        limit: MAX_HEADER,
-                    });
-                }
-                self.compact();
-                return Ok(None);
-            }
-        };
-        // Consume the header line (and its newline) before validating:
-        // a recoverable rejection must leave the buffer aligned on the
-        // next line, exactly like the blocking reader's resync rule.
-        let header_start = self.start;
-        self.start = line_end + 1;
-        let parsed = {
-            let raw = &self.buf[header_start..line_end];
-            let line = std::str::from_utf8(raw).map_err(|_| ProtoError::Encoding)?;
-            if line.contains('\0') {
-                return Err(ProtoError::Nul);
-            }
-            parse_header_str(line)?
-        };
-        match parsed {
-            (frame, None) => {
-                self.compact();
-                Ok(Some(frame))
-            }
-            (frame, Some(need)) => match self.take_payload(need)? {
-                Some(body) => finish_payload(frame, body).map(Some),
-                None => {
-                    self.awaiting = Some((frame, need));
-                    Ok(None)
-                }
+                Some((frame, Some(need))) => (frame, need),
             },
-        }
-    }
-
-    /// Takes `need` payload bytes plus the terminating newline off the
-    /// buffer, or `None` when they have not all arrived yet.
-    #[allow(clippy::unnecessary_wraps)]
-    fn take_payload(&mut self, need: usize) -> Result<Option<Vec<u8>>, ProtoError> {
-        let total = need + 1;
-        if self.buf.len() - self.start < total {
+        };
+        // The declared bytes plus the terminating newline.
+        let end = self.start + need + 1;
+        if self.buf.len() < end {
+            self.awaiting = Some((frame, need));
             self.compact();
             return Ok(None);
         }
-        let body = self.buf[self.start..self.start + total].to_vec();
-        self.start += total;
+        // Checked in order: terminator, NUL, UTF-8. The payload is
+        // consumed whatever the verdict, so a rejection stays aligned.
+        let body = &self.buf[self.start..end - 1];
+        let payload = if self.buf[end - 1] != b'\n' {
+            Err(ProtoError::Malformed(
+                "payload is not newline-terminated at its declared length".into(),
+            ))
+        } else if body.contains(&b'\0') {
+            Err(ProtoError::Nul)
+        } else {
+            std::str::from_utf8(body)
+                .map(str::to_owned)
+                .map_err(|_| ProtoError::Encoding)
+        };
+        self.start = end;
         self.compact();
-        Ok(Some(body))
+        frame.payload = Some(payload?);
+        Ok(Some(frame))
     }
-}
 
-/// Whether an I/O error is a read-deadline expiry (`WouldBlock` on
-/// Unix, `TimedOut` on Windows) rather than a real transport failure.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
+    /// Takes the next header line off the buffer and parses it into a
+    /// frame plus its declared payload length; `Ok(None)` until a
+    /// whole line has arrived.
+    fn next_header(&mut self) -> Result<Option<(Frame, Option<usize>)>, ProtoError> {
+        let live = &self.buf[self.start..];
+        let newline = live.iter().position(|&b| b == b'\n');
+        if newline.unwrap_or(live.len()) > MAX_HEADER {
+            return Err(ProtoError::Oversized {
+                what: "header",
+                limit: MAX_HEADER,
+            });
+        }
+        let Some(len) = newline else {
+            self.compact();
+            return Ok(None);
+        };
+        // Consume the line (and its newline) before validating: a
+        // recoverable rejection must leave the buffer aligned on the
+        // next line.
+        let header = self.start..self.start + len;
+        self.start += len + 1;
+        let line = std::str::from_utf8(&self.buf[header]).map_err(|_| ProtoError::Encoding)?;
+        if line.contains('\0') {
+            return Err(ProtoError::Nul);
+        }
+        parse_header(line).map(Some)
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
-//! Fuzz suite for the nonblocking [`FrameDecoder`]: the reactor feeds
-//! it whatever the kernel hands over, so frames arrive split at
-//! arbitrary byte boundaries, glued back-to-back, or hostile. The
-//! decoder must produce the exact frame sequence regardless of the
-//! feed schedule, classify garbage the same way the blocking reader
-//! does, and never panic.
+//! Fuzz suite for [`FrameDecoder`], the protocol's one decoder: the
+//! reactor feeds it whatever the kernel hands over, so frames arrive
+//! split at arbitrary byte boundaries, glued back-to-back, or hostile.
+//! The decoder must produce the exact frame sequence regardless of the
+//! feed schedule, classify garbage the same way under every schedule
+//! (a whole-stream pull through [`FrameReader`] included), and never
+//! panic.
 
 use hb_io::proto::{MAX_HEADER, MAX_PAYLOAD};
 use hb_io::{Frame, FrameDecoder, FrameReader, ProtoError};
@@ -128,10 +129,10 @@ fn random_feed_schedules_decode_identically() {
     }
 }
 
-/// The decoder classifies hostile inputs exactly like the blocking
-/// [`FrameReader`], whatever the feed schedule: fatal errors stay
-/// fatal, recoverable ones leave the buffer aligned on the next
-/// frame.
+/// Hostile inputs classify alike whatever the feed schedule: a
+/// whole-stream pull through [`FrameReader`] is the reference, and
+/// random feed schedules must agree with it. Fatal errors stay fatal,
+/// recoverable ones leave the buffer aligned on the next frame.
 #[test]
 fn hostile_inputs_classify_like_the_blocking_reader() {
     let oversized_header = format!("verb {}\n", "k=v ".repeat(MAX_HEADER / 4));
@@ -157,7 +158,7 @@ fn hostile_inputs_classify_like_the_blocking_reader() {
     ];
     let mut rng = SmallRng::seed_from_u64(0xF00D);
     for case in &hostile {
-        // Reference classification from the blocking reader.
+        // Reference classification: the whole stream, pulled.
         let mut reader = FrameReader::new(std::io::Cursor::new(case.clone()));
         let want = reader.read_frame().expect_err("hostile by construction");
 

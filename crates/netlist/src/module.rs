@@ -247,7 +247,6 @@ pub struct Module {
     net_attrs: BTreeMap<NetId, Attrs>,
     pub(crate) ports: Vec<Port>,
     port_by_name: HashMap<String, PortId>,
-    attrs: Attrs,
 }
 
 impl Module {
@@ -266,7 +265,6 @@ impl Module {
             net_attrs: BTreeMap::new(),
             ports: Vec::new(),
             port_by_name: HashMap::new(),
-            attrs: BTreeMap::new(),
         }
     }
 
@@ -385,19 +383,6 @@ impl Module {
     /// delay estimator.
     pub fn fanout(&self, net: NetId) -> usize {
         self.loads(net).count()
-    }
-
-    /// Reads a string attribute (annotation), if set.
-    pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs.get(key).map(String::as_str)
-    }
-
-    /// Sets a string attribute (annotation); returns the previous value.
-    ///
-    /// Attributes stand in for OCT "flags": the original program could flag
-    /// slow paths in the database for later viewing in VEM.
-    pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) -> Option<String> {
-        self.attrs.insert(key.into(), value.into())
     }
 
     /// Sets an attribute on an instance; returns the previous value.

@@ -20,7 +20,7 @@ use hb_obs::{Counter, Gauge, Histogram, Registry, Span};
 
 /// Every wire verb with a dedicated counter slot; anything else lands
 /// in `other` (still counted — unknown verbs are requests too).
-pub const VERBS: [&str; 19] = [
+pub const VERBS: [&str; 22] = [
     "hello",
     "stats",
     "metrics",
@@ -28,6 +28,9 @@ pub const VERBS: [&str; 19] = [
     "slack",
     "worst-paths",
     "dump",
+    "min-period",
+    "slack-at",
+    "period-sweep",
     "load",
     "analyze",
     "constraints",
@@ -289,6 +292,12 @@ mod tests {
         assert_eq!(m.requests_total(), 4);
         assert_eq!(m.read_total(), 2);
         assert_eq!(m.write_total(), 2);
+        // The what-if verbs have slots of their own, not `other`'s.
+        for verb in ["min-period", "slack-at", "period-sweep"] {
+            m.count_read(verb);
+            assert_eq!(m.requests_of(verb), 1, "{verb}");
+        }
+        assert_eq!(m.requests_of("other"), 1);
     }
 
     #[test]

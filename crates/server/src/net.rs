@@ -483,13 +483,7 @@ impl Client {
     ///
     /// Propagates the connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let read_half = stream.try_clone()?;
-        Ok(Client {
-            requests: stream,
-            replies: FrameReader::new(BufReader::new(read_half)),
-        })
+        Client::from_stream(TcpStream::connect(addr)?)
     }
 
     /// Wraps an already-connected stream (the replication control
@@ -567,9 +561,7 @@ impl Client {
     ///
     /// The jitter seed is drawn from the clock and the process id, so
     /// a fleet of clients shed with the same `retry_after_ms` hint
-    /// desynchronises instead of stampeding back in lockstep. Use
-    /// [`Client::request_with_backoff_seeded`] when a test needs the
-    /// retry schedule to be reproducible.
+    /// desynchronises instead of stampeding back in lockstep.
     ///
     /// # Errors
     ///
@@ -582,25 +574,8 @@ impl Client {
         let clock = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_nanos() as u64);
-        let seed = clock ^ (u64::from(std::process::id()) << 32);
-        Client::request_with_backoff_seeded(addr, frame, attempts, seed)
-    }
-
-    /// [`Client::request_with_backoff`] with an explicit jitter seed.
-    /// Two clients with different seeds retry on diverging schedules;
-    /// the same seed reproduces the schedule exactly.
-    ///
-    /// # Errors
-    ///
-    /// The last attempt's transport error, when every attempt failed.
-    pub fn request_with_backoff_seeded(
-        addr: impl ToSocketAddrs + Clone,
-        frame: &Frame,
-        attempts: u32,
-        seed: u64,
-    ) -> Result<Frame, ProtoError> {
         let attempts = attempts.max(1);
-        let mut backoff = Backoff::new(seed);
+        let mut backoff = Backoff::new(clock ^ (u64::from(std::process::id()) << 32));
         for attempt in 1..=attempts {
             let last = attempt == attempts;
             let outcome = Client::connect(addr.clone())

@@ -42,10 +42,10 @@
 //! that stops reading its replies is cut off after `write_timeout`,
 //! and connections past `max_connections` are shed at accept with
 //! `busy retry_after_ms=N`; a connection waiting on a job is exempt
-//! from the frame and idle clocks. Fault injection hooks the same
-//! `IO_READ_*`/`IO_WRITE_*` points as
-//! [`FaultStream`](hb_fault::FaultStream), so the chaos suite drives
-//! this loop with the same seeded matrix.
+//! from the frame and idle clocks. Every socket read and write goes
+//! through [`FaultPlan::read`]/[`FaultPlan::write`], the `io.*` fault
+//! rules [`FaultStream`](hb_fault::FaultStream) applies too, so the
+//! chaos suite drives this loop with the same seeded matrix.
 //!
 //! Per-connection memory is bounded and measured: the decoder buffer
 //! is capped by the protocol limits, the reply queue by the high-water
@@ -63,10 +63,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hb_fault::{
-    FaultPlan, IO_READ_ERR, IO_READ_SHORT, IO_READ_STALL, IO_WRITE_ERR, IO_WRITE_SHORT,
-    IO_WRITE_STALL,
-};
+use hb_fault::FaultPlan;
 use hb_io::{Frame, FrameDecoder};
 
 use crate::net::{busy, lock, route, serve_write, Routed, Server, Shared, WriteJob};
@@ -114,7 +111,7 @@ struct Conn {
     eof: bool,
     /// Flush pending output, then close (fatal error or shutdown).
     closing: bool,
-    /// Alternates injected read-error kinds, like `FaultStream`.
+    /// This socket's injected-read-error toggle (see [`FaultPlan::read`]).
     flip: bool,
     /// Bytes currently contributed to the buffer gauge.
     reported: usize,
@@ -150,49 +147,9 @@ impl Conn {
         self.out.extend_from_slice(reply.encode().as_bytes());
     }
 
-    /// One nonblocking read into `chunk`, under the same injection
-    /// points as [`FaultStream`](hb_fault::FaultStream) — the reactor
-    /// cannot wrap its socket in one (the wrapper would own the fd
-    /// registered with `poll`), so it applies the plan inline.
-    fn read_once(&mut self, plan: &FaultPlan, chunk: &mut [u8]) -> io::Result<usize> {
-        if plan.fires(IO_READ_STALL) {
-            thread::sleep(plan.stall());
-        }
-        if plan.fires(IO_READ_ERR) {
-            self.flip = !self.flip;
-            let kind = if self.flip {
-                io::ErrorKind::Interrupted
-            } else {
-                io::ErrorKind::WouldBlock
-            };
-            return Err(io::Error::new(kind, "injected fault: io.read.err"));
-        }
-        let want = if plan.fires(IO_READ_SHORT) && chunk.len() > 1 {
-            1
-        } else {
-            chunk.len()
-        };
-        (&self.stream).read(&mut chunk[..want])
-    }
-
     /// One nonblocking write of the pending output.
     fn write_once(&mut self, plan: &FaultPlan) -> io::Result<usize> {
-        if plan.fires(IO_WRITE_STALL) {
-            thread::sleep(plan.stall());
-        }
-        if plan.fires(IO_WRITE_ERR) {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "injected fault: io.write.err",
-            ));
-        }
-        let buf = &self.out[self.out_start..];
-        let want = if plan.fires(IO_WRITE_SHORT) && buf.len() > 1 {
-            1
-        } else {
-            buf.len()
-        };
-        let n = (&self.stream).write(&buf[..want])?;
+        let n = plan.write(&mut self.stream, &self.out[self.out_start..])?;
         self.out_start += n;
         if self.out_start == self.out.len() {
             self.out.clear();
@@ -521,7 +478,7 @@ impl Reactor {
         let plan = self.shared.options.faults.clone();
         for _ in 0..READ_BUDGET {
             let conn = self.conns[slot].as_mut().expect("checked by caller");
-            match conn.read_once(&plan, &mut self.chunk) {
+            match plan.read(&mut conn.flip, &mut conn.stream, &mut self.chunk) {
                 Ok(0) => {
                     conn.eof = true;
                     break;

@@ -706,9 +706,10 @@ fn promote_unilaterally(shared: &Shared) {
     shared.metrics.promotions.inc();
 }
 
-/// Runs one ranked quorum election. Returns whether this node
-/// promoted. On failure the node goes back to probing (it must not
-/// retry at ever-higher terms and depose whoever did win).
+/// Seeks promotion: unilaterally without peers, otherwise by one
+/// ranked quorum election. Returns whether this node promoted. On
+/// failure the node goes back to probing (it must not retry at
+/// ever-higher terms and depose whoever did win).
 fn run_election(shared: &Shared) -> bool {
     let peers = shared.options.peers.clone();
     if peers.is_empty() {
@@ -767,17 +768,6 @@ fn run_election(shared: &Shared) -> bool {
         ctl.upstream = None;
     }
     won
-}
-
-/// Promotion, by whichever rule the configuration arms: unilateral
-/// without peers, ranked quorum election with them.
-fn seek_promotion(shared: &Shared) -> bool {
-    if shared.options.peers.is_empty() {
-        promote_unilaterally(shared);
-        true
-    } else {
-        run_election(shared)
-    }
 }
 
 /// A deterministic-enough per-process seed for the reconnect backoff:
@@ -1165,7 +1155,7 @@ impl NodeDriver {
             self.failures += 1;
             if self.failures >= shared.options.promote_after.max(1) {
                 self.failures = 0;
-                if !seek_promotion(shared) {
+                if !run_election(shared) {
                     self.probe_rounds = 0;
                 }
             }
@@ -1181,7 +1171,7 @@ impl NodeDriver {
         self.probe_rounds += 1;
         if self.probe_rounds >= shared.options.promote_after.max(1) {
             self.probe_rounds = 0;
-            let _ = seek_promotion(shared);
+            let _ = run_election(shared);
         }
         self.next_round = now + self.backoff.next_wait(None);
     }

@@ -264,7 +264,6 @@ impl Session {
             h = mix64(h, u64::from_le_bytes(word));
         }
         h = mix64(h, l.options.latch_model as u64);
-        h = mix64(h, l.options.partial_divisor as u64);
         h = mix64(h, l.options.max_cycles as u64);
         h = mix64(h, u64::from(l.options.check_min_delays));
         h = mix64(h, l.options.threads as u64);

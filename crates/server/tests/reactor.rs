@@ -5,11 +5,13 @@
 //! analyze, ECO, single/multi-node slack, a batch frame, a malformed
 //! header — is replayed through `serve_stream` and through the event
 //! loop, and the reply streams must be byte-identical (after masking
-//! the one volatile token, `seconds=`). The rest covers request
-//! pipelining, batched verbs, a thousand concurrent connections on
-//! one thread, accept-side shedding, the bounded per-connection buffer
-//! gauge, and the handoff of write-path work to per-design workers:
-//! tenant isolation, reply order, and `busy` past the lock deadline.
+//! the one volatile token, `seconds=`); the stdio loop must also
+//! answer that transcript identically when it arrives in short and
+//! stalled reads. The rest covers request pipelining, batched verbs, a
+//! thousand concurrent connections on one thread, accept-side
+//! shedding, the bounded per-connection buffer gauge, and the handoff
+//! of write-path work to per-design workers: tenant isolation, reply
+//! order, and `busy` past the lock deadline.
 
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,6 +20,7 @@ use std::thread;
 use std::time::Duration;
 
 use hb_cells::sc89;
+use hb_fault::{Fault, FaultPlan, FaultStream, IO_READ_SHORT, IO_READ_STALL};
 use hb_io::{Frame, FrameDecoder, FrameReader, ProtoError};
 use hb_server::{serve_stream, Client, ServerOptions, Session};
 
@@ -84,11 +87,10 @@ fn mask_seconds(s: &str) -> String {
     out
 }
 
-/// The parity satellite: the same wire transcript through the
-/// blocking stream loop and through the reactor produces
-/// byte-identical reply streams.
-#[test]
-fn reactor_replies_match_serve_stream_byte_for_byte() {
+/// The parity transcript: load, analyze, ECO, single/multi-node
+/// slack, a batch frame, a malformed header, then `shutdown` — 14
+/// requests.
+fn parity_wire() -> Vec<u8> {
     let text = design();
     let subs = [
         Frame::new("hello"),
@@ -128,7 +130,15 @@ fn reactor_replies_match_serve_stream_byte_for_byte() {
     ] {
         wire.extend_from_slice(f.encode().as_bytes());
     }
+    wire
+}
 
+/// The parity satellite: the same wire transcript through the
+/// blocking stream loop and through the reactor produces
+/// byte-identical reply streams.
+#[test]
+fn reactor_replies_match_serve_stream_byte_for_byte() {
+    let wire = parity_wire();
     let mut blocking = Vec::new();
     serve_stream(sc89(), std::io::Cursor::new(wire.clone()), &mut blocking).unwrap();
 
@@ -150,6 +160,34 @@ fn reactor_replies_match_serve_stream_byte_for_byte() {
         count += 1;
     }
     assert_eq!(count, 14);
+}
+
+/// The stdio transport under what a pipe can do: the parity transcript
+/// arrives through a 3-byte buffer in short and stalled reads, and the
+/// replies match a whole-buffer run byte for byte. (`io.read.err` is
+/// left out: its `WouldBlock` ends a stdio loop by design.)
+#[test]
+fn serve_stream_replies_survive_split_and_stalled_reads() {
+    let wire = parity_wire();
+    let mut whole = Vec::new();
+    serve_stream(sc89(), std::io::Cursor::new(wire.clone()), &mut whole).unwrap();
+
+    let plan = FaultPlan::seeded(0xDAC89)
+        .with_stall(Duration::from_millis(1))
+        .armed(IO_READ_SHORT, Fault::with_rate(50))
+        .armed(IO_READ_STALL, Fault::with_rate(2).budget(10));
+    let input = BufReader::with_capacity(
+        3,
+        FaultStream::reader(std::io::Cursor::new(wire), plan.clone()),
+    );
+    let mut split = Vec::new();
+    serve_stream(sc89(), input, &mut split).unwrap();
+    assert!(plan.fired(IO_READ_SHORT) > 0, "no short read fired");
+    assert!(plan.fired(IO_READ_STALL) > 0, "no stall fired");
+
+    let whole = mask_seconds(&String::from_utf8(whole).unwrap());
+    let split = mask_seconds(&String::from_utf8(split).unwrap());
+    assert_eq!(whole, split, "split reads changed the replies");
 }
 
 /// Pipelining: a window of requests written in one burst comes back

@@ -368,6 +368,33 @@ $HB query "$GADDR" shutdown
 wait "$GEN_SERVE_PID"
 echo "generator smoke ok"
 
+echo "== stdio transport smoke test (serve --stdio over a pipe)"
+# The CLI's stdio transport as a process: the generated design rides in
+# one `load` payload over a pipe, many reads long, followed by analyze,
+# a slack query and shutdown. Every request gets exactly one reply, the
+# daemon exits 0, and its worst slack matches the one-shot analysis.
+{
+    printf 'load payload=%d\n' "$(wc -c < "$SMOKE_DIR/gen10k.hum")"
+    cat "$SMOKE_DIR/gen10k.hum"
+    printf '\nanalyze\nslack node=do0\nshutdown\n'
+} | $HB serve --stdio > "$SMOKE_DIR/stdio.out" || {
+    echo "serve --stdio exited nonzero"; exit 1
+}
+# Count reply frames, stepping over each declared payload (and its
+# terminating newline) byte for byte.
+STDIO_REPLIES=$(LC_ALL=C awk '
+    need > 0 { need -= length($0) + 1; next }
+    { replies++ }
+    match($0, / payload=[0-9]+$/) { need = substr($0, RSTART + 9) + 1 }
+    END { print replies + 0 }' "$SMOKE_DIR/stdio.out")
+STDIO_WORST=$(sed -n 's/^ok .*worst=\([^ ]*\).*/\1/p' "$SMOKE_DIR/stdio.out" | head -1)
+ONESHOT_WORST=$(sed -n 's/.*worst slack \([^ ]*\) .*/\1/p' "$SMOKE_DIR/gen10k.out" | head -1)
+echo "stdio: $STDIO_REPLIES replies, worst slack $STDIO_WORST / one-shot $ONESHOT_WORST"
+[ "$STDIO_REPLIES" = 4 ] || { echo "stdio smoke: expected 4 replies"; exit 1; }
+[ -n "$STDIO_WORST" ] && [ "$STDIO_WORST" = "$ONESHOT_WORST" ] || {
+    echo "stdio daemon and one-shot analyses disagree"; exit 1
+}
+
 echo "== generator prep-time regression gate (100k cells)"
 # Preparing a 100k-cell design (the profile's "shard build" line,
 # which is the analyzer's preprocessing) must stay within 25% of the
