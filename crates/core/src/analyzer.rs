@@ -12,7 +12,7 @@ use crate::algorithms::{algorithm1, algorithm2};
 use crate::analysis::{prepare, Evaluator, PrepStats, Prepared, SlackView};
 use crate::engine::SlackCache;
 use crate::error::AnalyzeError;
-use crate::report::{SlowPath, SlowStep, TerminalSlack, TimingReport};
+use crate::report::{NameIndex, SlowPath, SlowStep, TerminalSlack, TimingReport};
 use crate::spec::{AnalysisOptions, Spec};
 use crate::sync::Replica;
 
@@ -308,6 +308,7 @@ impl<'a> Analyzer<'a> {
             worst_slack: view.terms.worst(),
             overall_period: prep.timeline.overall_period(),
             terminal_slacks,
+            terminals_by_name: NameIndex::default(),
             slow_paths,
             slow_nets,
             net_slacks,

@@ -48,7 +48,7 @@ use hb_units::Time;
 use crate::algorithms::{algorithm1, Evaluate};
 use crate::analysis::{Prepared, Terminals};
 use crate::engine::{Cycles, SlackCache};
-use crate::report::TerminalKind;
+use crate::report::{NameIndex, TerminalKind};
 use crate::sync::{offsets, Replica};
 
 /// Work budget for the main top-down carve, in item-evaluations (one
@@ -518,6 +518,7 @@ pub struct ParametricSlack {
     k_max: i64,
     node_count: usize,
     terminals: Vec<ParametricTerminal>,
+    terminals_by_name: NameIndex,
     /// Per reported terminal: its index into `RegionSlack::terminals`.
     slots: Vec<usize>,
     regions: Vec<RegionSlack>,
@@ -551,6 +552,17 @@ impl ParametricSlack {
     /// The terminals, in report order.
     pub fn terminals(&self) -> &[ParametricTerminal] {
         &self.terminals
+    }
+
+    /// The indices into [`terminals`] of the rows named `name`, in
+    /// report order — [`TimingReport::terminal_rows`] for this table,
+    /// with its own lazily built index.
+    ///
+    /// [`terminals`]: ParametricSlack::terminals
+    /// [`TimingReport::terminal_rows`]: crate::TimingReport::terminal_rows
+    pub fn terminal_rows(&self, name: &str) -> &[u32] {
+        self.terminals_by_name
+            .rows(&self.terminals, |t| &t.name, name)
     }
 
     /// Snaps an arbitrary period to the nearest grid point within the
@@ -960,6 +972,7 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
         k_max,
         node_count: prep.engine.sharded.node_count(),
         terminals,
+        terminals_by_name: NameIndex::default(),
         slots,
         regions,
     })

@@ -320,6 +320,14 @@ pub struct FrameDecoder {
     /// Fed-but-unconsumed bytes; `start..` is live.
     buf: Vec<u8>,
     start: usize,
+    /// How many live bytes (counted from `start`, so compaction leaves
+    /// it valid) the header's newline search has already examined: a
+    /// header arriving in pieces is scanned once in all, not once per
+    /// piece.
+    scanned: usize,
+    /// Bytes the newline search has examined over the decoder's life.
+    #[cfg(test)]
+    examined: usize,
     /// A decoded header whose declared payload has not fully arrived.
     awaiting: Option<(Frame, usize)>,
 }
@@ -335,9 +343,10 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes fed but not yet decoded into frames.
+    /// Bytes fed but not yet decoded into frames (a partial header, or
+    /// the part of an awaited payload that has arrived).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start + self.awaiting.as_ref().map_or(0, |(_, need)| *need)
+        self.buf.len() - self.start
     }
 
     /// Retained buffer capacity — the decoder's share of a
@@ -430,7 +439,16 @@ impl FrameDecoder {
     /// whole line has arrived.
     fn next_header(&mut self) -> Result<Option<(Frame, Option<usize>)>, ProtoError> {
         let live = &self.buf[self.start..];
-        let newline = live.iter().position(|&b| b == b'\n');
+        let unseen = &live[self.scanned..];
+        #[cfg(test)]
+        {
+            self.examined += unseen.len();
+        }
+        let newline = unseen
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|at| self.scanned + at);
+        self.scanned = live.len();
         if newline.unwrap_or(live.len()) > MAX_HEADER {
             return Err(ProtoError::Oversized {
                 what: "header",
@@ -446,6 +464,7 @@ impl FrameDecoder {
         // next line.
         let header = self.start..self.start + len;
         self.start += len + 1;
+        self.scanned = 0;
         let line = std::str::from_utf8(&self.buf[header]).map_err(|_| ProtoError::Encoding)?;
         if line.contains('\0') {
             return Err(ProtoError::Nul);
@@ -733,6 +752,49 @@ mod tests {
             dec.next_frame(),
             Err(ProtoError::Oversized { what: "header", .. })
         ));
+    }
+
+    #[test]
+    fn dripped_header_is_searched_once() {
+        // A header arriving one byte per read, up to the limit: every
+        // byte is examined once, not once per read (which would be
+        // quadratic work on the event-loop thread).
+        let mut line = vec![b'a'; MAX_HEADER - 1];
+        line.push(b'\n');
+        let mut dec = FrameDecoder::new();
+        for (i, byte) in line.iter().enumerate() {
+            dec.feed(std::slice::from_ref(byte));
+            let frame = dec.next_frame().unwrap();
+            assert_eq!(frame.is_some(), i == line.len() - 1, "byte {i}");
+        }
+        assert_eq!(dec.examined, line.len());
+        assert!(!dec.mid_frame());
+        // One byte past the limit is still refused, and only then.
+        let mut dec = FrameDecoder::new();
+        for _ in 0..MAX_HEADER {
+            dec.feed(b"a");
+            assert!(dec.next_frame().unwrap().is_none());
+        }
+        dec.feed(b"a");
+        assert!(matches!(
+            dec.next_frame(),
+            Err(ProtoError::Oversized { what: "header", .. })
+        ));
+        assert_eq!(dec.examined, MAX_HEADER + 1);
+    }
+
+    #[test]
+    fn buffered_counts_only_arrived_payload_bytes() {
+        let mut dec = FrameDecoder::new();
+        dec.feed(b"load payload=10\nabc");
+        assert!(dec.next_frame().unwrap().is_none());
+        assert_eq!(dec.buffered(), 3, "3 of the 10 payload bytes arrived");
+        dec.feed(b"defghij\n");
+        assert_eq!(
+            dec.next_frame().unwrap().unwrap().payload.unwrap(),
+            "abcdefghij"
+        );
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]

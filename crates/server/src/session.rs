@@ -7,6 +7,8 @@
 //! request can observe lives here; the transport layer only adds
 //! locking and deadlines.
 
+use std::collections::HashSet;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -118,6 +120,19 @@ fn kind_str(kind: TerminalKind) -> &'static str {
         TerminalKind::PrimaryInput => "primary-input",
         TerminalKind::PrimaryOutput => "primary-output",
     }
+}
+
+/// The payload of a terminal read — one `KIND pulse P slack S` line
+/// per `(kind, pulse, slack)` row, in the order given — and the worst
+/// of the slacks; `None` when there are no rows.
+fn terminal_lines(rows: impl Iterator<Item = (TerminalKind, u32, Time)>) -> Option<(Time, String)> {
+    let mut body = String::new();
+    let mut worst: Option<Time> = None;
+    for (kind, pulse, slack) in rows {
+        let _ = writeln!(body, "{} pulse {pulse} slack {slack}", kind_str(kind));
+        worst = Some(worst.map_or(slack, |w| w.min(slack)));
+    }
+    worst.map(|w| (w, body))
 }
 
 /// Builds the boundary [`Spec`] from a design's timing directives,
@@ -343,6 +358,15 @@ impl Session {
     /// analyzed. Exposed for parity testing against one-shot runs.
     pub fn last_report(&self) -> Option<&TimingReport> {
         self.loaded.as_ref().and_then(|l| l.report.as_ref())
+    }
+
+    /// The last built what-if table, if one was built for the loaded
+    /// design. Exposed for parity testing, like [`Session::last_report`].
+    pub fn last_parametric(&self) -> Option<&ParametricSlack> {
+        self.loaded
+            .as_ref()
+            .and_then(|l| l.parametric.as_ref())
+            .map(|(_, table)| table)
     }
 
     /// Answers `req` without mutating the session, or `None` when the
@@ -856,36 +880,21 @@ impl Session {
         }
         // Terminal slacks of a synchronising instance or boundary
         // port, mirroring the `slack` reply shape plus the period.
-        let matching: Vec<(usize, &hummingbird::ParametricTerminal)> = param
-            .terminals()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.name == name)
-            .collect();
-        if matching.is_empty() {
-            return err("unknown-node", format!("no net or terminal named `{name}`"));
-        }
-        let mut body = String::new();
-        let mut worst_term = None;
-        for (idx, t) in &matching {
+        let terminals = param.terminals();
+        let rows = param.terminal_rows(name).iter().map(|&row| {
+            let t = &terminals[row as usize];
             let slack = param
-                .terminal_slack_at(period, *idx)
+                .terminal_slack_at(period, row as usize)
                 .expect("located above");
-            body.push_str(&format!(
-                "{} pulse {} slack {}\n",
-                kind_str(t.kind),
-                t.pulse,
-                slack
-            ));
-            worst_term = Some(match worst_term {
-                None => slack,
-                Some(w) => slack.min(w),
-            });
-        }
+            (t.kind, t.pulse, slack)
+        });
+        let Some((slack, body)) = terminal_lines(rows) else {
+            return err("unknown-node", format!("no net or terminal named `{name}`"));
+        };
         ok().arg("node", name)
             .arg("kind", "terminal")
             .arg("period", period)
-            .arg("slack", worst_term.expect("matching is non-empty"))
+            .arg("slack", slack)
             .with_payload(body)
     }
 
@@ -1021,23 +1030,23 @@ impl Session {
                 // *distinct* nodes answered and no payload line
                 // repeats. One unresolvable name fails the whole
                 // request; a partial answer would be ambiguous.
-                let mut unique: Vec<&str> = Vec::with_capacity(names.len());
-                for name in names {
-                    if !unique.contains(name) {
-                        unique.push(name);
-                    }
-                }
+                let mut seen = HashSet::with_capacity(names.len());
+                let unique: Vec<&str> = names
+                    .iter()
+                    .copied()
+                    .filter(|name| seen.insert(*name))
+                    .collect();
                 let module = loaded.design.module(loaded.top);
+                let terminals = report.terminal_slacks();
                 let mut body = String::with_capacity(unique.len() * 24);
                 let mut worst = None;
                 for name in &unique {
                     let (kind, slack) = if let Some(net) = module.net_by_name(name) {
                         ("net", report.net_slack(net))
                     } else if let Some(s) = report
-                        .terminal_slacks()
+                        .terminal_rows(name)
                         .iter()
-                        .filter(|t| t.name == *name)
-                        .map(|t| t.slack)
+                        .map(|&row| terminals[row as usize].slack)
                         .min()
                     {
                         ("terminal", s)
@@ -1048,7 +1057,7 @@ impl Session {
                         None => slack,
                         Some(w) => slack.min(w),
                     });
-                    body.push_str(&format!("{name} {kind} {slack}\n"));
+                    let _ = writeln!(body, "{name} {kind} {slack}");
                 }
                 ok().arg("count", unique.len())
                     .arg("worst", worst.expect("names is non-empty"))
@@ -1069,28 +1078,18 @@ impl Session {
         }
         // Terminal slacks of a synchronising instance or boundary port:
         // report the most critical one, list all in the payload.
-        let matching: Vec<_> = report
-            .terminal_slacks()
-            .iter()
-            .filter(|t| t.name == name)
-            .collect();
-        if let Some(worst) = matching.iter().map(|t| t.slack).min() {
-            let mut body = String::new();
-            for t in &matching {
-                body.push_str(&format!(
-                    "{} pulse {} slack {}\n",
-                    kind_str(t.kind),
-                    t.pulse,
-                    t.slack
-                ));
-            }
-            return ok()
-                .arg("node", name)
-                .arg("kind", "terminal")
-                .arg("slack", worst)
-                .with_payload(body);
-        }
-        err("unknown-node", format!("no net or terminal named `{name}`"))
+        let terminals = report.terminal_slacks();
+        let rows = report.terminal_rows(name).iter().map(|&row| {
+            let t = &terminals[row as usize];
+            (t.kind, t.pulse, t.slack)
+        });
+        let Some((slack, body)) = terminal_lines(rows) else {
+            return err("unknown-node", format!("no net or terminal named `{name}`"));
+        };
+        ok().arg("node", name)
+            .arg("kind", "terminal")
+            .arg("slack", slack)
+            .with_payload(body)
     }
 
     fn worst_paths(&self, req: &Frame) -> Frame {

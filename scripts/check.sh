@@ -142,6 +142,20 @@ NOM=$(sed -n 's/^ok .*nominal=\([^ ]*\).*/\1/p' "$SMOKE_DIR/minperiod.out")
 $HB query "$WADDR" slack-at "period=$MINP" | grep -q "ok=1"
 AT_NOM=$($HB query "$WADDR" slack-at "period=$NOM" | sed -n 's/^ok .*worst=\([^ ]*\).*/\1/p')
 $HB query "$WADDR" period-sweep "lo=$MINP" "hi=$NOM" step=1ns | grep -q "^ok count="
+# A terminal read by name through the what-if table at the nominal
+# period answers as the numeric read does: the same `slack=` and the
+# same per-row payload. `u10` is a flip-flop of this design.
+$HB query "$WADDR" slack u10 > "$SMOKE_DIR/u10.out"
+$HB query "$WADDR" slack-at "period=$NOM" node=u10 > "$SMOKE_DIR/u10_at.out"
+U10=$(sed -n '1s/^ok .*kind=terminal .*slack=\([^ ]*\)$/\1/p' "$SMOKE_DIR/u10.out")
+U10_AT=$(sed -n '1s/^ok .*kind=terminal .*slack=\([^ ]*\)$/\1/p' "$SMOKE_DIR/u10_at.out")
+echo "u10 terminal slack: $U10 / what-if at nominal: $U10_AT"
+[ -n "$U10" ] && [ "$U10" = "$U10_AT" ] || {
+    echo "slack-at node=u10 at the nominal period diverges from slack node=u10"; exit 1
+}
+[ "$(tail -n +2 "$SMOKE_DIR/u10.out")" = "$(tail -n +2 "$SMOKE_DIR/u10_at.out")" ] || {
+    echo "slack-at node=u10 rows differ from slack node=u10 rows"; exit 1
+}
 S2=$(sweep_count "$WADDR")
 $HB query "$WADDR" shutdown
 wait "$WHATIF_PID"
@@ -168,9 +182,15 @@ done
 [ -n "$RADDR" ] || { echo "reactor serve never announced its port"; exit 1; }
 $HB query "$RADDR" load designs/two_phase_pipeline.hum
 $HB query "$RADDR" analyze
-printf 'slack mid\nslack a1y b0y dout\nworst-paths 3\nstats\n' > "$SMOKE_DIR/reqs.txt"
+printf 'slack mid\nslack a1y b0y dout\nslack mid cap mid\nworst-paths 3\nstats\n' > "$SMOKE_DIR/reqs.txt"
 $HB query "$RADDR" --pipeline "$SMOKE_DIR/reqs.txt" | tee "$SMOKE_DIR/pipeline.out"
 grep -q "count=3" "$SMOKE_DIR/pipeline.out"   # the batched slack answered all 3 nodes
+# Two latch terminals by name, one repeated: two distinct nodes, each
+# one `terminal` line.
+grep -q "count=2" "$SMOKE_DIR/pipeline.out"
+[ "$(grep -cE '^(mid|cap) terminal ' "$SMOKE_DIR/pipeline.out")" = 2 ] || {
+    echo "slack mid cap mid did not answer two terminal lines"; exit 1
+}
 grep -q "conn_buffer_bytes=" "$SMOKE_DIR/pipeline.out"
 $HB query "$RADDR" shutdown
 wait "$REACTOR_PID"
