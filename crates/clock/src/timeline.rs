@@ -77,7 +77,7 @@ pub struct Pulse {
 
 /// All clock edges of a [`ClockSet`] within one overall period, sorted by
 /// time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Timeline {
     overall: Time,
     edges: Vec<ClockEdge>,

@@ -96,7 +96,7 @@ fn transfer_cycle<A: Algebra>(
 /// when the algebra cannot represent a partial transfer on its current
 /// domain.
 pub(crate) fn algorithm1<A: Algebra>(
-    prep: &Prepared<'_>,
+    prep: &Prepared,
     alg: &mut A,
     replicas: &mut [Replica<A::Val>],
     ev: &mut impl Evaluate<A>,
@@ -182,9 +182,9 @@ pub(crate) fn algorithm1<A: Algebra>(
 /// settled required times (recorded after forward snatching), and
 /// statistics.
 pub(crate) fn algorithm2(
-    prep: &Prepared<'_>,
+    prep: &Prepared,
     replicas: &mut [Replica],
-    ev: &mut Evaluator<'_, '_>,
+    ev: &mut Evaluator<'_>,
 ) -> (SlackView, SlackView, Algorithm2Stats) {
     let mut stats = Algorithm2Stats::default();
     let cap = prep.options.max_cycles;
@@ -208,7 +208,9 @@ pub(crate) fn algorithm2(
             break;
         }
     }
-    let ready_view = ev.view();
+    // Only its settled ready times are read, and only by the
+    // constraints; the forward-snatch loop runs without the rest.
+    let ready_view = ev.view().ready_only();
 
     // Iteration 2: snatch time forward until no time is snatched, then
     // record required times at all cell outputs: a replica whose

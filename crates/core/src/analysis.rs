@@ -21,7 +21,7 @@ use hb_sta::analysis::{
     propagate_ready_max, propagate_required, scalar_slack, slack_table, table, TimeTable,
 };
 use hb_sta::paths::{critical_path, Path};
-use hb_sta::{Algebra, Numeric, TimingGraph};
+use hb_sta::{Algebra, ClusterId, ClusterShard, Numeric, ShardedGraph, SyncInst, TimingGraph};
 use hb_units::{RiseFall, Sense, Time, Transition};
 
 use crate::algorithms::Evaluate;
@@ -34,7 +34,7 @@ use crate::sync::{offsets, Replica, ReplicaTiming};
 
 /// A boundary timing point: a primary input (source) or primary output
 /// (sink) with its reference edge and offset.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Boundary {
     pub port: String,
     pub net: NetId,
@@ -59,33 +59,116 @@ pub struct PrepStats {
     pub global_passes: usize,
 }
 
-/// Everything derived from the design before any offsets move. Its only
-/// graph is the engine's shards: [`prepare`] drops the whole graph.
-pub(crate) struct Prepared<'a> {
-    pub design: &'a Design,
-    pub module: ModuleId,
-    pub library: &'a Library,
-    pub timeline: Timeline,
-    pub options: AnalysisOptions,
+/// Everything derived from a design before any offsets move: the
+/// engine's shards and `(cluster, pass)` work items, the replicas with
+/// their initial offsets, the pass plans and the min-delay violations.
+///
+/// It borrows nothing: an [`Analyzer`](crate::Analyzer) pairs it with
+/// the design and library it was prepared from, and hands it back with
+/// [`Analyzer::into_prepared`](crate::Analyzer::into_prepared). So a
+/// resident session can keep it next to the design it owns and, after a
+/// delay-only edit, [`patch`](Prepared::patch) it in place instead of
+/// preparing the design again. A patched state equals a cold
+/// preparation of the edited design field for field (wall time aside).
+pub struct Prepared {
+    pub(crate) module: ModuleId,
+    pub(crate) timeline: Timeline,
+    pub(crate) options: AnalysisOptions,
+    /// The clock ports' nets, each with its clock.
+    pub(crate) clock_sources: Vec<(NetId, ClockId)>,
     /// Initial replicas (offsets at the late end of their windows).
-    pub replicas: Vec<Replica>,
-    pub pis: Vec<Boundary>,
-    pub pos: Vec<Boundary>,
+    pub(crate) replicas: Vec<Replica>,
+    pub(crate) pis: Vec<Boundary>,
+    pub(crate) pos: Vec<Boundary>,
     /// Distinct global window starts.
-    pub passes: Vec<Time>,
+    pub(crate) passes: Vec<Time>,
     /// Per cluster: the global pass indices it participates in (empty
     /// for clusters with no sources or sinks, e.g. clock trees).
-    pub cluster_passes: Vec<Vec<usize>>,
+    pub(crate) cluster_passes: Vec<Vec<usize>>,
     /// Per replica: assigned global pass (for its data input).
-    pub replica_pass: Vec<usize>,
+    pub(crate) replica_pass: Vec<usize>,
     /// Per primary output: assigned global pass.
-    pub po_pass: Vec<usize>,
-    /// The sharded engine schedule (shards + `(cluster, pass)` items).
-    pub engine: Engine,
-    pub stats: PrepStats,
+    pub(crate) po_pass: Vec<usize>,
+    /// The sharded engine schedule (shards + `(cluster, pass)` items),
+    /// the only graph preparation keeps.
+    pub(crate) engine: Engine,
+    pub(crate) stats: PrepStats,
     /// The supplementary (min-delay) violations, found at preparation
     /// when `options.check_min_delays` is set (empty otherwise).
-    pub min_delays: Vec<MinDelayViolation>,
+    pub(crate) min_delays: Vec<MinDelayViolation>,
+    /// Wall-clock seconds the last preparation or patch took.
+    pub(crate) seconds: f64,
+}
+
+impl Prepared {
+    /// The first part in which `self` and `other` differ, named, or
+    /// `None` when they are equal part for part (wall time aside): a
+    /// shard arc's delay, an item's fingerprint or seeds, a replica's
+    /// timing or initial offsets, the pass plans, the min-delay
+    /// violations, or any other part.
+    pub fn first_difference(&self, other: &Prepared) -> Option<&'static str> {
+        let parts = [
+            ("module", self.module == other.module),
+            ("options", self.options == other.options),
+            ("timeline", self.timeline == other.timeline),
+            ("clock sources", self.clock_sources == other.clock_sources),
+            ("shards", self.engine.sharded == other.engine.sharded),
+            ("work items", self.engine.items == other.engine.items),
+            ("terminal feeds", self.engine.same_feeds(&other.engine)),
+            ("replicas", self.replicas == other.replicas),
+            ("primary inputs", self.pis == other.pis),
+            ("primary outputs", self.pos == other.pos),
+            ("pass starts", self.passes == other.passes),
+            (
+                "cluster passes",
+                self.cluster_passes == other.cluster_passes,
+            ),
+            ("replica passes", self.replica_pass == other.replica_pass),
+            ("output passes", self.po_pass == other.po_pass),
+            ("statistics", self.stats == other.stats),
+            ("min-delay violations", self.min_delays == other.min_delays),
+        ];
+        parts
+            .into_iter()
+            .find(|&(_, same)| !same)
+            .map(|(part, _)| part)
+    }
+
+    /// The options the state was prepared under.
+    pub fn options(&self) -> AnalysisOptions {
+        self.options
+    }
+
+    /// A deterministic estimate of the state's heap bytes: per shard,
+    /// net, arc, replica, `(cluster, pass)` item and per-seed value,
+    /// each at its in-memory size plus its index entries. Not a malloc
+    /// measurement: a formula over lengths, so a memory budget charged
+    /// with it reproduces across runs.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let sharded = &self.engine.sharded;
+        let shards = sharded.shard_count();
+        let arcs: usize = (0..shards as u32)
+            .map(|c| sharded.shard(ClusterId::from_raw(c)).arc_count())
+            .sum();
+        // A shard carries two extra CSR heads, and its cluster a list
+        // of passes; a net sits in its shard's order, in two CSR heads
+        // and in the per-net cluster and local index; an arc in its
+        // shard plus one fanin and one fanout index; a per-seed value
+        // is a seed record, its terminal feed and its item index.
+        let per_shard = size_of::<ClusterShard>() + 2 * size_of::<u32>() + size_of::<Vec<usize>>();
+        let per_net = size_of::<NetId>() + 4 * size_of::<u32>();
+        let per_arc = size_of::<hb_sta::LocalArc>() + 2 * size_of::<u32>();
+        let per_replica = size_of::<Replica>() + size_of::<usize>();
+        let per_item = size_of::<crate::engine::WorkItem>() + size_of::<usize>();
+        let per_seed = size_of::<crate::engine::BoundarySeed>() + 2 * size_of::<u32>();
+        shards * per_shard
+            + sharded.node_count() * per_net
+            + arcs * per_arc
+            + self.replicas.len() * per_replica
+            + self.engine.items.len() * per_item
+            + self.engine.seed_count() * per_seed
+    }
 }
 
 /// The backing storage of a [`SlackView`]'s ready/required tables.
@@ -179,8 +262,26 @@ pub(crate) struct SlackView<V = Time> {
 }
 
 impl SlackView {
+    /// The view with only its ready tables kept, for a reader of
+    /// nothing else (Algorithm 2's backward-snatch view, whose settled
+    /// ready times are all its constraints take). Dense required
+    /// tables and net slacks are freed; per-item tables are shared with
+    /// the cache, so a sharded view is kept whole.
+    pub fn ready_only(mut self) -> SlackView {
+        if let SlackStorage::Dense {
+            required,
+            net_slack,
+            ..
+        } = &mut self.storage
+        {
+            *required = Vec::new();
+            *net_slack = Vec::new();
+        }
+        self
+    }
+
     /// Per net: the smallest scalar slack over all passes.
-    pub fn net_slacks(&self, prep: &Prepared<'_>) -> Vec<Time> {
+    pub(crate) fn net_slacks(&self, prep: &Prepared) -> Vec<Time> {
         match &self.storage {
             SlackStorage::Dense { net_slack, .. } => net_slack.clone(),
             SlackStorage::Sharded { items } => prep.net_slacks(&mut Numeric, items),
@@ -192,7 +293,7 @@ impl SlackView {
     /// own graph and the pass's dense table; the sharded engine on the
     /// shard of the net's `(cluster, pass)` item and the item's local
     /// table. `None` when the net is not reached in the pass.
-    pub fn critical_path(&self, prep: &Prepared<'_>, pass: usize, net: NetId) -> Option<Path> {
+    pub fn critical_path(&self, prep: &Prepared, pass: usize, net: NetId) -> Option<Path> {
         let later = |at: RiseFall<Time>| match at.rise >= at.fall {
             true => Transition::Rise,
             false => Transition::Fall,
@@ -216,33 +317,178 @@ impl SlackView {
     }
 }
 
-/// Forward reachability with accumulated max delay and path sense.
-fn forward_reach(
-    graph: &TimingGraph,
-    seeds: &[NetId],
-) -> (Vec<RiseFall<Time>>, Vec<Option<Sense>>) {
-    let mut delay = vec![RiseFall::splat(Time::NEG_INF); graph.node_count()];
+/// The path sense from any of `seeds` to each net (`None`: unreached).
+fn forward_senses(graph: &TimingGraph, seeds: &[NetId]) -> Vec<Option<Sense>> {
     let mut sense: Vec<Option<Sense>> = vec![None; graph.node_count()];
     for &net in seeds {
-        delay[net.as_raw() as usize] = RiseFall::ZERO;
         sense[net.as_raw() as usize] = Some(Sense::Positive);
     }
     for &net in graph.topo() {
-        let u = net.as_raw() as usize;
-        let Some(su) = sense[u] else { continue };
+        let Some(su) = sense[net.as_raw() as usize] else {
+            continue;
+        };
         for &ai in graph.fanout_arcs(net) {
             let arc = graph.arc(ai);
-            let v = arc.to.as_raw() as usize;
-            let out = arc.sense.propagate(delay[u], arc.delay.max);
-            delay[v] = delay[v].max(out);
             let through = su.then(arc.sense);
-            sense[v] = Some(match sense[v] {
-                None => through,
-                Some(s) => s.merge(through),
+            let v = &mut sense[arc.to.as_raw() as usize];
+            *v = Some(v.map_or(through, |s| s.merge(through)));
+        }
+    }
+    sense
+}
+
+/// The reach of one clock port into its cluster: per local node of the
+/// cluster's shard, the accumulated max delay and the path sense from
+/// the port's net (`None`: unreached). Arcs never leave a cluster, so
+/// this is the port's reach in the whole graph.
+pub(crate) struct ClockReach {
+    clock: ClockId,
+    cluster: ClusterId,
+    delay: Vec<RiseFall<Time>>,
+    sense: Vec<Option<Sense>>,
+}
+
+impl ClockReach {
+    /// Propagates from `source` through its cluster's shard, in the
+    /// shard's topological order.
+    pub fn new(sharded: &ShardedGraph, source: NetId, clock: ClockId) -> ClockReach {
+        let cluster = sharded.cluster_of(source);
+        let shard: &ClusterShard = sharded.shard(cluster);
+        let mut delay = shard.table(Time::NEG_INF);
+        let mut sense: Vec<Option<Sense>> = vec![None; shard.len()];
+        let s = sharded.local_of(source) as usize;
+        delay[s] = RiseFall::ZERO;
+        sense[s] = Some(Sense::Positive);
+        for u in 0..shard.len() {
+            let Some(su) = sense[u] else { continue };
+            for arc in shard.fanout(u) {
+                let v = arc.to as usize;
+                delay[v] = delay[v].max(arc.sense.propagate(delay[u], arc.delay_max));
+                let through = su.then(arc.sense);
+                sense[v] = Some(sense[v].map_or(through, |s| s.merge(through)));
+            }
+        }
+        ClockReach {
+            clock,
+            cluster,
+            delay,
+            sense,
+        }
+    }
+}
+
+/// The clock that controls one synchronising element.
+pub(crate) struct Control {
+    clock: ClockId,
+    /// The control-path delay from the clock port.
+    cdel: Time,
+    /// The control path's sense.
+    sense: Sense,
+}
+
+/// Resolves the control of `sync`: exactly one of the clock `reaches`
+/// must reach its control net, and monotonically.
+pub(crate) fn resolve_control(
+    sharded: &ShardedGraph,
+    reaches: &[ClockReach],
+    sync: &SyncInst,
+    inst_name: impl Fn() -> String,
+) -> Result<Control, AnalyzeError> {
+    let cn = sync.control_net;
+    let (cluster, local) = (sharded.cluster_of(cn), sharded.local_of(cn) as usize);
+    let mut hit: Option<Control> = None;
+    for reach in reaches.iter().filter(|r| r.cluster == cluster) {
+        if let Some(s) = reach.sense[local] {
+            if hit.is_some() {
+                return Err(AnalyzeError::MultiClockControl { inst: inst_name() });
+            }
+            if s == Sense::NonUnate {
+                return Err(AnalyzeError::NonMonotonicControl { inst: inst_name() });
+            }
+            hit = Some(Control {
+                clock: reach.clock,
+                cdel: reach.delay[local].worst().max(Time::ZERO),
+                sense: s,
             });
         }
     }
-    (delay, sense)
+    hit.ok_or_else(|| AnalyzeError::UnclockedControl { inst: inst_name() })
+}
+
+/// Appends the replicas of the synchronising element `sync` (the
+/// `sync_index`-th of its module), one per pulse of its control, with
+/// their initial offsets.
+pub(crate) fn push_replicas(
+    replicas: &mut Vec<Replica>,
+    sync: &SyncInst,
+    sync_index: usize,
+    control: &Control,
+    library: &Library,
+    timeline: &Timeline,
+    options: AnalysisOptions,
+) {
+    let cell = library.cell(sync.cell);
+    let cspec = cell.sync_spec().expect("sync instances have sync cells");
+    let effective = control.sense.then(cspec.control_sense);
+    let transparent = cspec.kind.is_transparent() && options.latch_model == LatchModel::Transparent;
+    // One output driver stage serves both outputs; evaluate it at the
+    // heavier of the two loads (pessimistic-safe).
+    let out_extra = cspec
+        .output_delay
+        .eval(sync.output_load_ff.max(sync.output_bar_load_ff))
+        .max
+        .worst();
+    for pulse in timeline.pulses(control.clock, effective) {
+        let assert_edge = if transparent { pulse.lead } else { pulse.trail };
+        let mut replica = Replica::new(
+            sync.inst,
+            sync_index,
+            pulse.index,
+            cspec.kind,
+            assert_edge,
+            pulse.trail,
+            sync.data_net,
+            sync.output_net,
+            ReplicaTiming {
+                width: pulse.width,
+                setup: cspec.setup,
+                hold: cspec.hold,
+                d_cx: cspec.d_cx,
+                d_dx: cspec.d_dx,
+                cdel: control.cdel,
+                out_extra,
+            },
+            transparent,
+        );
+        if let Some(bar) = sync.output_bar_net {
+            replica = replica.with_output_bar(bar);
+        }
+        replicas.push(replica);
+    }
+}
+
+/// Wall time per preparation phase, visible on the daemon's metrics
+/// endpoint. Spans are inert unless hb-obs is armed.
+pub(crate) fn prep_phase(phase: &'static str) -> hb_obs::Span {
+    hb_obs::global()
+        .histogram_with(
+            "hb_prep_nanoseconds",
+            "preprocessing wall time, by phase",
+            &[("phase", phase)],
+        )
+        .span()
+}
+
+/// Counts one preparation: `cold` from the design, or `patched` in
+/// place after a delay-only edit.
+pub(crate) fn count_preparation(kind: &'static str) {
+    hb_obs::global()
+        .counter_with(
+            "hb_prepare_total",
+            "prepared analyses, by kind: cold from the design or patched in place",
+            &[("kind", kind)],
+        )
+        .inc();
 }
 
 /// Resolves an [`EdgeSpec`] against the clock set and timeline.
@@ -271,31 +517,23 @@ fn resolve_edge(
         })
 }
 
-pub(crate) fn prepare<'a>(
-    design: &'a Design,
+/// Prepares `module` of `design` from scratch.
+pub(crate) fn prepare(
+    design: &Design,
     module: ModuleId,
-    library: &'a Library,
+    library: &Library,
     clocks: &ClockSet,
     spec: &Spec,
     options: AnalysisOptions,
-) -> Result<Prepared<'a>, AnalyzeError> {
+) -> Result<Prepared, AnalyzeError> {
     if clocks.is_empty() {
         return Err(AnalyzeError::NoClocks);
     }
-    // Wall time per preprocessing phase, visible on the daemon's
-    // metrics endpoint. Spans are inert unless hb-obs is armed.
-    let prep_phase = |phase: &'static str| {
-        hb_obs::global()
-            .histogram_with(
-                "hb_prep_nanoseconds",
-                "preprocessing wall time, by phase",
-                &[("phase", phase)],
-            )
-            .span()
-    };
+    let start = std::time::Instant::now();
     let graph_span = prep_phase("graph-build");
     let binding = Binding::new(design, library);
     let graph = TimingGraph::build(design, module, &binding, library)?;
+    let sharded = ShardedGraph::new(&graph);
     let timeline = clocks.timeline();
     let m = design.module(module);
     drop(graph_span);
@@ -314,17 +552,16 @@ pub(crate) fn prepare<'a>(
             })?;
         clock_sources.push((m.port(pid).net(), clock));
     }
+    // The spec keeps its clock ports unordered: sort them, so that the
+    // state and the error a doubly clocked control earns do not depend
+    // on that order.
+    clock_sources.sort_unstable();
 
     // --- control path resolution ------------------------------------------
     // One reach per clock source; then each sync element must see exactly
     // one clock, monotonically.
-    type Reach = (ClockId, Vec<RiseFall<Time>>, Vec<Option<Sense>>);
-    let reaches: Vec<Reach> = clock_sources
-        .iter()
-        .map(|&(net, clock)| {
-            let (d, s) = forward_reach(&graph, &[net]);
-            (clock, d, s)
-        })
+    let reaches: Vec<ClockReach> = (clock_sources.iter())
+        .map(|&(net, clock)| ClockReach::new(&sharded, net, clock))
         .collect();
 
     // Enable-path detection: control nets must not be reachable from
@@ -335,37 +572,25 @@ pub(crate) fn prepare<'a>(
         .flat_map(|s| [s.output_net, s.output_bar_net])
         .flatten()
         .collect();
-    let (_, from_sync_sense) = forward_reach(&graph, &sync_outputs);
+    let from_sync_sense = forward_senses(&graph, &sync_outputs);
 
-    struct ControlInfo {
-        clock: ClockId,
-        cdel: Time,
-        sense: Sense,
-    }
-    let mut controls: Vec<ControlInfo> = Vec::with_capacity(graph.syncs().len());
-    for sync in graph.syncs() {
+    // --- replicas -----------------------------------------------------------
+    let mut replicas: Vec<Replica> = Vec::new();
+    for (sync_index, sync) in graph.syncs().iter().enumerate() {
         let inst_name = || m.instance(sync.inst).name().to_owned();
-        let cn = sync.control_net.as_raw() as usize;
-        if from_sync_sense[cn].is_some() {
+        if from_sync_sense[sync.control_net.as_raw() as usize].is_some() {
             return Err(AnalyzeError::EnablePath { inst: inst_name() });
         }
-        let mut hit: Option<ControlInfo> = None;
-        for (clock, delays, senses) in &reaches {
-            if let Some(s) = senses[cn] {
-                if hit.is_some() {
-                    return Err(AnalyzeError::MultiClockControl { inst: inst_name() });
-                }
-                if s == Sense::NonUnate {
-                    return Err(AnalyzeError::NonMonotonicControl { inst: inst_name() });
-                }
-                hit = Some(ControlInfo {
-                    clock: *clock,
-                    cdel: delays[cn].worst().max(Time::ZERO),
-                    sense: s,
-                });
-            }
-        }
-        controls.push(hit.ok_or_else(|| AnalyzeError::UnclockedControl { inst: inst_name() })?);
+        let control = resolve_control(&sharded, &reaches, sync, inst_name)?;
+        push_replicas(
+            &mut replicas,
+            sync,
+            sync_index,
+            &control,
+            library,
+            &timeline,
+            options,
+        );
     }
 
     // --- boundary points ---------------------------------------------------
@@ -415,53 +640,6 @@ pub(crate) fn prepare<'a>(
     for (port, _, _) in spec.output_requireds() {
         if m.port_by_name(port).is_none() {
             return Err(AnalyzeError::UnknownPort { port: port.into() });
-        }
-    }
-
-    // --- replicas -----------------------------------------------------------
-    let mut replicas: Vec<Replica> = Vec::new();
-    let mut replica_period: Vec<Time> = Vec::new();
-    for (sync_index, sync) in graph.syncs().iter().enumerate() {
-        let ctrl = &controls[sync_index];
-        let cell = library.cell(sync.cell);
-        let cspec = cell.sync_spec().expect("sync instances have sync cells");
-        let effective = ctrl.sense.then(cspec.control_sense);
-        let transparent =
-            cspec.kind.is_transparent() && options.latch_model == LatchModel::Transparent;
-        // One output driver stage serves both outputs; evaluate it at the
-        // heavier of the two loads (pessimistic-safe).
-        let out_extra = cspec
-            .output_delay
-            .eval(sync.output_load_ff.max(sync.output_bar_load_ff))
-            .max
-            .worst();
-        for pulse in timeline.pulses(ctrl.clock, effective) {
-            let assert_edge = if transparent { pulse.lead } else { pulse.trail };
-            let mut replica = Replica::new(
-                sync.inst,
-                sync_index,
-                pulse.index,
-                cspec.kind,
-                assert_edge,
-                pulse.trail,
-                sync.data_net,
-                sync.output_net,
-                ReplicaTiming {
-                    width: pulse.width,
-                    setup: cspec.setup,
-                    hold: cspec.hold,
-                    d_cx: cspec.d_cx,
-                    d_dx: cspec.d_dx,
-                    cdel: ctrl.cdel,
-                    out_extra,
-                },
-                transparent,
-            );
-            if let Some(bar) = sync.output_bar_net {
-                replica = replica.with_output_bar(bar);
-            }
-            replicas.push(replica);
-            replica_period.push(clocks.clock(ctrl.clock).period());
         }
     }
 
@@ -592,7 +770,7 @@ pub(crate) fn prepare<'a>(
     };
 
     let engine = Engine::new(
-        &graph,
+        sharded,
         &timeline,
         &passes,
         &cluster_passes,
@@ -605,11 +783,10 @@ pub(crate) fn prepare<'a>(
     drop(plan_span);
 
     let mut prep = Prepared {
-        design,
         module,
-        library,
         timeline,
         options,
+        clock_sources,
         replicas,
         pis,
         pos,
@@ -620,22 +797,25 @@ pub(crate) fn prepare<'a>(
         engine,
         stats,
         min_delays: Vec::new(),
+        seconds: 0.0,
     };
     // The check reads no offset: on the initial replicas it gives the
     // answer it would after Algorithm 1. The graph is dropped on return.
     if options.check_min_delays {
-        prep.min_delays = check_min_delays(&prep, &graph, &replica_period);
+        prep.min_delays = check_min_delays(&prep, design, &graph, clocks);
     }
+    count_preparation("cold");
+    prep.seconds = start.elapsed().as_secs_f64();
     Ok(prep)
 }
 
-impl Prepared<'_> {
+impl Prepared {
     /// Every reported terminal in report order — each replica's data
     /// input, then its output when Q or QN is connected; primary
     /// inputs; primary outputs — as `(kind, name, pulse, index)`,
     /// `index` being the terminal's position in [`Terminals::iter`].
-    pub fn terminals(&self) -> Vec<(TerminalKind, String, u32, usize)> {
-        let module = self.design.module(self.module);
+    pub(crate) fn terminals(&self, design: &Design) -> Vec<(TerminalKind, String, u32, usize)> {
+        let module = design.module(self.module);
         let (n, n_pi) = (self.replicas.len(), self.pis.len());
         let mut out = Vec::new();
         let mut push =
@@ -667,7 +847,7 @@ impl Prepared<'_> {
     /// backward-snatch view and the settled required times of the
     /// forward-snatch view. The sharded engine's tables are shared, not
     /// copied into dense per-pass tables.
-    pub fn constraints(&self, ready: SlackView, required: SlackView) -> TimingConstraints {
+    pub(crate) fn constraints(&self, ready: SlackView, required: SlackView) -> TimingConstraints {
         let tables = match (ready.storage, required.storage) {
             (SlackStorage::Sharded { items: r }, SlackStorage::Sharded { items: q }) => {
                 ConstraintTables::Sharded {
@@ -690,7 +870,7 @@ impl Prepared<'_> {
     /// Per net: the smallest scalar slack `required − ready` over every
     /// item (pass) the net's cluster takes part in. Assembled once, from
     /// the final view — no intermediate view of Algorithm 1 reads it.
-    pub fn net_slacks<A: Algebra>(
+    pub(crate) fn net_slacks<A: Algebra>(
         &self,
         alg: &mut A,
         items: &[Arc<ItemTables<A::Val>>],
@@ -713,7 +893,7 @@ impl Prepared<'_> {
     /// The reference evaluation on the reference engine's own `graph`:
     /// dense whole-graph sweeps per pass, single-threaded. Kept verbatim
     /// for differential testing and as the benchmark baseline.
-    pub fn compute_slacks_reference(
+    pub(crate) fn compute_slacks_reference(
         &self,
         graph: &Arc<TimingGraph>,
         replicas: &[Replica],
@@ -823,8 +1003,8 @@ impl Prepared<'_> {
 /// scratch, on a whole graph of its own that it builds from the design
 /// when the analysis opens, so the oracle shares no structure with the
 /// shards.
-pub(crate) struct Evaluator<'e, 'a> {
-    prep: &'e Prepared<'a>,
+pub(crate) struct Evaluator<'e> {
+    prep: &'e Prepared,
     cache: &'e mut SlackCache,
     cycles: Cycles,
     /// The reference engine's own graph.
@@ -833,12 +1013,17 @@ pub(crate) struct Evaluator<'e, 'a> {
     dense: Option<SlackView>,
 }
 
-impl<'e, 'a> Evaluator<'e, 'a> {
-    /// Opens an analysis of `prep` through `cache`.
-    pub fn new(prep: &'e Prepared<'a>, cache: &'e mut SlackCache) -> Evaluator<'e, 'a> {
+impl<'e> Evaluator<'e> {
+    /// Opens an analysis of `prep`, prepared from `design` and
+    /// `library`, through `cache`.
+    pub fn new(
+        prep: &'e Prepared,
+        design: &Design,
+        library: &Library,
+        cache: &'e mut SlackCache,
+    ) -> Evaluator<'e> {
         let graph = match prep.options.engine {
             EngineKind::Reference => {
-                let (design, library) = (prep.design, prep.library);
                 let binding = Binding::new(design, library);
                 let graph = TimingGraph::build(design, prep.module, &binding, library)
                     .expect("preparation built this design's graph");
@@ -881,11 +1066,14 @@ impl<'e, 'a> Evaluator<'e, 'a> {
     }
 }
 
-impl Evaluate<Numeric> for Evaluator<'_, '_> {
+impl Evaluate<Numeric> for Evaluator<'_> {
     fn evaluate(&mut self, _: &mut Numeric, replicas: &[Replica]) -> &Terminals {
         match self.prep.options.engine {
             EngineKind::Reference => {
                 let graph = self.graph.as_ref().expect("built when the analysis opened");
+                // Nothing reads the previous view's tables once the next
+                // evaluation starts: free them before building its own.
+                self.dense = None;
                 let view = self.prep.compute_slacks_reference(graph, replicas);
                 &self.dense.insert(view).terms
             }

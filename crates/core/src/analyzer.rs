@@ -67,19 +67,25 @@ fn record_analysis_obs(report: &TimingReport, kind: &str) {
 /// identification) and [`Analyzer::generate_constraints`] additionally
 /// runs Algorithm 2 (constraint generation for re-synthesis).
 ///
+/// The pre-processing result is a [`Prepared`] state that borrows
+/// nothing: [`Analyzer::into_prepared`] hands it back and
+/// [`Analyzer::from_prepared`] rebuilds an analyzer around it, so a
+/// caller that owns the design can keep it across edits.
+///
 /// See the [crate-level documentation](crate) for a worked example.
 pub struct Analyzer<'a> {
-    prep: Prepared<'a>,
-    prep_seconds: f64,
+    design: &'a Design,
+    library: &'a Library,
+    prep: Prepared,
 }
 
 impl std::fmt::Debug for Analyzer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Analyzer")
-            .field("module", &self.prep.design.module(self.prep.module).name())
+            .field("module", &self.design.module(self.prep.module).name())
             .field("replicas", &self.prep.replicas.len())
             .field("passes", &self.prep.passes.len())
-            .field("prep_seconds", &self.prep_seconds)
+            .field("prep_seconds", &self.prep.seconds)
             .finish()
     }
 }
@@ -124,12 +130,35 @@ impl<'a> Analyzer<'a> {
         spec: Spec,
         options: AnalysisOptions,
     ) -> Result<Analyzer<'a>, AnalyzeError> {
-        let start = Instant::now();
         let prep = prepare(design, module, library, clocks, &spec, options)?;
-        Ok(Analyzer {
+        Ok(Analyzer::from_prepared(design, library, prep))
+    }
+
+    /// An analyzer around a prepared state of `design` — one this
+    /// design and library were prepared into, or one patched in place
+    /// ([`Prepared::patch`]) to the design's current revision. A state
+    /// of another design is a caller error that the analysis cannot
+    /// detect in general.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state's net count is not the design's.
+    pub fn from_prepared(design: &'a Design, library: &'a Library, prep: Prepared) -> Analyzer<'a> {
+        assert_eq!(
+            design.module(prep.module).net_count(),
+            prep.engine.sharded.node_count(),
+            "a prepared state analyzed with another design"
+        );
+        Analyzer {
+            design,
+            library,
             prep,
-            prep_seconds: start.elapsed().as_secs_f64(),
-        })
+        }
+    }
+
+    /// The prepared state, for a caller that keeps it across analyses.
+    pub fn into_prepared(self) -> Prepared {
+        self.prep
     }
 
     /// Pre-processing statistics: clusters, requirements, pass counts.
@@ -137,9 +166,9 @@ impl<'a> Analyzer<'a> {
         self.prep.stats
     }
 
-    /// Wall-clock seconds spent preparing.
+    /// Wall-clock seconds spent preparing (or patching) the state.
     pub fn prep_seconds(&self) -> f64 {
-        self.prep_seconds
+        self.prep.seconds
     }
 
     /// The overall clock period.
@@ -173,14 +202,14 @@ impl<'a> Analyzer<'a> {
         let start = Instant::now();
         let before = cache.stats();
         let mut replicas = self.prep.replicas.clone();
-        let mut ev = Evaluator::new(&self.prep, cache);
+        let mut ev = Evaluator::new(&self.prep, self.design, self.library, cache);
         let Ok(alg1) = algorithm1(&self.prep, &mut Numeric, &mut replicas, &mut ev);
         let view = ev.view();
         ev.finish();
         let mut report = self.build_report(&replicas, &view);
         report.alg1 = alg1;
         report.engine = cache.stats().since(before);
-        report.prep_seconds = self.prep_seconds;
+        report.prep_seconds = self.prep.seconds;
         report.analysis_seconds = start.elapsed().as_secs_f64();
         record_analysis_obs(&report, "analyze");
         report
@@ -199,7 +228,7 @@ impl<'a> Analyzer<'a> {
     /// indicate the symbolic parametrization cannot represent the
     /// design, never a numeric mismatch.
     pub fn parametric(&self) -> Result<crate::symbolic::ParametricSlack, AnalyzeError> {
-        crate::symbolic::parametric(&self.prep)
+        crate::symbolic::parametric(&self.prep, self.design)
             .map_err(|reason| AnalyzeError::Parametric { reason })
     }
 
@@ -215,7 +244,7 @@ impl<'a> Analyzer<'a> {
         let start = Instant::now();
         let before = cache.stats();
         let mut replicas = self.prep.replicas.clone();
-        let mut ev = Evaluator::new(&self.prep, cache);
+        let mut ev = Evaluator::new(&self.prep, self.design, self.library, cache);
         let Ok(alg1) = algorithm1(&self.prep, &mut Numeric, &mut replicas, &mut ev);
         let view = ev.view();
         let mut report = self.build_report(&replicas, &view);
@@ -226,7 +255,7 @@ impl<'a> Analyzer<'a> {
         report.alg2 = Some(alg2);
         report.engine = cache.stats().since(before);
         report.constraints = Some(self.prep.constraints(ready_view, required_view));
-        report.prep_seconds = self.prep_seconds;
+        report.prep_seconds = self.prep.seconds;
         report.analysis_seconds = start.elapsed().as_secs_f64();
         record_analysis_obs(&report, "constraints");
         report
@@ -234,11 +263,11 @@ impl<'a> Analyzer<'a> {
 
     fn build_report(&self, replicas: &[Replica], view: &SlackView) -> TimingReport {
         let prep = &self.prep;
-        let module = prep.design.module(prep.module);
+        let module = self.design.module(prep.module);
 
         let slacks: Vec<Time> = view.terms.iter().copied().collect();
         let terminal_slacks = prep
-            .terminals()
+            .terminals(self.design)
             .into_iter()
             .map(|(kind, name, pulse, i)| TerminalSlack {
                 kind,
@@ -318,7 +347,7 @@ impl<'a> Analyzer<'a> {
             engine: Default::default(),
             constraints: None,
             min_delay_violations: prep.min_delays.clone(),
-            prep_seconds: self.prep_seconds,
+            prep_seconds: self.prep.seconds,
             analysis_seconds: 0.0,
         }
     }

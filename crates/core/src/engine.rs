@@ -43,7 +43,7 @@ use std::sync::{Arc, OnceLock};
 use hb_clock::{EdgeId, Timeline};
 use hb_netlist::NetId;
 use hb_obs::{Counter, Histogram};
-use hb_sta::{Algebra, Numeric, ShardedGraph, TimingGraph};
+use hb_sta::{Algebra, Numeric, ShardedGraph};
 use hb_units::{RiseFall, Time};
 
 use crate::analysis::{Boundary, Terminals};
@@ -51,7 +51,7 @@ use crate::sync::Replica;
 
 /// A seed whose position depends on a replica's movable offset:
 /// the seed value is `base + offset(replicas[k])`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ReplicaSeed {
     /// Replica index.
     pub k: u32,
@@ -69,7 +69,7 @@ impl ReplicaSeed {
 }
 
 /// A fully static boundary seed (primary input or output).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct BoundarySeed {
     /// Boundary index (into `Prepared::pis` or `Prepared::pos`).
     pub k: u32,
@@ -89,7 +89,7 @@ impl BoundarySeed {
 }
 
 /// One `(cluster, pass)` unit of sweep work.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct WorkItem {
     /// Raw cluster index.
     pub cluster: u32,
@@ -154,6 +154,36 @@ impl WorkItem {
         (self.cluster, self.pass as u32)
     }
 
+    /// The item's static fingerprint, over the fingerprint `shard` of
+    /// its cluster's shard: the shard's content plus every seed
+    /// position. Replica seeds contribute only their static base — the
+    /// movable offsets are covered by the dynamic signature at
+    /// evaluation time.
+    fn fingerprint_over(&self, shard: u64) -> u64 {
+        let mut h = hb_rng::mix64(shard, self.pass as u64);
+        for s in &self.ready_replica_seeds {
+            h = hb_rng::mix64(h, 1);
+            h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
+            h = hb_rng::mix64(h, s.base.as_ps() as u64);
+        }
+        for s in &self.ready_pi_seeds {
+            h = hb_rng::mix64(h, 2);
+            h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
+            h = hb_rng::mix64(h, s.at(&Numeric).as_ps() as u64);
+        }
+        for s in &self.close_replica_seeds {
+            h = hb_rng::mix64(h, 3);
+            h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
+            h = hb_rng::mix64(h, s.base.as_ps() as u64);
+        }
+        for s in &self.close_po_seeds {
+            h = hb_rng::mix64(h, 4);
+            h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
+            h = hb_rng::mix64(h, s.at(&Numeric).as_ps() as u64);
+        }
+        h
+    }
+
     /// The terminal (report order, with `replicas` replicas and `pis`
     /// primary inputs) each per-seed value feeds, in value order.
     fn terminals(&self, replicas: u32, pis: u32) -> impl Iterator<Item = u32> + '_ {
@@ -179,7 +209,7 @@ pub(crate) struct ItemTables<V = Time> {
 pub(crate) type BatchSweep<'f, V> = &'f dyn Fn(&[(V, V)], &[usize]) -> Vec<ItemTables<V>>;
 
 /// Rows of values packed into one array.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct Csr<T = u32> {
     heads: Vec<u32>,
     values: Vec<T>,
@@ -329,7 +359,7 @@ impl Engine {
     /// resolved here; only replica offsets stay dynamic.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        graph: &TimingGraph,
+        sharded: ShardedGraph,
         timeline: &Timeline,
         passes: &[Time],
         cluster_passes: &[Vec<usize>],
@@ -339,7 +369,6 @@ impl Engine {
         pos: &[Boundary],
         po_pass: &[usize],
     ) -> Engine {
-        let sharded = ShardedGraph::new(graph);
         let mut items: Vec<WorkItem> = Vec::new();
         let mut index: HashMap<(u32, usize), usize> = HashMap::new();
         for (c, passes_of) in cluster_passes.iter().enumerate() {
@@ -357,7 +386,7 @@ impl Engine {
                 });
             }
         }
-        let cluster_of = |net: NetId| graph.cluster_of(net).as_raw();
+        let cluster_of = |net: NetId| sharded.cluster_of(net).as_raw();
         for (k, r) in replicas.iter().enumerate() {
             for out in [r.output_net, r.output_bar_net].into_iter().flatten() {
                 let c = cluster_of(out);
@@ -402,34 +431,9 @@ impl Engine {
                 offset: po.offset,
             });
         }
-        // Resolve each item's static fingerprint: shard content plus
-        // every seed position. Replica seeds keep only their static
-        // base here — the movable offsets are covered by the dynamic
-        // signature at evaluation time.
         for item in &mut items {
             let shard = sharded.shard(hb_sta::ClusterId::from_raw(item.cluster));
-            let mut h = hb_rng::mix64(shard.fingerprint(), item.pass as u64);
-            for s in &item.ready_replica_seeds {
-                h = hb_rng::mix64(h, 1);
-                h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
-                h = hb_rng::mix64(h, s.base.as_ps() as u64);
-            }
-            for s in &item.ready_pi_seeds {
-                h = hb_rng::mix64(h, 2);
-                h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
-                h = hb_rng::mix64(h, s.at(&Numeric).as_ps() as u64);
-            }
-            for s in &item.close_replica_seeds {
-                h = hb_rng::mix64(h, 3);
-                h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
-                h = hb_rng::mix64(h, s.base.as_ps() as u64);
-            }
-            for s in &item.close_po_seeds {
-                h = hb_rng::mix64(h, 4);
-                h = hb_rng::mix64(h, (s.k as u64) << 32 | s.local as u64);
-                h = hb_rng::mix64(h, s.at(&Numeric).as_ps() as u64);
-            }
-            item.fingerprint = h;
+            item.fingerprint = item.fingerprint_over(shard.fingerprint());
         }
         // Schedule the heaviest sweeps first so the pool drains evenly.
         items.sort_by_key(|it| {
@@ -462,6 +466,30 @@ impl Engine {
             pis: pis.len(),
             pos: pos.len(),
         }
+    }
+
+    /// Re-fingerprints the items of the clusters `changed` (sorted raw
+    /// indices), whose shards had arc delays rewritten.
+    pub fn refingerprint(&mut self, changed: &[u32]) {
+        let sharded = &self.sharded;
+        for item in &mut self.items {
+            if changed.binary_search(&item.cluster).is_ok() {
+                let shard = sharded.shard(hb_sta::ClusterId::from_raw(item.cluster));
+                item.fingerprint = item.fingerprint_over(shard.fingerprint());
+            }
+        }
+    }
+
+    /// The number of per-seed values over all items.
+    pub fn seed_count(&self) -> usize {
+        self.seed_item.len()
+    }
+
+    /// Whether `other` indexes terminals to per-seed values as this
+    /// engine does.
+    pub fn same_feeds(&self, other: &Engine) -> bool {
+        (self.feeds == other.feeds && self.seed_item == other.seed_item)
+            && (self.replicas, self.pis, self.pos) == (other.replicas, other.pis, other.pos)
     }
 
     /// The per-net index into this engine's item tables.
@@ -957,8 +985,8 @@ fn rebase<V: Copy + PartialEq>(older: &mut [Older<V>], from: &[V], to: &[V]) {
 ///
 /// Because versions are keyed by content rather than by item position,
 /// one cache may outlive the [`Analyzer`] that filled it: a resident
-/// session can re-prepare an edited design and hand the same cache to
-/// [`Analyzer::analyze_with_cache`](crate::Analyzer::analyze_with_cache),
+/// session can re-prepare (or patch) an edited design and hand the same
+/// cache to [`Analyzer::analyze_with_cache`](crate::Analyzer::analyze_with_cache),
 /// paying sweeps only for the clusters the edit actually touched. The
 /// per-analysis incremental state (previous offsets, item results and
 /// terminal view) is never stored here.

@@ -79,17 +79,19 @@ mod analyzer;
 mod engine;
 mod error;
 mod mindelay;
+mod patch;
 mod report;
 mod spec;
 mod symbolic;
 mod sync;
 
 pub use algorithms::{Algorithm1Stats, Algorithm2Stats};
-pub use analysis::PrepStats;
+pub use analysis::{PrepStats, Prepared};
 pub use analyzer::Analyzer;
 pub use engine::{EngineStats, SlackCache};
 pub use error::AnalyzeError;
 pub use mindelay::MinDelayViolation;
+pub use patch::Edit;
 pub use report::{
     SlowPath, SlowStep, TerminalKind, TerminalSlack, TimingConstraints, TimingReport,
 };

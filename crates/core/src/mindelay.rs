@@ -26,6 +26,8 @@
 
 use std::fmt;
 
+use hb_clock::ClockSet;
+use hb_netlist::Design;
 use hb_sta::analysis::{propagate_ready_min, table};
 use hb_sta::TimingGraph;
 use hb_units::{RiseFall, Time};
@@ -55,12 +57,13 @@ impl fmt::Display for MinDelayViolation {
 }
 
 /// Checks every replica's supplementary constraint on `graph`, the
-/// whole graph `prep` was prepared from, with `period[k]` the clock
-/// period governing replica `k`.
+/// whole graph of `design` that `prep` holds the shards of. A replica's
+/// period is that of the clock its closure edge belongs to.
 pub(crate) fn check_min_delays(
-    prep: &Prepared<'_>,
+    prep: &Prepared,
+    design: &Design,
     graph: &TimingGraph,
-    period: &[Time],
+    clocks: &ClockSet,
 ) -> Vec<MinDelayViolation> {
     let mut violations = Vec::new();
     let overall = prep.timeline.overall_period();
@@ -109,13 +112,15 @@ pub(crate) fn check_min_delays(
             // control-path delay. New data arriving within the hold
             // window after that earlier capture races it.
             let close = (prep.timeline.edge_time(r.close_edge) - start).rem_euclid_end(overall);
-            let prev_close = close - period[k];
+            let period = clocks
+                .clock(prep.timeline.edge(r.close_edge).clock)
+                .period();
+            let prev_close = close - period;
             if arrive < close && arrive >= prev_close {
                 let bound = prev_close + r.cdel() + r.hold();
                 if arrive < bound {
                     violations.push(MinDelayViolation {
-                        inst: prep
-                            .design
+                        inst: design
                             .module(prep.module)
                             .instance(r.inst)
                             .name()

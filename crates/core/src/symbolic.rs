@@ -40,7 +40,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::OnceLock;
 
-use hb_netlist::NetId;
+use hb_netlist::{Design, NetId};
 use hb_obs::{Counter, Histogram};
 use hb_sta::Algebra;
 use hb_units::Time;
@@ -385,8 +385,8 @@ struct RegionSlack {
 /// The symbolic evaluations of one region run: the shared incremental
 /// engine over a per-region memo, counting item-evaluations (items plus
 /// one per slack view) against the carve budget.
-struct RegionEval<'e, 'a> {
-    prep: &'e Prepared<'a>,
+struct RegionEval<'e> {
+    prep: &'e Prepared,
     /// The memo stays valid as the span shrinks: an affine identity on
     /// a region restricts to any subregion.
     memo: SlackCache<Sym>,
@@ -394,7 +394,7 @@ struct RegionEval<'e, 'a> {
     work: &'e mut u64,
 }
 
-impl Evaluate<Ctx<'_>> for RegionEval<'_, '_> {
+impl Evaluate<Ctx<'_>> for RegionEval<'_> {
     fn evaluate(&mut self, ctx: &mut Ctx<'_>, reps: &[Replica<Sym>]) -> &Terminals<Sym> {
         let engine = &self.prep.engine;
         *self.work += engine.items.len() as u64 + 1;
@@ -412,7 +412,7 @@ impl Evaluate<Ctx<'_>> for RegionEval<'_, '_> {
 /// (possibly shrunk) region with its settled expressions. `work`
 /// counts item-evaluations (items plus one per slack view).
 fn run_region(
-    prep: &Prepared<'_>,
+    prep: &Prepared,
     g: i64,
     span: Span,
     deferred: &mut Vec<Span>,
@@ -753,7 +753,7 @@ impl CarveState {
 
     /// Runs one singleton region (which can neither split nor restart)
     /// regardless of budget.
-    fn run_singleton(&mut self, prep: &Prepared<'_>, g_ps: i64, k: i64) {
+    fn run_singleton(&mut self, prep: &Prepared, g_ps: i64, k: i64) {
         let span = Span {
             r: k,
             m: 1,
@@ -775,7 +775,7 @@ impl CarveState {
     /// or the region cap is hit.
     fn carve_window(
         &mut self,
-        prep: &Prepared<'_>,
+        prep: &Prepared,
         g_ps: i64,
         lo_k: i64,
         hi_k: i64,
@@ -825,7 +825,7 @@ impl CarveState {
 }
 
 /// Builds the full parametric slack table from a prepared analysis.
-pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String> {
+pub(crate) fn parametric(prep: &Prepared, design: &Design) -> Result<ParametricSlack, String> {
     let obs = sym_obs();
     let _span = obs.build.span();
 
@@ -961,7 +961,7 @@ pub(crate) fn parametric(prep: &Prepared<'_>) -> Result<ParametricSlack, String>
     obs.regions.add(regions.len() as u64);
 
     let (terminals, slots) = prep
-        .terminals()
+        .terminals(design)
         .into_iter()
         .map(|(kind, name, pulse, i)| (ParametricTerminal { kind, name, pulse }, i))
         .unzip();

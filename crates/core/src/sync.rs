@@ -35,7 +35,7 @@ use hb_units::Time;
 /// expression in the clock period in the parametric one. The offset
 /// model (`*_in` methods) is written once over [`Algebra`]; the
 /// numeric accessors evaluate it in the [`Numeric`] instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Replica<V = Time> {
     /// The instance this replica models.
     pub inst: InstId,
@@ -65,7 +65,7 @@ pub struct Replica<V = Time> {
 
 /// The constructor parameters that are pure element timing (everything
 /// except the structural bindings).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicaTiming {
     /// Control pulse width `W`.
     pub width: Time,
@@ -148,6 +148,17 @@ impl Replica {
             width: alg.lift(self.width),
             o_dx: alg.cst(self.o_dx),
         }
+    }
+
+    /// Whether `other` models the same element pulse with the same
+    /// edges, nets and transparency — everything but its timing.
+    pub(crate) fn same_binding(&self, other: &Replica) -> bool {
+        (self.inst, self.sync_index, self.pulse_index, self.kind)
+            == (other.inst, other.sync_index, other.pulse_index, other.kind)
+            && (self.assert_edge, self.close_edge) == (other.assert_edge, other.close_edge)
+            && (self.data_net, self.output_net, self.output_bar_net)
+                == (other.data_net, other.output_net, other.output_bar_net)
+            && (self.transparent, self.timing.width) == (other.transparent, other.timing.width)
     }
 
     /// Whether this replica has an adjustable transparency window.

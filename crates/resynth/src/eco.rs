@@ -13,12 +13,15 @@
 //! nets or instances, so net identities, cluster membership and pass
 //! plans are unchanged and a content-addressed
 //! [`SlackCache`](hummingbird::SlackCache) stays valid for every
-//! cluster the edit does not touch.
+//! cluster the edit does not touch. Each reports the id it touched as
+//! an [`Edit`], which is all a resident
+//! [`Prepared`](hummingbird::Prepared) state needs to patch itself.
 
 use std::fmt;
 
 use hb_cells::{Binding, Library, LOAD_SCALE_ATTR};
 use hb_netlist::{Design, InstRef, ModuleId};
+use hummingbird::Edit;
 
 /// One addressable engineering-change operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,6 +93,8 @@ impl std::error::Error for EcoError {}
 pub struct EcoOutcome {
     /// Human-readable summary, e.g. `drv0:INV_X1->INV_X4`.
     pub description: String,
+    /// The instance or net the edit touched.
+    pub edit: Edit,
 }
 
 /// Applies one [`EcoOp`] to `module`. Deterministic: the same op on
@@ -155,6 +160,7 @@ fn retarget_drive(
         .map_err(|_| out_of_range())?;
     Ok(EcoOutcome {
         description: format!("{inst_name}:{from_name}->{to_name}"),
+        edit: Edit::Resized(inst),
     })
 }
 
@@ -176,6 +182,7 @@ fn scale_net_load(
         .set_net_attr(net, LOAD_SCALE_ATTR, percent.to_string());
     Ok(EcoOutcome {
         description: format!("{net_name}:{LOAD_SCALE_ATTR}={percent}"),
+        edit: Edit::Rescaled(net),
     })
 }
 

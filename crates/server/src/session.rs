@@ -21,7 +21,7 @@ use hb_resynth::{apply_eco, EcoOp};
 use hb_rng::mix64;
 use hb_units::Time;
 use hummingbird::{
-    AnalysisOptions, Analyzer, EdgeSpec, LatchModel, ParametricSlack, SlackCache, Spec,
+    AnalysisOptions, Analyzer, EdgeSpec, LatchModel, ParametricSlack, Prepared, SlackCache, Spec,
     TerminalKind, TimingReport,
 };
 
@@ -82,6 +82,21 @@ struct Loaded {
     /// `period-sweep`; every later what-if query on the same
     /// generation is answered from it with zero engine sweeps.
     parametric: Option<(u64, ParametricSlack)>,
+    /// The prepared state of the last `eco`'s analysis and the
+    /// generation it matches. Only `eco` keeps one: the next ECO
+    /// patches it in place instead of preparing the design again, and
+    /// `analyze`/`constraints` reuse it while its generation is
+    /// current. `load` and an options change drop it.
+    prepared: Option<(u64, Prepared)>,
+}
+
+impl Loaded {
+    /// Takes the resident prepared state out, if it matches the
+    /// current design and options.
+    fn take_prepared(&mut self) -> Option<Prepared> {
+        let (generation, prep) = self.prepared.take()?;
+        (generation == self.generation && prep.options() == self.options).then_some(prep)
+    }
 }
 
 /// A resident analysis session: library, loaded design, persistent
@@ -315,14 +330,16 @@ impl Session {
     /// footprint in bytes — what the fleet's memory budget accounts
     /// against. Not a malloc measurement: a stable formula over the
     /// loaded design's cell/net counts plus the cache's content
-    /// ([`SlackCache::approx_bytes`]), so eviction decisions reproduce
-    /// across runs and platforms.
+    /// ([`SlackCache::approx_bytes`]) and the resident prepared state an
+    /// `eco` keeps ([`Prepared::approx_bytes`]), so eviction decisions
+    /// reproduce across runs and platforms.
     pub fn approx_resident_bytes(&self) -> usize {
         let Some(l) = &self.loaded else {
             return 256;
         };
         let stats = l.design.stats(l.top);
-        256 + stats.cells * 160 + stats.nets * 96 + l.cache.approx_bytes()
+        let prepared = l.prepared.as_ref().map_or(0, |(_, p)| p.approx_bytes());
+        256 + stats.cells * 160 + stats.nets * 96 + l.cache.approx_bytes() + prepared
     }
 
     /// The loaded state as synthetic journal frames: one `load` of the
@@ -707,6 +724,7 @@ impl Session {
             analyzed: None,
             with_constraints: false,
             parametric: None,
+            prepared: None,
         });
         // Chaos hook: a panic here leaves the new design installed but
         // unacknowledged — recovery must roll back to the previous one.
@@ -738,38 +756,60 @@ impl Session {
             };
         }
         if loaded.options != before {
-            // The parametric table was built under the old options.
+            // The parametric table and the prepared state were built
+            // under the old options.
             loaded.parametric = None;
+            loaded.prepared = None;
         }
         Ok(())
     }
 
     /// Re-runs the analysis through the session cache. `constraints`
-    /// selects Algorithm 2 on top of Algorithm 1.
-    fn reanalyze(&mut self, constraints: bool) -> Result<(), Frame> {
+    /// selects Algorithm 2 on top of Algorithm 1. The analysis runs on
+    /// `prepared` when given (the resident state, current or patched to
+    /// the design) and on a cold preparation otherwise; with `keep`, the
+    /// state stays resident afterward, tagged with the generation.
+    fn reanalyze(
+        &mut self,
+        constraints: bool,
+        prepared: Option<Prepared>,
+        keep: bool,
+    ) -> Result<(), Frame> {
         let Some(loaded) = self.loaded.as_mut() else {
             return Err(err("no-design", "no design loaded"));
         };
-        let spec = spec_from_directives(&loaded.design, loaded.top, &loaded.clocks, &loaded.timing)
-            .map_err(|e| err("analysis", e))?;
-        let analyzer = Analyzer::with_options(
-            &loaded.design,
-            loaded.top,
-            &self.library,
-            &loaded.clocks,
-            spec,
-            loaded.options,
-        )
-        .map_err(|e| err("analysis", e))?;
+        let analyzer = match prepared {
+            Some(prep) => Analyzer::from_prepared(&loaded.design, &self.library, prep),
+            None => {
+                let (design, top) = (&loaded.design, loaded.top);
+                let spec = spec_from_directives(design, top, &loaded.clocks, &loaded.timing)
+                    .map_err(|e| err("analysis", e))?;
+                let (clocks, options) = (&loaded.clocks, loaded.options);
+                Analyzer::with_options(design, top, &self.library, clocks, spec, options)
+                    .map_err(|e| err("analysis", e))?
+            }
+        };
         let report = if constraints {
             analyzer.generate_constraints_with_cache(&mut loaded.cache)
         } else {
             analyzer.analyze_with_cache(&mut loaded.cache)
         };
+        if keep {
+            loaded.prepared = Some((loaded.generation, analyzer.into_prepared()));
+        }
         loaded.report = Some(report);
         loaded.analyzed = Some(loaded.generation);
         loaded.with_constraints = constraints;
         Ok(())
+    }
+
+    /// [`Session::reanalyze`] on the resident prepared state when it is
+    /// current, which then stays resident; on a cold preparation,
+    /// which does not, otherwise.
+    fn reanalyze_current(&mut self, constraints: bool) -> Result<(), Frame> {
+        let resident = self.loaded.as_mut().and_then(Loaded::take_prepared);
+        let keep = resident.is_some();
+        self.reanalyze(constraints, resident, keep)
     }
 
     /// Makes sure a current report exists, running Algorithm 1 if the
@@ -780,7 +820,7 @@ impl Session {
             Some(l) => l.analyzed != Some(l.generation),
         };
         if stale {
-            self.reanalyze(false)?;
+            self.reanalyze_current(false)?;
         }
         Ok(())
     }
@@ -981,7 +1021,7 @@ impl Session {
                 return reply;
             }
         }
-        if let Err(reply) = self.reanalyze(false) {
+        if let Err(reply) = self.reanalyze_current(false) {
             return reply;
         }
         self.report_reply()
@@ -993,7 +1033,7 @@ impl Session {
                 return reply;
             }
         }
-        if let Err(reply) = self.reanalyze(true) {
+        if let Err(reply) = self.reanalyze_current(true) {
             return reply;
         }
         let loaded = self.loaded.as_ref().expect("reanalyze succeeded");
@@ -1139,6 +1179,11 @@ impl Session {
         let Some(loaded) = self.loaded.as_mut() else {
             return err("no-design", "no design loaded");
         };
+        // The resident state leaves the session before the design
+        // changes, and comes back only once the re-analysis succeeded:
+        // an error or a panic anywhere in this ECO drops it, and the
+        // next ECO prepares cold.
+        let resident = loaded.take_prepared();
         let outcome = match apply_eco(&mut loaded.design, loaded.top, &self.library, &op) {
             Ok(outcome) => outcome,
             Err(e) => return err("eco", e),
@@ -1148,10 +1193,16 @@ impl Session {
         // Chaos hook: the worst place to die — the design is mutated
         // but not re-analyzed and the client never hears `ok`.
         self.faults.maybe_panic(hb_fault::SESSION_ECO_PANIC);
-        // Re-analyze immediately through the persistent cache: the
-        // reply's reuse counters are the incremental-value measurement.
-        let constraints = self.loaded.as_ref().expect("loaded above").with_constraints;
-        if let Err(reply) = self.reanalyze(constraints) {
+        // Patch the resident state to the edited design (the first ECO
+        // after a load has none and prepares cold), then re-analyze
+        // through the persistent cache: the reply's reuse counters are
+        // the incremental-value measurement.
+        let loaded = self.loaded.as_ref().expect("loaded above");
+        let constraints = loaded.with_constraints;
+        let patched = resident.and_then(|prep| {
+            prep.patch(&loaded.design, &self.library, &loaded.clocks, outcome.edit)
+        });
+        if let Err(reply) = self.reanalyze(constraints, patched, true) {
             return reply;
         }
         self.report_reply().arg("desc", outcome.description)
@@ -1207,6 +1258,41 @@ impl Session {
 mod tests {
     use super::*;
     use hb_cells::sc89;
+
+    /// The resident prepared state is priced: `approx_resident_bytes`
+    /// rises by its estimate after the first ECO (`analyze` keeps none)
+    /// and falls back after `load`.
+    #[test]
+    fn resident_state_is_priced_from_the_first_eco_until_a_load() {
+        let text = std::fs::read_to_string("../../designs/two_phase_pipeline.hum").unwrap();
+        let mut session = Session::new(sc89());
+        let load = Frame::new("load").with_payload(text);
+        assert_eq!(session.handle(&load).verb, "ok");
+        let loaded = session.approx_resident_bytes();
+        // Everything but the cache, whose content an analysis changes.
+        let uncached = |s: &Session| {
+            let cache = s.loaded.as_ref().unwrap().cache.approx_bytes();
+            s.approx_resident_bytes() - cache
+        };
+        assert_eq!(session.handle(&Frame::new("analyze")).verb, "ok");
+        assert!(session.loaded.as_ref().unwrap().prepared.is_none());
+        let analyzed = uncached(&session);
+        assert_eq!(analyzed, loaded);
+
+        let eco = Frame::new("eco").arg("op", "resize").arg("inst", "b0");
+        let reply = session.handle(&eco.clone().arg("steps", 1));
+        assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+        let (_, prep) = session.loaded.as_ref().unwrap().prepared.as_ref().unwrap();
+        assert!(prep.approx_bytes() > 0);
+        assert_eq!(uncached(&session), analyzed + prep.approx_bytes());
+        // A patched state is priced alike.
+        let reply = session.handle(&eco.arg("steps", -1));
+        assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+        assert!(uncached(&session) > analyzed);
+
+        assert_eq!(session.handle(&load).verb, "ok");
+        assert_eq!(session.approx_resident_bytes(), loaded);
+    }
 
     /// `capped=1` appears on a reply exactly when a cycle cap stopped
     /// an algorithm, so uncapped replies keep their old bytes.

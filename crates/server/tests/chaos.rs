@@ -395,6 +395,103 @@ fn engine_panic_mid_eco_leaves_no_stale_state() {
     );
 }
 
+/// Three resize ECOs through a daemon on `options`, the second of which
+/// panics (`arm` sets up the fault just before it is sent, `disarm`
+/// clears it after) and is re-sent. The first ECO prepares cold and
+/// keeps its prepared state; the panic strikes the ECO that would patch
+/// it. After recovery the third ECO, which patches the recovered
+/// session's state, must match a cold twin of the twice-edited design
+/// in verdict, report text, every traced path and every net slack.
+fn patched_eco_panic_matches_cold(options: ServerOptions, arm: impl Fn(), disarm: impl Fn()) {
+    let lib = sc89();
+    let w = generate(&lib, &GenParams::new(GenKind::Pipeline, 1_000, 3));
+    let insts = resizable_instances(&w.design, w.module, &lib);
+    let n = insts.len();
+    let ecos = [&insts[0], &insts[n / 2], &insts[n - 1]].map(|i| eco_resize(i));
+    let (addr, server) = serve(options);
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(&Frame::new("load").with_payload(w.to_hum()))
+        .unwrap();
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    assert_eq!(client.request(&Frame::new("analyze")).unwrap().verb, "ok");
+    let first = client.request(&ecos[0]).unwrap();
+    assert_eq!(first.verb, "ok", "{:?}", first.payload);
+
+    arm();
+    let crashed = client.request(&ecos[1]).unwrap();
+    disarm();
+    assert_eq!(crashed.verb, "error", "{:?}", crashed.payload);
+    assert_eq!(crashed.get("code"), Some("internal"));
+    assert_eq!(crashed.get("recovered"), Some("1"), "{:?}", crashed.payload);
+    let retried = client.request(&ecos[1]).unwrap();
+    assert_eq!(retried.verb, "ok", "{:?}", retried.payload);
+
+    let patched = || {
+        let g = hb_obs::global();
+        let help = "prepared analyses, by kind: cold from the design or patched in place";
+        (g.counter_with("hb_prepare_total", help, &[("kind", "patched")])).get()
+    };
+    let before = patched();
+    let warm = client.request(&ecos[2]).unwrap();
+    assert_eq!(warm.verb, "ok", "{:?}", warm.payload);
+    assert_eq!(
+        patched(),
+        before + 1,
+        "the third ECO patches the resident state"
+    );
+    let mut slack = Frame::new("slack");
+    for (_, net) in w.design.module(w.module).nets() {
+        slack = slack.arg("node", net.name());
+    }
+    let paths = Frame::new("worst-paths").arg("k", 50);
+    let warm_paths = client.request(&paths).unwrap();
+    let warm_slacks = client.request(&slack).unwrap();
+    let dump = client.request(&Frame::new("dump")).unwrap();
+    client.request(&Frame::new("shutdown")).unwrap();
+    server.join().unwrap().unwrap();
+
+    let mut cold = Session::new(lib);
+    let reply = cold.handle(&Frame::new("load").with_payload(dump.payload.unwrap()));
+    assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+    let cold_report = cold.handle(&Frame::new("analyze"));
+    assert_eq!(cold_report.verb, "ok", "{:?}", cold_report.payload);
+    for key in ["ok", "worst", "period"] {
+        assert_eq!(warm.get(key), cold_report.get(key), "{key} diverged");
+    }
+    assert_eq!(report_text(&warm), report_text(&cold_report));
+    assert_eq!(warm_paths.payload, cold.handle(&paths).payload);
+    let cold_slacks = cold.handle(&slack);
+    assert_eq!(warm_slacks.verb, "ok", "{:?}", warm_slacks.payload);
+    assert_eq!(warm_slacks.payload, cold_slacks.payload);
+}
+
+/// `session.eco.panic` in the second ECO — after its edit, before the
+/// patch of the state the first ECO kept — drops that state with the
+/// session, and the recovered session matches a cold twin.
+#[test]
+fn eco_panic_in_a_patching_eco_leaves_no_stale_state() {
+    let _guard = serialised();
+    let faults = FaultPlan::seeded(0xDAC89).armed(hb_fault::SESSION_ECO_PANIC, Fault::nth(2));
+    let options = ServerOptions {
+        faults,
+        ..ServerOptions::default()
+    };
+    patched_eco_panic_matches_cold(options, || {}, || {});
+}
+
+/// `engine.sweep.panic` in the third engine evaluation of the second
+/// ECO — its Algorithm 1, running on the just-patched state — leaves no
+/// stale state either.
+#[test]
+fn engine_panic_in_a_patched_eco_leaves_no_stale_state() {
+    let _guard = serialised();
+    let arm =
+        || install_global(FaultPlan::seeded(7).armed(hb_fault::ENGINE_SWEEP_PANIC, Fault::nth(3)));
+    let disarm = || install_global(FaultPlan::none());
+    patched_eco_panic_matches_cold(ServerOptions::default(), arm, disarm);
+}
+
 /// Invariant 1+codec: a client whose transport misbehaves on a seeded
 /// schedule (short reads/writes, `Interrupted`, `WouldBlock`) still
 /// gets byte-identical answers — the resumable frame reader loses no

@@ -111,3 +111,38 @@ pub fn resizable_instances(design: &Design, module: ModuleId, lib: &Library) -> 
     }
     out
 }
+
+/// `sc89` plus a faster `_X2` drive variant of `DFF` and `DLATCH` in
+/// their families, so that an ECO can resize a synchronising element:
+/// shorter element delays, a lighter output stage, a shorter hold and
+/// heavier input pins (which moves the loads of the data and control
+/// nets too).
+pub fn sized_sync_library() -> Library {
+    use hb_cells::{Cell, DriveStrength, Function};
+    use hb_netlist::{LeafDef, PinDir};
+    use hb_units::Time;
+    let mut lib = sc89();
+    for (family, control) in [("DFF", "CK"), ("DLATCH", "G")] {
+        let base = lib.cell(lib.cell_by_name(family).expect("sc89 cell"));
+        let mut spec = *base.sync_spec().expect("a sync cell");
+        spec.d_cx -= Time::from_ps(120);
+        spec.d_dx -= Time::from_ps(80).min(spec.d_dx);
+        spec.hold -= Time::from_ps(30);
+        spec.output_delay = spec.output_delay.scaled_drive(2);
+        let name = format!("{family}_X2");
+        let iface = LeafDef::new(name.as_str())
+            .pin("D", PinDir::Input)
+            .pin(control, PinDir::Input)
+            .pin("Q", PinDir::Output);
+        let cell = Cell::new(
+            iface,
+            Function::Sync(spec),
+            vec![9, 6, 0],
+            DriveStrength(2),
+            family,
+            14,
+        );
+        lib.add_cell(cell);
+    }
+    lib
+}

@@ -20,7 +20,9 @@ use hb_workloads::{counter, fsm12, generate, GenKind, GenParams, Workload};
 use hummingbird::{AnalysisOptions, Analyzer, EngineKind, TimingReport};
 
 mod common;
-use common::{hum_text, latch_pipeline, resizable_instance, resizable_instances};
+use common::{
+    hum_text, latch_pipeline, resizable_instance, resizable_instances, sized_sync_library,
+};
 
 /// A transparent-latch pipeline small enough for a debug-profile test
 /// yet clustered enough for partial cache reuse to show.
@@ -243,6 +245,83 @@ fn eco_sequences_match_cold_analysis_after_every_step() {
     ];
     for constraints in [false, true] {
         run_parity(&w, &lib, &ops, constraints);
+    }
+}
+
+/// The ECOs that move more than arc delays, each later undone, match a
+/// cold analysis by both engines after every step, in a session that
+/// patches its prepared state from the second ECO on: on the latch
+/// pipeline, a latch resize (its element timing and its pins' loads)
+/// and a rescale of the latch's output net (its output stage delay); on
+/// the flop-based S-box mesh, whose flops assert at their control-path
+/// delay, a resize of the clock buffer driving a flop's clock net and a
+/// rescale of that net (the control-path delay of every flop on it),
+/// and a flop resize.
+#[test]
+fn latch_and_clock_buffer_ecos_match_cold_analysis_after_every_step() {
+    let lib = sized_sync_library();
+    let resize = |inst: &str, steps: i32| EcoOp::RetargetDrive {
+        inst: inst.to_owned(),
+        steps,
+    };
+    let scale = |net: &str, percent: u32| EcoOp::ScaleNetLoad {
+        net: net.to_owned(),
+        percent,
+    };
+    for (kind, seed) in [(GenKind::Pipeline, 3), (GenKind::Sbox, 5)] {
+        let w = generate(&lib, &GenParams::new(kind, 1_500, seed));
+        let module = w.design.module(w.module);
+        let binding = hb_cells::Binding::new(&w.design, &lib);
+        let cell_of = |inst: &str| {
+            let id = module.instance_by_name(inst)?;
+            let hb_netlist::InstRef::Leaf(leaf) = module.instance(id).target() else {
+                return None;
+            };
+            binding.cell_for_leaf(leaf).map(|c| lib.cell(c))
+        };
+        let net_on = |inst: &str, pin: &str| {
+            let slot = cell_of(inst)?.interface().pin_by_name(pin)?;
+            let net = module.instance(module.instance_by_name(inst)?).conn(slot)?;
+            Some(module.net(net).name().to_owned())
+        };
+        let find = |family: &str, pin: &str, on: Option<&str>| {
+            (module.instances().map(|(_, i)| i.name().to_owned())).find(|n| {
+                cell_of(n).is_some_and(|c| c.family() == family)
+                    && on.is_none_or(|on| net_on(n, pin).as_deref() == Some(on))
+            })
+        };
+        let insts = resizable_instances(&w.design, w.module, &lib);
+        let comb = &insts[0];
+        let ops = match kind {
+            GenKind::Pipeline => {
+                let latch = find("DLATCH", "Q", None).expect("the pipeline has latches");
+                let q = net_on(&latch, "Q").unwrap();
+                vec![
+                    resize(comb, 1),
+                    resize(&latch, 1),
+                    scale(&q, 220),
+                    resize(&latch, -1),
+                    scale(&q, 100),
+                    resize(comb, -1),
+                ]
+            }
+            _ => {
+                let flop = find("DFF", "Q", None).expect("the mesh has flops");
+                let ck = net_on(&flop, "CK").unwrap();
+                let buffer = find("CLKBUF", "Y", Some(&ck)).expect("a buffered clock");
+                vec![
+                    resize(&buffer, -2),
+                    scale(&ck, 160),
+                    resize(&flop, 1),
+                    resize(&buffer, 2),
+                    scale(&ck, 100),
+                    resize(&flop, -1),
+                ]
+            }
+        };
+        for constraints in [false, true] {
+            run_parity(&w, &lib, &ops, constraints);
+        }
     }
 }
 

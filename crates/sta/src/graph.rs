@@ -175,71 +175,21 @@ impl TimingGraph {
 
         for (inst_id, inst) in m.instances() {
             match inst.target() {
-                InstRef::Leaf(leaf) => {
-                    let cell_id =
-                        binding
-                            .cell_for_leaf(leaf)
-                            .ok_or_else(|| StaError::UnboundLeaf {
-                                inst: inst.name().to_owned(),
-                            })?;
-                    let cell = library.cell(cell_id);
-                    match cell.function() {
-                        Function::Combinational(cell_arcs) => {
-                            for arc in cell_arcs {
-                                let (Some(from), Some(to)) =
-                                    (inst.conn(arc.from), inst.conn(arc.to))
-                                else {
-                                    continue;
-                                };
-                                let load = net_loads[to.as_raw() as usize];
-                                arcs.push(GraphArc {
-                                    from,
-                                    to,
-                                    sense: arc.sense,
-                                    delay: arc.delay.eval(load),
-                                    inst: inst_id,
-                                });
-                            }
-                        }
-                        Function::Sync(spec) => {
-                            if !allow_sync {
-                                return Err(StaError::SyncInsideAbstractedModule {
-                                    module: m.name().to_owned(),
-                                    inst: inst.name().to_owned(),
-                                });
-                            }
-                            let data_net =
-                                inst.conn(spec.data)
-                                    .ok_or_else(|| StaError::DanglingSyncPin {
-                                        inst: inst.name().to_owned(),
-                                        pin: "data",
-                                    })?;
-                            let control_net = inst.conn(spec.control).ok_or_else(|| {
-                                StaError::DanglingSyncPin {
-                                    inst: inst.name().to_owned(),
-                                    pin: "control",
-                                }
-                            })?;
-                            let output_net = inst.conn(spec.output);
-                            let output_load_ff = output_net
-                                .map(|n| net_loads[n.as_raw() as usize])
-                                .unwrap_or(0);
-                            let output_bar_net = spec.output_bar.and_then(|p| inst.conn(p));
-                            let output_bar_load_ff = output_bar_net
-                                .map(|n| net_loads[n.as_raw() as usize])
-                                .unwrap_or(0);
-                            syncs.push(SyncInst {
-                                inst: inst_id,
-                                cell: cell_id,
-                                data_net,
-                                control_net,
-                                output_net,
-                                output_load_ff,
-                                output_bar_net,
-                                output_bar_load_ff,
-                            });
-                        }
+                InstRef::Leaf(_) => {
+                    let load = |net: NetId| net_loads[net.as_raw() as usize];
+                    let timing =
+                        leaf_timing(design, module, inst_id, binding, library, load, &mut arcs);
+                    // Inside an abstracted module any synchronising
+                    // element is the error, connected or not.
+                    let sync =
+                        matches!(timing, Ok(Some(_)) | Err(StaError::DanglingSyncPin { .. }));
+                    if sync && !allow_sync {
+                        return Err(StaError::SyncInsideAbstractedModule {
+                            module: m.name().to_owned(),
+                            inst: inst.name().to_owned(),
+                        });
                     }
+                    syncs.extend(timing?);
                 }
                 InstRef::Module(child) => {
                     let abs = match cache.get(&child) {
@@ -368,6 +318,78 @@ impl TimingGraph {
             .enumerate()
             .map(|(i, c)| (ClusterId(i as u32), c))
     }
+}
+
+/// Evaluates one leaf instance of `module` at the net loads `load`
+/// gives: a combinational cell appends one arc per connected cell arc to
+/// `arcs`, in the cell's arc order, and returns `None`; a synchronising
+/// element appends nothing and returns its [`SyncInst`] record.
+/// [`TimingGraph::build`] evaluates every leaf instance this way, so an
+/// edit that moves loads or retargets a cell can re-evaluate just the
+/// instances it touched and get the arcs a rebuild would.
+///
+/// # Errors
+///
+/// Fails on an unbound leaf and on a dangling sync data or control pin.
+///
+/// # Panics
+///
+/// Panics if `inst` is a module instance.
+pub fn leaf_timing(
+    design: &Design,
+    module: ModuleId,
+    inst_id: InstId,
+    binding: &Binding,
+    library: &Library,
+    load: impl Fn(NetId) -> i64,
+    arcs: &mut Vec<GraphArc>,
+) -> Result<Option<SyncInst>, StaError> {
+    let inst = design.module(module).instance(inst_id);
+    let InstRef::Leaf(leaf) = inst.target() else {
+        panic!("`{}` is a module instance", inst.name());
+    };
+    let cell_id = binding
+        .cell_for_leaf(leaf)
+        .ok_or_else(|| StaError::UnboundLeaf {
+            inst: inst.name().to_owned(),
+        })?;
+    let cell = library.cell(cell_id);
+    let spec = match cell.function() {
+        Function::Combinational(cell_arcs) => {
+            for arc in cell_arcs {
+                let (Some(from), Some(to)) = (inst.conn(arc.from), inst.conn(arc.to)) else {
+                    continue;
+                };
+                arcs.push(GraphArc {
+                    from,
+                    to,
+                    sense: arc.sense,
+                    delay: arc.delay.eval(load(to)),
+                    inst: inst_id,
+                });
+            }
+            return Ok(None);
+        }
+        Function::Sync(spec) => spec,
+    };
+    let dangling = |pin| StaError::DanglingSyncPin {
+        inst: inst.name().to_owned(),
+        pin,
+    };
+    let data_net = inst.conn(spec.data).ok_or_else(|| dangling("data"))?;
+    let control_net = inst.conn(spec.control).ok_or_else(|| dangling("control"))?;
+    let output_net = inst.conn(spec.output);
+    let output_bar_net = spec.output_bar.and_then(|p| inst.conn(p));
+    Ok(Some(SyncInst {
+        inst: inst_id,
+        cell: cell_id,
+        data_net,
+        control_net,
+        output_net,
+        output_load_ff: output_net.map_or(0, &load),
+        output_bar_net,
+        output_bar_load_ff: output_bar_net.map_or(0, &load),
+    }))
 }
 
 /// An abstracted child-module arc: input port to output port.

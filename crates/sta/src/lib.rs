@@ -65,5 +65,5 @@ pub mod shard;
 
 pub use algebra::{Algebra, Numeric};
 pub use error::StaError;
-pub use graph::{Cluster, ClusterId, GraphArc, SyncInst, TimingGraph};
+pub use graph::{leaf_timing, Cluster, ClusterId, GraphArc, SyncInst, TimingGraph};
 pub use shard::{ClusterShard, LocalArc, ShardedGraph};

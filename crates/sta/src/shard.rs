@@ -34,7 +34,7 @@ use crate::paths::{trace, Path};
 /// max-delay half and the contributing instance. The min-delay half is
 /// left out: only the supplementary (min-delay) check reads it, on the
 /// whole graph, while preparation still holds that.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LocalArc {
     /// Local index of the driving net.
     pub from: u32,
@@ -50,7 +50,7 @@ pub struct LocalArc {
 
 /// A compact per-cluster subgraph: nets renumbered to `0..len` in
 /// topological order, arcs in CSR form.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterShard {
     cluster: ClusterId,
     /// Local index → global net, in topological order.
@@ -158,9 +158,44 @@ impl ClusterShard {
     }
 
     /// The arcs driving local node `v`, in the whole graph's arc order.
-    fn fanin(&self, v: usize) -> impl Iterator<Item = &LocalArc> {
-        let arcs = &self.fanin_arcs[self.fanin_heads[v] as usize..self.fanin_heads[v + 1] as usize];
+    pub fn fanin(&self, v: usize) -> impl Iterator<Item = &LocalArc> {
+        self.fanin_indices(v)
+            .iter()
+            .map(|&ai| &self.arcs[ai as usize])
+    }
+
+    /// The indices of the arcs driving local node `v` (see
+    /// [`ClusterShard::arc`]), in the whole graph's arc order: the
+    /// shard's record of the net's drivers.
+    pub fn fanin_indices(&self, v: usize) -> &[u32] {
+        &self.fanin_arcs[self.fanin_heads[v] as usize..self.fanin_heads[v + 1] as usize]
+    }
+
+    /// The arcs leaving local node `u`, in the whole graph's arc order.
+    pub fn fanout(&self, u: usize) -> impl Iterator<Item = &LocalArc> {
+        let arcs =
+            &self.fanout_arcs[self.fanout_heads[u] as usize..self.fanout_heads[u + 1] as usize];
         arcs.iter().map(|&ai| &self.arcs[ai as usize])
+    }
+
+    /// One arc by index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of range.
+    pub fn arc(&self, index: u32) -> &LocalArc {
+        &self.arcs[index as usize]
+    }
+
+    /// Rewrites one arc's maximum delay in place — an edit that moves a
+    /// load or retargets a cell changes delays, never topology. The
+    /// shard's [`fingerprint`](ClusterShard::fingerprint) moves with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of range.
+    pub fn set_delay_max(&mut self, index: u32, delay: RiseFall<Time>) {
+        self.arcs[index as usize].delay_max = delay;
     }
 
     /// Traces the worst path that establishes `ready[sink][transition]`
@@ -190,7 +225,7 @@ impl ClusterShard {
 }
 
 /// The whole graph partitioned into per-cluster shards.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardedGraph {
     shards: Vec<ClusterShard>,
     /// Global net raw index → its cluster.
@@ -298,6 +333,11 @@ impl ShardedGraph {
     /// The shard of a cluster.
     pub fn shard(&self, cluster: ClusterId) -> &ClusterShard {
         &self.shards[cluster.as_raw() as usize]
+    }
+
+    /// The shard of a cluster, for rewriting arc delays in place.
+    pub fn shard_mut(&mut self, cluster: ClusterId) -> &mut ClusterShard {
+        &mut self.shards[cluster.as_raw() as usize]
     }
 
     /// The local index of `net` within its cluster's shard.

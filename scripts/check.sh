@@ -62,6 +62,11 @@ grep -q " items_swept=0 " "$SMOKE_DIR/reanalyze.out" || {
     echo "a repeated analyze re-swept items: $(head -1 "$SMOKE_DIR/reanalyze.out")"
     exit 1
 }
+# The first ECO prepares cold and keeps its prepared state; the next
+# two patch that state in place. The last leaves the design the dump
+# below holds, so the warm answer is taken from it.
+$HB query "$ADDR" eco resize b0 1
+$HB query "$ADDR" eco resize b0 -1
 $HB query "$ADDR" eco resize b0 1 | tee "$SMOKE_DIR/eco.out"
 grep -q "items_reused" "$SMOKE_DIR/eco.out"
 $HB query "$ADDR" slack mid
@@ -81,6 +86,14 @@ tail -n +2 "$SMOKE_DIR/metrics.out" | awk '
         if (bad) exit 1
         if (sum < 6) { print "hb_requests_total covers " sum " < 6 requests"; exit 1 }
         print "metrics exposition ok: hb_requests_total=" sum
+    }
+'
+# The two later ECOs patched the resident prepared state in place.
+tail -n +2 "$SMOKE_DIR/metrics.out" | awk '
+    $1 == "hb_prepare_total{kind=\"patched\"}" { patched = $2 }
+    END {
+        if (patched < 2) { print "hb_prepare_total{kind=patched} is " patched + 0 " < 2"; exit 1 }
+        print "patched preparations: " patched
     }
 '
 # A `design` line after a module is a parse error at that line, not a
