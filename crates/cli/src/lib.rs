@@ -45,10 +45,9 @@ use std::io::Write;
 
 use hb_cells::{sc89, Library};
 use hb_clock::ClockSet;
-use hb_io::HumFile;
-use hb_netlist::{Design, ModuleId};
+use hb_io::{HumFile, TimingDirective};
 use hb_units::{Time, Transition};
-use hummingbird::{AnalysisOptions, Analyzer, EdgeSpec, LatchModel, SlackCache, Spec};
+use hummingbird::{AnalysisOptions, Analyzer, LatchModel, SlackCache};
 
 mod daemon;
 
@@ -287,65 +286,46 @@ fn load(path: &str, library: &Library) -> Result<HumFile, CliError> {
     hb_io::parse_hum(&text, library).map_err(|e| CliError::parse(format!("{path}: {e}")))
 }
 
-fn build_spec(
+/// The file's timing directives followed by the command-line
+/// overrides: each `--clock-port` as a `clockport` directive (so it
+/// turns the default clock-port rule off), each `--arrive` and
+/// `--require` on the first clock's rising edge. A design without
+/// clocks gets none; `spec_from_directives` refuses it.
+fn with_overrides(
     opts: &Options,
-    design: &Design,
-    top: ModuleId,
     clocks: &ClockSet,
-    directives: &[hb_io::TimingDirective],
-) -> Result<Spec, CliError> {
-    let mut spec = Spec::new();
-    // File directives first…
-    let mut file_clock_ports = false;
-    for d in directives {
-        match d {
-            hb_io::TimingDirective::ClockPort { port, clock } => {
-                spec = spec.clock_port(port, clock);
-                file_clock_ports = true;
-            }
-            hb_io::TimingDirective::Arrive { port, edge, offset } => {
-                spec = spec.input_arrival(
-                    port,
-                    EdgeSpec::new(&edge.0, edge.1).at_occurrence(edge.2),
-                    *offset,
-                );
-            }
-            hb_io::TimingDirective::Require { port, edge, offset } => {
-                spec = spec.output_required(
-                    port,
-                    EdgeSpec::new(&edge.0, edge.1).at_occurrence(edge.2),
-                    *offset,
-                );
-            }
-        }
+    mut directives: Vec<TimingDirective>,
+) -> Vec<TimingDirective> {
+    directives.extend(
+        opts.clock_ports
+            .iter()
+            .map(|(port, clock)| TimingDirective::ClockPort {
+                port: port.clone(),
+                clock: clock.clone(),
+            }),
+    );
+    if let Some((_, first)) = clocks.clocks().next() {
+        let edge = (first.name().to_owned(), Transition::Rise, 0);
+        directives.extend(
+            opts.arrivals
+                .iter()
+                .map(|(port, offset)| TimingDirective::Arrive {
+                    port: port.clone(),
+                    edge: edge.clone(),
+                    offset: *offset,
+                }),
+        );
+        directives.extend(
+            opts.requireds
+                .iter()
+                .map(|(port, offset)| TimingDirective::Require {
+                    port: port.clone(),
+                    edge: edge.clone(),
+                    offset: *offset,
+                }),
+        );
     }
-    // …then command-line overrides / defaults.
-    if opts.clock_ports.is_empty() {
-        if !file_clock_ports {
-            // Default rule: a clock binds the port carrying its own name.
-            for (_, clock) in clocks.clocks() {
-                if design.module(top).port_by_name(clock.name()).is_some() {
-                    spec = spec.clock_port(clock.name(), clock.name());
-                }
-            }
-        }
-    } else {
-        for (port, clock) in &opts.clock_ports {
-            spec = spec.clock_port(port, clock);
-        }
-    }
-    let first_clock = clocks
-        .clocks()
-        .next()
-        .map(|(_, c)| c.name().to_owned())
-        .ok_or_else(|| CliError::analysis("the design declares no clocks"))?;
-    for (port, offset) in &opts.arrivals {
-        spec = spec.input_arrival(port, EdgeSpec::new(&first_clock, Transition::Rise), *offset);
-    }
-    for (port, offset) in &opts.requireds {
-        spec = spec.output_required(port, EdgeSpec::new(&first_clock, Transition::Rise), *offset);
-    }
-    Ok(spec)
+    directives
 }
 
 /// Proportionally rescales every clock waveform to `pct` percent.
@@ -539,7 +519,9 @@ pub fn run(args: &[&str], out: &mut impl Write) -> Result<u8, CliError> {
         return Ok(0);
     }
 
-    let spec = build_spec(&opts, &design, top, &file.clocks, &file.timing)?;
+    let directives = with_overrides(&opts, &file.clocks, file.timing);
+    let spec = hb_server::spec_from_directives(&design, top, &file.clocks, &directives)
+        .map_err(CliError::analysis)?;
     let options = AnalysisOptions {
         latch_model: if opts.edge_triggered {
             LatchModel::EdgeTriggered
@@ -792,5 +774,44 @@ mod tests {
         assert_eq!(o.requireds, vec![("y".into(), Time::ZERO)]);
         assert!(o.edge_triggered && o.min_delays);
         assert_eq!(o.max_paths, 9);
+    }
+
+    /// A `--clock-port` flag turns the default clock-port rule off: the
+    /// port named like the clock stays a data input, so the report lists
+    /// it as a primary-input terminal.
+    #[test]
+    fn clock_port_flag_keeps_a_clock_named_port_a_primary_input() {
+        let text = "\
+design portnames
+module top
+  port in ck clk
+  port out y
+  inst u1 INV_X1 A=ck Y=w1
+  inst ff DFF D=w1 CK=clk Q=y
+end
+top top
+clock ck period 1ns rise 0ns fall 500ps
+";
+        let library = sc89();
+        let file = hb_io::parse_hum(text, &library).unwrap();
+        let top = file.design.top().unwrap();
+        let spec = |args: &[&str]| {
+            let opts = parse_args(args).unwrap();
+            let directives = with_overrides(&opts, &file.clocks, file.timing.clone());
+            hb_server::spec_from_directives(&file.design, top, &file.clocks, &directives).unwrap()
+        };
+        let default = spec(&["analyze", "d.hum"]);
+        assert_eq!(default.clock_ports().collect::<Vec<_>>(), [("ck", "ck")]);
+
+        let flagged = spec(&["analyze", "d.hum", "--clock-port", "clk=ck"]);
+        assert_eq!(flagged.clock_ports().collect::<Vec<_>>(), [("clk", "ck")]);
+        let report = Analyzer::new(&file.design, top, &library, &file.clocks, flagged)
+            .unwrap()
+            .analyze();
+        let ck: Vec<_> = (report.terminal_slacks().iter())
+            .filter(|t| t.name == "ck")
+            .map(|t| t.kind)
+            .collect();
+        assert_eq!(ck, [hummingbird::TerminalKind::PrimaryInput]);
     }
 }

@@ -117,6 +117,37 @@ fn explicit_clock_port_and_edge_triggered() {
     assert_eq!(code, 0, "{out}");
 }
 
+/// A port named like a clock, beside the port that carries it.
+const CLOCK_NAMED_DATA_DESIGN: &str = "\
+design portnames
+module top
+  port in ck clk
+  port out y
+  inst u1 INV_X1 A=ck Y=w1
+  inst u2 XOR2_X1 A=w1 B=ck Y=w2
+  inst u3 XOR2_X1 A=w2 B=w1 Y=v
+  inst ff DFF D=v CK=clk Q=y
+end
+top top
+clock ck period 1ns rise 0ns fall 500ps
+";
+
+#[test]
+fn clock_port_flag_turns_the_default_clock_port_rule_off() {
+    let path = write_temp("clock_named_data.hum", CLOCK_NAMED_DATA_DESIGN);
+    // By default the clock binds the port carrying its name, which
+    // leaves the flop's clock pin on `clk` unclocked.
+    let mut buf = Vec::new();
+    let err = hb_cli::run(&["analyze", &path], &mut buf).unwrap_err();
+    assert_eq!(err.exit_code(), 5, "{err}");
+    // With `--clock-port`, `ck` stays a data input: a primary-input
+    // terminal asserted at the first edge, launching the slow path.
+    let (code, out) = run_capture(&["analyze", &path, "--clock-port", "clk=ck"]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("slow path into ff"), "{out}");
+    assert!(out.contains("    from ck at 0ns\n"), "{out}");
+}
+
 #[test]
 fn arrive_offsets_shift_slack() {
     let path = write_temp("arrive.hum", DESIGN);

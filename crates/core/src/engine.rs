@@ -27,8 +27,10 @@
 //! seed nodes, so the cache keeps two resolutions: one value per seed
 //! for every version of an item the last analysis used, and the full
 //! tables only for the item's newest sweep and for the versions a
-//! report view read. A report view ([`Engine::materialise_with`]) takes
-//! full tables from the cache or re-sweeps them.
+//! report view read. Each version is one record that holds its whole
+//! seed signature, so a probe compares whole signatures. A report view
+//! ([`Engine::materialise_with`]) takes full tables from the cache or
+//! re-sweeps them.
 //!
 //! Seeding, sweeping, the cache and the incremental cycles are written
 //! once over the value [`Algebra`]: [`Engine::evaluate_with`] serves
@@ -36,6 +38,7 @@
 //! worker pool) and the symbolic parametric analysis, which sweeps its
 //! misses one at a time, in item order.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -139,14 +142,7 @@ impl WorkItem {
             .close_replica_seeds
             .iter()
             .map(|s| s.at(alg, offs[s.k as usize].1));
-        let mut sig = Vec::with_capacity(self.sig_len() + self.seed_count());
-        sig.extend(assert.chain(close));
-        sig
-    }
-
-    /// The signature length.
-    fn sig_len(&self) -> usize {
-        self.ready_replica_seeds.len() + self.close_replica_seeds.len()
+        assert.chain(close).collect()
     }
 
     /// The cache key.
@@ -882,8 +878,14 @@ impl Engine {
 /// values.
 const VERSION_RECORD_BYTES: usize = 64;
 
-/// What every version records besides its key.
-struct Kept<V> {
+/// One sweep of an item that the cache keeps.
+struct Version<V> {
+    /// Its seed signature.
+    sig: Box<[V]>,
+    /// Its stored per-seed values (see [`WorkItem::seeds_at`]). A
+    /// superseded version always has them; the newest has them only
+    /// while it has no tables.
+    seeds: Option<Box<[V]>>,
     /// The full tables, kept while this is the item's newest sweep or
     /// when a report view of the last analysis read it.
     tables: Option<Arc<ItemTables<V>>>,
@@ -893,41 +895,42 @@ struct Kept<V> {
     reported: u32,
 }
 
-impl<V> Kept<V> {
+impl<V> Version<V> {
     /// Whether a report view of the analysis `epoch` or of the one
     /// before read this version.
     fn reported_since(&self, epoch: u32) -> bool {
         self.reported != 0 && epoch.wrapping_sub(self.reported) <= 1
     }
-}
 
-/// An item's newest sweep.
-struct Newest<V> {
-    /// The static fingerprint it was swept under; the item's older
-    /// versions share it.
-    fingerprint: u64,
-    /// Its seed signature, followed — only when it has no tables — by
-    /// its per-seed values.
-    data: Box<[V]>,
-    kept: Kept<V>,
-}
-
-impl<V> Newest<V> {
-    /// The signature, for an item with `seeds` per-seed values.
-    fn sig(&self, seeds: usize) -> &[V] {
-        let stored = if self.kept.tables.is_some() { 0 } else { seeds };
-        &self.data[..self.data.len() - stored]
+    /// Its share of [`SlackCache::approx_bytes`].
+    fn approx_bytes(&self) -> usize {
+        let values = self.sig.len() + self.seeds.as_ref().map_or(0, |s| s.len());
+        let pairs = (self.tables.as_ref()).map_or(0, |t| t.ready.len() + t.required.len());
+        VERSION_RECORD_BYTES
+            + values * std::mem::size_of::<V>()
+            + pairs * std::mem::size_of::<RiseFall<V>>()
     }
 }
 
-/// A version superseded by a newer sweep of its item.
-struct Older<V> {
-    /// Where its seed signature differs from the newest's, as
-    /// `(position, value)` by position.
-    diff: Box<[(u32, V)]>,
-    /// Its per-seed values (see [`WorkItem::seeds_at`]).
-    seeds: Box<[V]>,
-    kept: Kept<V>,
+/// The versions of one `(cluster, pass)` item. Version `v` is
+/// `older[v]`, or the newest for `v == older.len()`.
+struct Versions<V> {
+    /// The static fingerprint every version was swept under.
+    fingerprint: u64,
+    /// The newest sweep.
+    newest: Version<V>,
+    /// The versions the newest superseded, in the order superseded.
+    older: Vec<Version<V>>,
+}
+
+impl<V> Versions<V> {
+    fn get(&self, v: u32) -> &Version<V> {
+        self.older.get(v as usize).unwrap_or(&self.newest)
+    }
+
+    fn get_mut(&mut self, v: u32) -> &mut Version<V> {
+        self.older.get_mut(v as usize).unwrap_or(&mut self.newest)
+    }
 }
 
 /// The values a held version serves an intermediate cycle.
@@ -936,33 +939,6 @@ enum Held<'c, V> {
     Seeds(&'c [V]),
     /// Full tables to derive them from.
     Tables(&'c ItemTables<V>),
-}
-
-/// The signature `base` with the entries of `diff` replaced.
-fn patched<'s, V: Copy>(base: &'s [V], diff: &'s [(u32, V)]) -> impl Iterator<Item = V> + 's {
-    let mut diff = diff.iter().peekable();
-    base.iter().enumerate().map(
-        move |(j, &b)| match diff.next_if(|(at, _)| *at as usize == j) {
-            Some(&(_, v)) => v,
-            None => b,
-        },
-    )
-}
-
-/// Where the signature `sig` differs from `base`, by position.
-fn diff<V: Copy + PartialEq>(base: &[V], sig: impl IntoIterator<Item = V>) -> Box<[(u32, V)]> {
-    (base.iter().zip(sig).enumerate())
-        .filter(|(_, (&b, v))| b != *v)
-        .map(|(j, (_, v))| (j as u32, v))
-        .collect()
-}
-
-/// Re-expresses older versions stored against the signature `from`
-/// against the signature `to`.
-fn rebase<V: Copy + PartialEq>(older: &mut [Older<V>], from: &[V], to: &[V]) {
-    for v in older {
-        v.diff = diff(to, patched(from, &v.diff));
-    }
 }
 
 /// Memo of swept `(cluster, pass)` items, keyed by the item's static
@@ -977,11 +953,10 @@ fn rebase<V: Copy + PartialEq>(older: &mut [Older<V>], from: &[V], to: &[V]) {
 /// and an edit re-sweeps only what it moved. The cache holds two
 /// resolutions. A version keeps its full tables only while it is the
 /// item's newest sweep or when a report view of the last analysis read
-/// it; every other version keeps only its per-seed values — all that an
-/// intermediate cycle of Algorithm 1 or 2 reads — and its signature as
-/// the few positions where it differs from the newest's. When an
-/// analysis ends, every version it did not use is dropped; there is no
-/// capacity, age or size setting.
+/// it; every other version keeps only its signature and its per-seed
+/// values — all that an intermediate cycle of Algorithm 1 or 2 reads.
+/// When an analysis ends, every version it did not use is dropped;
+/// there is no capacity, age or size setting.
 ///
 /// Because versions are keyed by content rather than by item position,
 /// one cache may outlive the [`Analyzer`] that filled it: a resident
@@ -999,12 +974,8 @@ fn rebase<V: Copy + PartialEq>(older: &mut [Older<V>], from: &[V], to: &[V]) {
 ///
 /// [`Analyzer`]: crate::Analyzer
 pub struct SlackCache<V = Time> {
-    /// Per `(cluster, pass)`: its newest sweep.
-    newest: HashMap<(u32, u32), Newest<V>>,
-    /// Per `(cluster, pass)` with superseded versions: those, in the
-    /// order they were superseded. Version `v` of an item is
-    /// `older[v]`, or its newest for `v == older.len()`.
-    older: HashMap<(u32, u32), Vec<Older<V>>>,
+    /// Per `(cluster, pass)`: its versions.
+    items: HashMap<(u32, u32), Versions<V>>,
     /// The analysis in progress or last finished.
     epoch: u32,
     /// Item evaluations requested over the cache's lifetime.
@@ -1016,8 +987,7 @@ pub struct SlackCache<V = Time> {
 impl<V> Default for SlackCache<V> {
     fn default() -> Self {
         SlackCache {
-            newest: HashMap::new(),
-            older: HashMap::new(),
+            items: HashMap::new(),
             epoch: 0,
             scheduled: 0,
             reused: 0,
@@ -1037,33 +1007,22 @@ impl SlackCache {
 impl<V> SlackCache<V> {
     /// The number of `(cluster, pass)` items with memoised sweeps.
     pub fn len(&self) -> usize {
-        self.newest.len()
+        self.items.len()
     }
 
     /// Whether the cache holds no memoised sweeps.
     pub fn is_empty(&self) -> bool {
-        self.newest.is_empty()
+        self.items.is_empty()
     }
 
     /// A deterministic estimate of the memoised content in bytes: per
-    /// version, a fixed record size plus its signature and per-seed
-    /// values, plus its full tables when it kept them.
+    /// version, a fixed record size plus its signature and stored
+    /// per-seed values, plus its full tables when it kept them.
     pub fn approx_bytes(&self) -> usize {
-        let value = std::mem::size_of::<V>();
-        let tables = |k: &Kept<V>| {
-            let pairs = k
-                .tables
-                .as_ref()
-                .map_or(0, |t| t.ready.len() + t.required.len());
-            pairs * std::mem::size_of::<RiseFall<V>>()
-        };
-        let newest = (self.newest.values())
-            .map(|n| VERSION_RECORD_BYTES + n.data.len() * value + tables(&n.kept));
-        let older = self.older.values().flatten().map(|o| {
-            let diff = o.diff.len() * std::mem::size_of::<(u32, V)>();
-            VERSION_RECORD_BYTES + diff + o.seeds.len() * value + tables(&o.kept)
-        });
-        newest.chain(older).sum()
+        (self.items.values())
+            .flat_map(|e| e.older.iter().chain([&e.newest]))
+            .map(Version::approx_bytes)
+            .sum()
     }
 
     /// The reuse counters, for reporting.
@@ -1079,113 +1038,85 @@ impl<V> SlackCache<V> {
         self.epoch = self.epoch.wrapping_add(1).max(1);
     }
 
-    /// The record of version `v` of `item`.
-    fn kept_mut(&mut self, item: &WorkItem, v: u32) -> &mut Kept<V> {
-        match self.older.get_mut(&item.key()) {
-            Some(older) if (v as usize) < older.len() => &mut older[v as usize].kept,
-            _ => &mut self.newest.get_mut(&item.key()).expect("held").kept,
-        }
-    }
-
-    /// What version `v` of `item` serves an intermediate cycle.
+    /// What version `v` of `item` serves an intermediate cycle: its
+    /// stored per-seed values when it has them, its tables otherwise.
     fn held(&self, item: &WorkItem, v: u32) -> Held<'_, V> {
-        if let Some(o) = self.older.get(&item.key()).and_then(|o| o.get(v as usize)) {
-            return Held::Seeds(&o.seeds);
-        }
-        let n = &self.newest[&item.key()];
-        match &n.kept.tables {
-            Some(t) => Held::Tables(t),
-            None => Held::Seeds(&n.data[item.sig_len()..]),
+        let version = self.items[&item.key()].get(v);
+        match (&version.seeds, &version.tables) {
+            (Some(seeds), _) => Held::Seeds(seeds),
+            (None, Some(tables)) => Held::Tables(tables),
+            (None, None) => unreachable!("a version without per-seed values keeps its tables"),
         }
     }
 
     /// The full tables version `v` of `item` kept, if any, marking it as
     /// read by this analysis's report.
     fn read_for_report(&mut self, item: &WorkItem, v: u32) -> Option<Arc<ItemTables<V>>> {
-        let epoch = self.epoch;
-        let kept = self.kept_mut(item, v);
-        kept.reported = epoch;
-        kept.tables.clone()
+        let version = self.items.get_mut(&item.key()).expect("held").get_mut(v);
+        version.reported = self.epoch;
+        version.tables.clone()
     }
-}
 
-impl<V: Copy + PartialEq> SlackCache<V> {
+    /// Gives version `v` of `item` back its re-swept full tables. The
+    /// newest then derives its per-seed values from them again.
+    fn restore(&mut self, item: &WorkItem, v: u32, tables: Arc<ItemTables<V>>) {
+        let e = self.items.get_mut(&item.key()).expect("held");
+        if v as usize == e.older.len() {
+            e.newest.seeds = None;
+        }
+        e.get_mut(v).tables = Some(tables);
+    }
+
     /// Closes the analysis: drops every version it did not use, and
     /// keeps full tables only on each item's newest version and on the
     /// versions its report views read.
     pub(crate) fn finish(&mut self) {
         let epoch = self.epoch;
-        let older = &mut self.older;
-        self.newest.retain(|key, n| {
-            let mut versions = older.remove(key).unwrap_or_default();
-            versions.retain(|v| v.kept.used == epoch);
-            if n.kept.used != epoch {
-                // The most recently superseded version takes over.
-                let Some(v) = versions.pop() else {
+        self.items.retain(|_, e| {
+            e.older.retain(|v| v.used == epoch);
+            if e.newest.used != epoch {
+                // The most recently superseded version takes over; with
+                // tables, it derives its per-seed values from them.
+                let Some(mut v) = e.older.pop() else {
                     return false;
                 };
-                let from = n.sig(v.seeds.len());
-                let sig: Vec<V> = patched(from, &v.diff).collect();
-                rebase(&mut versions, from, &sig);
-                let mut data = sig;
-                if v.kept.tables.is_none() {
-                    data.extend_from_slice(&v.seeds);
+                if v.tables.is_some() {
+                    v.seeds = None;
                 }
-                n.data = data.into_boxed_slice();
-                n.kept = v.kept;
+                e.newest = v;
             }
-            for v in versions.iter_mut().filter(|v| v.kept.reported != epoch) {
-                v.kept.tables = None;
+            for v in e.older.iter_mut().filter(|v| v.reported != epoch) {
+                v.tables = None;
             }
-            if !versions.is_empty() {
-                versions.shrink_to_fit();
-                older.insert(*key, versions);
-            }
+            e.older.shrink_to_fit();
             true
         });
     }
+}
 
+impl<V: Copy + PartialEq> SlackCache<V> {
     /// The version of `item` with the signature `sig`, marked used.
     fn find(&mut self, item: &WorkItem, sig: &[V]) -> Option<u32> {
-        let epoch = self.epoch;
-        let n = self.newest.get_mut(&item.key())?;
-        if n.fingerprint != item.fingerprint {
+        let e = self.items.get_mut(&item.key())?;
+        if e.fingerprint != item.fingerprint {
             return None;
         }
-        let d = diff(n.sig(item.seed_count()), sig.iter().copied());
-        let older = self.older.get_mut(&item.key());
-        let count = older.as_ref().map_or(0, |o| o.len());
-        if d.is_empty() {
-            n.kept.used = epoch;
-            return Some(count as u32);
-        }
-        let older = older?;
-        let v = older.iter().position(|v| v.diff == d)?;
-        older[v].kept.used = epoch;
+        let v = if *e.newest.sig == *sig {
+            e.older.len()
+        } else {
+            e.older.iter().position(|v| *v.sig == *sig)?
+        };
+        e.get_mut(v as u32).used = self.epoch;
         Some(v as u32)
-    }
-
-    /// Gives version `v` of `item` back its re-swept full tables.
-    fn restore(&mut self, item: &WorkItem, v: u32, tables: Arc<ItemTables<V>>) {
-        let older = self.older.get_mut(&item.key());
-        if let Some(o) = older.and_then(|o| o.get_mut(v as usize)) {
-            o.kept.tables = Some(tables);
-            return;
-        }
-        let n = self.newest.get_mut(&item.key()).expect("held");
-        // With tables back, the newest derives its per-seed values.
-        let sig = n.sig(item.seed_count()).to_vec();
-        n.data = sig.into_boxed_slice();
-        n.kept.tables = Some(tables);
     }
 
     /// Adds a freshly swept item with signature `sig` as its newest
     /// version (marked used) and returns the version's index. The
-    /// previous newest becomes an older version: `per_seed` derives its
-    /// per-seed values from its tables, which it keeps only when a
-    /// report view of this or the last analysis read it. Versions of
-    /// another fingerprint predate an edit, so no analysis of this
-    /// design can use them: they go.
+    /// previous newest is superseded: it stores its per-seed values,
+    /// which `per_seed` derives from its tables, and keeps those tables
+    /// only when a report view of this or the last analysis read it.
+    /// Versions of another fingerprint predate an edit, so no analysis
+    /// of this design can use them: they go.
     fn insert(
         &mut self,
         item: &WorkItem,
@@ -1193,40 +1124,34 @@ impl<V: Copy + PartialEq> SlackCache<V> {
         tables: Arc<ItemTables<V>>,
         per_seed: impl FnOnce(&ItemTables<V>) -> Box<[V]>,
     ) -> u32 {
-        let fresh = Newest {
-            fingerprint: item.fingerprint,
-            data: sig.into_boxed_slice(),
-            kept: Kept {
-                tables: Some(tables),
-                used: self.epoch,
-                reported: 0,
-            },
+        let fresh = Version {
+            sig: sig.into_boxed_slice(),
+            seeds: None,
+            tables: Some(tables),
+            used: self.epoch,
+            reported: 0,
         };
-        let key = item.key();
-        let Some(n) = self.newest.get_mut(&key) else {
-            self.newest.insert(key, fresh);
-            return 0;
+        let e = match self.items.entry(item.key()) {
+            Entry::Occupied(e) if e.get().fingerprint == item.fingerprint => e.into_mut(),
+            slot => {
+                let versions = Versions {
+                    fingerprint: item.fingerprint,
+                    newest: fresh,
+                    older: Vec::new(),
+                };
+                slot.insert_entry(versions);
+                return 0;
+            }
         };
-        if n.fingerprint != item.fingerprint {
-            *n = fresh;
-            self.older.remove(&key);
-            return 0;
+        let mut old = std::mem::replace(&mut e.newest, fresh);
+        if old.seeds.is_none() {
+            old.seeds = Some(per_seed(old.tables.as_ref().expect("newest has tables")));
         }
-        let old = std::mem::replace(n, fresh);
-        let seeds = match &old.kept.tables {
-            Some(t) => per_seed(t),
-            None => old.data[item.sig_len()..].into(),
-        };
-        let versions = self.older.entry(key).or_default();
-        let from = old.sig(item.seed_count());
-        rebase(versions, from, &n.data);
-        let diff = diff(&n.data, from.iter().copied());
-        let mut kept = old.kept;
-        if !kept.reported_since(self.epoch) {
-            kept.tables = None;
+        if !old.reported_since(self.epoch) {
+            old.tables = None;
         }
-        versions.push(Older { diff, seeds, kept });
-        versions.len() as u32
+        e.older.push(old);
+        e.older.len() as u32
     }
 }
 
@@ -1308,10 +1233,9 @@ mod tests {
         assert_eq!(cache.approx_bytes(), newest(3) + newest(300));
 
         // A new sweep of `big` supersedes the first, which drops its
-        // tables and keeps its per-seed values plus the one signature
-        // position where it differs from the newest.
+        // tables and keeps its signature and its per-seed values.
         cache.insert(&big, sig(&[1, 2]), tables(300), per_seed);
-        let older = VERSION_RECORD_BYTES + std::mem::size_of::<(u32, Time)>() + 2 * 8;
+        let older = VERSION_RECORD_BYTES + 2 * 8 + 2 * 8;
         assert_eq!(cache.approx_bytes(), newest(3) + newest(300) + older);
         assert_eq!(cache.len(), 2);
 
@@ -1360,7 +1284,7 @@ mod tests {
         assert_eq!(cache.find(&edited, &sigs[0]), None);
 
         // When the newest goes unused, the latest used version takes
-        // over and the others are re-expressed against it.
+        // over.
         cache.begin();
         for v in [0, 2] {
             assert_eq!(cache.find(&it, &sigs[v]), Some(v as u32));
@@ -1374,6 +1298,221 @@ mod tests {
         match cache.held(&it, 1) {
             Held::Seeds(seeds) => assert_eq!(seeds, &[Time::from_ps(20); 2]),
             Held::Tables(_) => panic!("a superseded version kept its tables"),
+        }
+    }
+
+    /// Whether version `v` of `item` keeps its full tables.
+    fn has_tables(cache: &SlackCache, item: &WorkItem, v: u32) -> bool {
+        cache.items[&item.key()].get(v).tables.is_some()
+    }
+
+    /// One sweep in [`Model`].
+    struct Sweep {
+        cluster: u32,
+        fingerprint: u64,
+        sig: Vec<Time>,
+        /// What its tables hold, and so each of its per-seed values.
+        value: Time,
+        used: u32,
+        reported: u32,
+        tables: bool,
+        dropped: bool,
+    }
+
+    /// A naive model of [`SlackCache`]: every sweep ever made, in
+    /// sweep order. An item's versions are its undropped sweeps; the
+    /// last is its newest.
+    #[derive(Default)]
+    struct Model {
+        sweeps: Vec<Sweep>,
+        epoch: u32,
+    }
+
+    impl Model {
+        /// The versions of `cluster`, as indices into `sweeps`.
+        fn versions(&self, cluster: u32) -> Vec<usize> {
+            (0..self.sweeps.len())
+                .filter(|&s| self.sweeps[s].cluster == cluster && !self.sweeps[s].dropped)
+                .collect()
+        }
+
+        fn find(&mut self, cluster: u32, fingerprint: u64, sig: &[Time]) -> Option<u32> {
+            let versions = self.versions(cluster);
+            let &newest = versions.last()?;
+            if self.sweeps[newest].fingerprint != fingerprint {
+                return None;
+            }
+            let v = versions.iter().position(|&s| self.sweeps[s].sig == sig)?;
+            self.sweeps[versions[v]].used = self.epoch;
+            Some(v as u32)
+        }
+
+        fn insert(&mut self, cluster: u32, fingerprint: u64, sig: Vec<Time>, value: Time) -> u32 {
+            let epoch = self.epoch;
+            let versions = self.versions(cluster);
+            if let Some(&newest) = versions.last() {
+                if self.sweeps[newest].fingerprint != fingerprint {
+                    for s in versions {
+                        self.sweeps[s].dropped = true;
+                    }
+                } else {
+                    // Superseded: it keeps its tables only when a report
+                    // view of this or the last analysis read it.
+                    let n = &mut self.sweeps[newest];
+                    n.tables &= n.reported != 0 && epoch - n.reported <= 1;
+                }
+            }
+            self.sweeps.push(Sweep {
+                cluster,
+                fingerprint,
+                sig,
+                value,
+                used: epoch,
+                reported: 0,
+                tables: true,
+                dropped: false,
+            });
+            self.versions(cluster).len() as u32 - 1
+        }
+
+        /// Marks version `v` as read by this analysis's report and says
+        /// whether it has tables.
+        fn read_for_report(&mut self, cluster: u32, v: u32) -> bool {
+            let at = self.versions(cluster)[v as usize];
+            let s = &mut self.sweeps[at];
+            s.reported = self.epoch;
+            s.tables
+        }
+
+        fn restore(&mut self, cluster: u32, v: u32) {
+            let s = self.versions(cluster)[v as usize];
+            self.sweeps[s].tables = true;
+        }
+
+        fn finish(&mut self, clusters: u32) {
+            let epoch = self.epoch;
+            for s in &mut self.sweeps {
+                s.dropped |= s.used != epoch;
+            }
+            for c in 0..clusters {
+                if let Some((_, older)) = self.versions(c).split_last() {
+                    for &s in older {
+                        let s = &mut self.sweeps[s];
+                        s.tables &= s.reported == epoch;
+                    }
+                }
+            }
+        }
+
+        fn len(&self, clusters: u32) -> usize {
+            (0..clusters)
+                .filter(|&c| !self.versions(c).is_empty())
+                .count()
+        }
+
+        /// Version `v`'s per-seed value and whether a hit derives it
+        /// from tables: only the newest does, while it has them.
+        fn held(&self, cluster: u32, v: u32) -> (Time, bool) {
+            let versions = self.versions(cluster);
+            let s = &self.sweeps[versions[v as usize]];
+            (s.value, v as usize == versions.len() - 1 && s.tables)
+        }
+    }
+
+    /// The cache against [`Model`] over seeded sequences of analyses.
+    /// Each analysis probes items with signatures from a small set (a
+    /// miss sweeps and inserts), sometimes edits an item (another
+    /// fingerprint) and sometimes reads a report view (re-sweeping what
+    /// lost its tables); version indices, per-seed values, table
+    /// presence and the item count must agree throughout.
+    #[test]
+    fn cache_matches_a_model_of_every_sweep() {
+        const CLUSTERS: u32 = 3;
+        for seed in 0..300 {
+            let mut rng = hb_rng::SmallRng::seed_from_u64(seed);
+            let mut cache = SlackCache::new();
+            let mut model = Model::default();
+            let mut items: Vec<WorkItem> = (0..CLUSTERS).map(|c| item(c, 2)).collect();
+            let mut swept = 0;
+            let table = |value: Time| {
+                Arc::new(ItemTables {
+                    ready: vec![RiseFall::splat(value); 1],
+                    required: vec![RiseFall::splat(Time::INF); 1],
+                })
+            };
+            let check_held = |cache: &SlackCache, model: &Model, it: &WorkItem, v: u32| {
+                let (value, derived) = model.held(it.cluster, v);
+                let seeds = match cache.held(it, v) {
+                    Held::Seeds(seeds) => {
+                        assert!(!derived, "seed {seed}: stored values served a derived hit");
+                        seeds.to_vec()
+                    }
+                    Held::Tables(t) => {
+                        assert!(derived, "seed {seed}: tables served a stored hit");
+                        per_seed(t).to_vec()
+                    }
+                };
+                assert_eq!(seeds, [value; 2], "seed {seed}: item {} v{v}", it.cluster);
+            };
+            for _ in 0..16 {
+                cache.begin();
+                model.epoch += 1;
+                for it in &mut items {
+                    if rng.gen_bool(0.1) {
+                        it.fingerprint = 15 - it.fingerprint;
+                    }
+                }
+                let mut held: Vec<Option<u32>> = vec![None; CLUSTERS as usize];
+                for _ in 0..rng.gen_range(1..5) {
+                    for (c, it) in items.iter().enumerate() {
+                        if !rng.gen_bool(0.7) {
+                            continue;
+                        }
+                        let sig = sig(&[rng.gen_range(0..2) as i64, rng.gen_range(0..3) as i64]);
+                        let found = cache.find(it, &sig);
+                        assert_eq!(
+                            found,
+                            model.find(it.cluster, it.fingerprint, &sig),
+                            "seed {seed}"
+                        );
+                        let v = match found {
+                            Some(v) => v,
+                            None => {
+                                swept += 1;
+                                let value = Time::from_ps(swept);
+                                let v = cache.insert(it, sig.clone(), table(value), per_seed);
+                                assert_eq!(v, model.insert(it.cluster, it.fingerprint, sig, value));
+                                v
+                            }
+                        };
+                        check_held(&cache, &model, it, v);
+                        held[c] = Some(v);
+                    }
+                    if rng.gen_bool(0.3) {
+                        for (it, v) in items.iter().zip(&held) {
+                            let Some(v) = *v else { continue };
+                            let kept = cache.read_for_report(it, v);
+                            assert_eq!(kept.is_some(), model.read_for_report(it.cluster, v));
+                            if kept.is_none() {
+                                let (value, _) = model.held(it.cluster, v);
+                                cache.restore(it, v, table(value));
+                                model.restore(it.cluster, v);
+                            }
+                            check_held(&cache, &model, it, v);
+                        }
+                    }
+                }
+                cache.finish();
+                model.finish(CLUSTERS);
+                assert_eq!(cache.len(), model.len(CLUSTERS), "seed {seed}");
+                for it in &items {
+                    for v in 0..model.versions(it.cluster).len() as u32 {
+                        let tables = model.sweeps[model.versions(it.cluster)[v as usize]].tables;
+                        assert_eq!(has_tables(&cache, it, v), tables, "seed {seed}");
+                        check_held(&cache, &model, it, v);
+                    }
+                }
+            }
         }
     }
 }

@@ -301,14 +301,6 @@ fn try_isolate(
 
 #[cfg(test)]
 mod tests {
-    pub(super) fn probe_initial() {
-        let lib = sc89();
-        let (design, module, clocks, spec) = heavy_fanout_design();
-        let a = Analyzer::new(&design, module, &lib, &clocks, spec).unwrap();
-        let r = a.analyze();
-        eprintln!("initial worst slack: {} (ok={})", r.worst_slack(), r.ok());
-    }
-
     use super::*;
     use hb_cells::sc89;
     use hb_units::Transition;
@@ -452,15 +444,5 @@ mod tests {
         assert!(!outcome.met);
         assert!(outcome.iterations <= ResynthOptions::default().max_iterations);
         d.validate().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::tests::*;
-    #[test]
-    #[ignore]
-    fn print_initial_slack() {
-        probe_initial();
     }
 }

@@ -85,8 +85,8 @@ struct Loaded {
     /// The prepared state of the last `eco`'s analysis and the
     /// generation it matches. Only `eco` keeps one: the next ECO
     /// patches it in place instead of preparing the design again, and
-    /// `analyze`/`constraints` reuse it while its generation is
-    /// current. `load` and an options change drop it.
+    /// `analyze`/`constraints` and the what-if builds reuse it while
+    /// its generation is current. `load` and an options change drop it.
     prepared: Option<(u64, Prepared)>,
 }
 
@@ -96,6 +96,22 @@ impl Loaded {
     fn take_prepared(&mut self) -> Option<Prepared> {
         let (generation, prep) = self.prepared.take()?;
         (generation == self.generation && prep.options() == self.options).then_some(prep)
+    }
+
+    /// The prepared state an analysis of the current design runs on,
+    /// and whether it is the resident one: that state when it is
+    /// current (taken out, for the caller to put back), a cold
+    /// preparation otherwise.
+    fn open(&mut self, library: &Library) -> Result<(Prepared, bool), Frame> {
+        if let Some(prep) = self.take_prepared() {
+            return Ok((prep, true));
+        }
+        let (design, top, clocks) = (&self.design, self.top, &self.clocks);
+        let spec = spec_from_directives(design, top, clocks, &self.timing)
+            .map_err(|e| err("analysis", e))?;
+        let analyzer = Analyzer::with_options(design, top, library, clocks, spec, self.options)
+            .map_err(|e| err("analysis", e))?;
+        Ok((analyzer.into_prepared(), false))
     }
 }
 
@@ -766,50 +782,28 @@ impl Session {
 
     /// Re-runs the analysis through the session cache. `constraints`
     /// selects Algorithm 2 on top of Algorithm 1. The analysis runs on
-    /// `prepared` when given (the resident state, current or patched to
-    /// the design) and on a cold preparation otherwise; with `keep`, the
-    /// state stays resident afterward, tagged with the generation.
-    fn reanalyze(
-        &mut self,
-        constraints: bool,
-        prepared: Option<Prepared>,
-        keep: bool,
-    ) -> Result<(), Frame> {
+    /// the resident prepared state when it is current (an ECO leaves its
+    /// patched state there), and on a cold preparation otherwise; the
+    /// state stays resident afterward, tagged with the generation, when
+    /// it was resident or with `keep`.
+    fn reanalyze(&mut self, constraints: bool, keep: bool) -> Result<(), Frame> {
         let Some(loaded) = self.loaded.as_mut() else {
             return Err(err("no-design", "no design loaded"));
         };
-        let analyzer = match prepared {
-            Some(prep) => Analyzer::from_prepared(&loaded.design, &self.library, prep),
-            None => {
-                let (design, top) = (&loaded.design, loaded.top);
-                let spec = spec_from_directives(design, top, &loaded.clocks, &loaded.timing)
-                    .map_err(|e| err("analysis", e))?;
-                let (clocks, options) = (&loaded.clocks, loaded.options);
-                Analyzer::with_options(design, top, &self.library, clocks, spec, options)
-                    .map_err(|e| err("analysis", e))?
-            }
-        };
+        let (prep, resident) = loaded.open(&self.library)?;
+        let analyzer = Analyzer::from_prepared(&loaded.design, &self.library, prep);
         let report = if constraints {
             analyzer.generate_constraints_with_cache(&mut loaded.cache)
         } else {
             analyzer.analyze_with_cache(&mut loaded.cache)
         };
-        if keep {
+        if resident || keep {
             loaded.prepared = Some((loaded.generation, analyzer.into_prepared()));
         }
         loaded.report = Some(report);
         loaded.analyzed = Some(loaded.generation);
         loaded.with_constraints = constraints;
         Ok(())
-    }
-
-    /// [`Session::reanalyze`] on the resident prepared state when it is
-    /// current, which then stays resident; on a cold preparation,
-    /// which does not, otherwise.
-    fn reanalyze_current(&mut self, constraints: bool) -> Result<(), Frame> {
-        let resident = self.loaded.as_mut().and_then(Loaded::take_prepared);
-        let keep = resident.is_some();
-        self.reanalyze(constraints, resident, keep)
     }
 
     /// Makes sure a current report exists, running Algorithm 1 if the
@@ -820,7 +814,7 @@ impl Session {
             Some(l) => l.analyzed != Some(l.generation),
         };
         if stale {
-            self.reanalyze_current(false)?;
+            self.reanalyze(false, false)?;
         }
         Ok(())
     }
@@ -829,7 +823,9 @@ impl Session {
     /// exists, running one symbolic analysis if the design changed
     /// since the last build. Once built, every `min-period` /
     /// `slack-at` / `period-sweep` on this generation is answered
-    /// straight from the table — no engine sweeps.
+    /// straight from the table — no engine sweeps. The build runs on
+    /// the resident prepared state when it is current, and puts it
+    /// back; otherwise on a cold preparation, which is not kept.
     fn ensure_parametric(&mut self) -> Result<(), Frame> {
         if self.param_settled() {
             return Ok(());
@@ -837,19 +833,13 @@ impl Session {
         let Some(loaded) = self.loaded.as_mut() else {
             return Err(err("no-design", "no design loaded"));
         };
-        let spec = spec_from_directives(&loaded.design, loaded.top, &loaded.clocks, &loaded.timing)
-            .map_err(|e| err("analysis", e))?;
-        let table = Analyzer::with_options(
-            &loaded.design,
-            loaded.top,
-            &self.library,
-            &loaded.clocks,
-            spec,
-            loaded.options,
-        )
-        .map_err(|e| err("analysis", e))?
-        .parametric()
-        .map_err(|e| err("analysis", e))?;
+        let (prep, resident) = loaded.open(&self.library)?;
+        let analyzer = Analyzer::from_prepared(&loaded.design, &self.library, prep);
+        let table = analyzer.parametric();
+        if resident {
+            loaded.prepared = Some((loaded.generation, analyzer.into_prepared()));
+        }
+        let table = table.map_err(|e| err("analysis", e))?;
         loaded.parametric = Some((loaded.generation, table));
         Ok(())
     }
@@ -1021,7 +1011,7 @@ impl Session {
                 return reply;
             }
         }
-        if let Err(reply) = self.reanalyze_current(false) {
+        if let Err(reply) = self.reanalyze(false, false) {
             return reply;
         }
         self.report_reply()
@@ -1033,7 +1023,7 @@ impl Session {
                 return reply;
             }
         }
-        if let Err(reply) = self.reanalyze_current(true) {
+        if let Err(reply) = self.reanalyze(true, false) {
             return reply;
         }
         let loaded = self.loaded.as_ref().expect("reanalyze succeeded");
@@ -1197,12 +1187,13 @@ impl Session {
         // after a load has none and prepares cold), then re-analyze
         // through the persistent cache: the reply's reuse counters are
         // the incremental-value measurement.
-        let loaded = self.loaded.as_ref().expect("loaded above");
+        let loaded = self.loaded.as_mut().expect("loaded above");
         let constraints = loaded.with_constraints;
         let patched = resident.and_then(|prep| {
             prep.patch(&loaded.design, &self.library, &loaded.clocks, outcome.edit)
         });
-        if let Err(reply) = self.reanalyze(constraints, patched, true) {
+        loaded.prepared = patched.map(|prep| (loaded.generation, prep));
+        if let Err(reply) = self.reanalyze(constraints, true) {
             return reply;
         }
         self.report_reply().arg("desc", outcome.description)
@@ -1292,6 +1283,54 @@ mod tests {
 
         assert_eq!(session.handle(&load).verb, "ok");
         assert_eq!(session.approx_resident_bytes(), loaded);
+    }
+
+    /// A what-if build after ECOs runs on the resident prepared state
+    /// and puts it back: the session's price does not move, and the
+    /// table is a fresh session's table for the edited design.
+    #[test]
+    fn what_if_after_ecos_runs_on_the_resident_state() {
+        let text = std::fs::read_to_string("../../designs/two_phase_pipeline.hum").unwrap();
+        let mut session = Session::new(sc89());
+        assert_eq!(
+            session.handle(&Frame::new("load").with_payload(text)).verb,
+            "ok"
+        );
+        let ecos = [
+            Frame::new("eco").arg("op", "resize").arg("inst", "b0"),
+            (Frame::new("eco").arg("op", "scale-net"))
+                .arg("net", "b0y")
+                .arg("percent", 150),
+        ];
+        for eco in &ecos {
+            let reply = session.handle(eco);
+            assert_eq!(reply.verb, "ok", "{:?}", reply.payload);
+        }
+        let priced = session.approx_resident_bytes();
+        let warm = session.handle(&Frame::new("min-period"));
+        assert_eq!(warm.verb, "ok", "{:?}", warm.payload);
+        assert_eq!(session.approx_resident_bytes(), priced);
+        let loaded = session.loaded.as_ref().unwrap();
+        let (generation, _) = loaded.prepared.as_ref().expect("the state went back");
+        assert_eq!(*generation, loaded.generation);
+
+        let dump = session.handle(&Frame::new("dump")).payload.unwrap();
+        let mut fresh = Session::new(sc89());
+        assert_eq!(
+            fresh.handle(&Frame::new("load").with_payload(dump)).verb,
+            "ok"
+        );
+        assert_eq!(fresh.handle(&Frame::new("min-period")), warm);
+        let ((_, warm), (_, cold)) = (session.parametric_table(), fresh.parametric_table());
+        assert_eq!(warm.domain(), cold.domain());
+        assert_eq!(warm.region_count(), cold.region_count());
+        let nominal = warm.nominal_period();
+        assert_eq!(warm.terminals().len(), cold.terminals().len());
+        for (row, (w, c)) in warm.terminals().iter().zip(cold.terminals()).enumerate() {
+            assert_eq!((w.kind, &w.name, w.pulse), (c.kind, &c.name, c.pulse));
+            let slack = |t: &ParametricSlack| t.terminal_slack_at(nominal, row).unwrap();
+            assert_eq!(slack(warm), slack(cold), "terminal {}", w.name);
+        }
     }
 
     /// `capped=1` appears on a reply exactly when a cycle cap stopped

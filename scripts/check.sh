@@ -69,6 +69,21 @@ $HB query "$ADDR" eco resize b0 1
 $HB query "$ADDR" eco resize b0 -1
 $HB query "$ADDR" eco resize b0 1 | tee "$SMOKE_DIR/eco.out"
 grep -q "items_reused" "$SMOKE_DIR/eco.out"
+# A what-if build after the ECOs runs on the resident prepared state
+# and puts it back: `min-period` must not prepare the design cold.
+cold_preparations() {
+    $HB query "$ADDR" metrics | awk '
+        $1 == "hb_prepare_total{kind=\"cold\"}" { n = $2 }
+        END { print n + 0 }
+    '
+}
+COLD_BEFORE=$(cold_preparations)
+$HB query "$ADDR" min-period
+COLD_AFTER=$(cold_preparations)
+echo "cold preparations across min-period: $COLD_BEFORE -> $COLD_AFTER"
+[ "$COLD_BEFORE" = "$COLD_AFTER" ] || {
+    echo "min-period after the ECOs prepared the design cold"; exit 1
+}
 $HB query "$ADDR" slack mid
 $HB query "$ADDR" dump > "$SMOKE_DIR/dump.out"
 # Strip the reply header; the payload is the edited .hum design.
