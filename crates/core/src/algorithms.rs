@@ -33,10 +33,64 @@ pub(crate) const PARTIAL_DIVISOR: i64 = 2;
 /// A slack evaluation as the algorithms consume it. Successive calls
 /// within one analysis may build on each other, so the last call is
 /// the analysis's current view.
+///
+/// Two lists make a cycle cost what the previous cycle moved (DESIGN
+/// §5a): the *moved-replica list* an evaluation receives names the
+/// replicas whose offsets the transfer cycle since the last call moved,
+/// so only their offsets need recomputing; the *refold list* it hands
+/// back names the terminals whose slacks it recomputed, so the next
+/// cycle of a phase need visit only their replicas.
 pub(crate) trait Evaluate<A: Algebra> {
-    /// Evaluates every slack at the replicas' current offsets and
-    /// returns the terminal slacks.
-    fn evaluate(&mut self, alg: &mut A, replicas: &[Replica<A::Val>]) -> &Terminals<A::Val>;
+    /// Evaluates every slack at the replicas' current offsets. `moved`
+    /// lists, ascending, the replicas the last transfer cycle moved;
+    /// the first call of an analysis reads every replica's offsets.
+    fn evaluate(
+        &mut self,
+        alg: &mut A,
+        replicas: &[Replica<A::Val>],
+        moved: &[u32],
+    ) -> Evaluation<'_, A::Val>;
+}
+
+/// What one evaluation hands back: the terminal slacks, and the
+/// terminals (report order, ascending) whose slacks it recomputed —
+/// `None` when every slack may have changed.
+pub(crate) struct Evaluation<'e, V> {
+    pub terms: &'e Terminals<V>,
+    pub refolded: Option<&'e [u32]>,
+}
+
+impl<'e, V> Evaluation<'e, V> {
+    /// The replica input slacks.
+    fn replica_in(&self) -> Slacks<'e, V> {
+        self.replicas_at(&self.terms.replica_in, 0)
+    }
+
+    /// The replica output slacks.
+    fn replica_out(&self) -> Slacks<'e, V> {
+        self.replicas_at(&self.terms.replica_out, self.terms.replica_in.len() as u32)
+    }
+
+    /// One slack per replica, `values`, at the terminals from `base` on.
+    fn replicas_at(&self, values: &'e [V], base: u32) -> Slacks<'e, V> {
+        let end = base + values.len() as u32;
+        let within =
+            |r: &'e [u32]| &r[r.partition_point(|&t| t < base)..r.partition_point(|&t| t < end)];
+        Slacks {
+            values,
+            refolded: self.refolded.map(within),
+            base,
+        }
+    }
+}
+
+/// One terminal slack per replica, as a transfer cycle reads them.
+struct Slacks<'e, V> {
+    values: &'e [V],
+    /// The refolded terminals among them, ascending, as terminal
+    /// indices (`base + replica`); `None`: every one may have changed.
+    refolded: Option<&'e [u32]>,
+    base: u32,
 }
 
 /// Iteration counters from Algorithm 1.
@@ -69,26 +123,69 @@ pub struct Algorithm2Stats {
     pub cycle_cap_hit: bool,
 }
 
-/// One slack-transfer cycle: `request` turns each replica's terminal
-/// slack in `slack` into a transfer amount (`None`: no transfer), which
-/// `transfer` applies. Returns whether any time moved.
-fn transfer_cycle<A: Algebra>(
-    alg: &mut A,
-    replicas: &mut [Replica<A::Val>],
-    slack: &[A::Val],
-    mut request: impl FnMut(&mut A, A::Val) -> Result<Option<A::Val>, A::Split>,
-    transfer: impl Fn(&mut Replica<A::Val>, &mut A, A::Val) -> A::Val,
-) -> Result<bool, A::Split> {
-    let mut any = false;
-    for (r, &s) in replicas.iter_mut().zip(slack) {
-        if let Some(amount) = request(alg, s)? {
-            let moved = transfer(r, alg, amount);
-            if alg.gt_zero(moved) {
-                any = true;
+/// What the slack-transfer cycles of one analysis carry from one
+/// evaluation to the next. A *phase* is one transfer loop: Algorithm
+/// 1's four iterations, Algorithm 2's two snatch loops.
+#[derive(Default)]
+struct Transfers {
+    /// The replicas the last cycle moved, ascending: the offsets the
+    /// next evaluation recomputes, and candidates of the phase's next
+    /// cycle.
+    moved: Vec<u32>,
+    /// Whether the next cycle continues a phase rather than opening one.
+    continuing: bool,
+    /// The replicas the cycle in progress visits.
+    visit: Vec<u32>,
+}
+
+impl Transfers {
+    /// Opens a phase: its first cycle visits every replica.
+    fn open(&mut self) {
+        self.continuing = false;
+    }
+
+    /// One slack-transfer cycle: `request` turns a replica's terminal
+    /// slack into a transfer amount (`None`: no transfer), which
+    /// `transfer` applies. Returns whether any time moved.
+    ///
+    /// The first cycle of a phase visits every replica. A later one
+    /// visits, in ascending order, only the replicas whose terminal the
+    /// last evaluation refolded and those the previous cycle moved: any
+    /// other replica would request the same amount against the same
+    /// room as when it last moved nothing. An evaluation that does not
+    /// say what it refolded has every replica visited.
+    fn cycle<A: Algebra>(
+        &mut self,
+        alg: &mut A,
+        replicas: &mut [Replica<A::Val>],
+        slack: Slacks<'_, A::Val>,
+        mut request: impl FnMut(&mut A, A::Val) -> Result<Option<A::Val>, A::Split>,
+        transfer: impl Fn(&mut Replica<A::Val>, &mut A, A::Val) -> A::Val,
+    ) -> Result<bool, A::Split> {
+        self.visit.clear();
+        match slack.refolded.filter(|_| self.continuing) {
+            Some(refolded) => {
+                let base = slack.base;
+                self.visit.extend(refolded.iter().map(|&t| t - base));
+                self.visit.extend_from_slice(&self.moved);
+                self.visit.sort_unstable();
+                self.visit.dedup();
+            }
+            None => self.visit.extend(0..replicas.len() as u32),
+        }
+        self.continuing = true;
+        self.moved.clear();
+        for &k in &self.visit {
+            let k = k as usize;
+            if let Some(amount) = request(alg, slack.values[k])? {
+                let moved = transfer(&mut replicas[k], alg, amount);
+                if alg.gt_zero(moved) {
+                    self.moved.push(k as u32);
+                }
             }
         }
+        Ok(!self.moved.is_empty())
     }
-    Ok(any)
 }
 
 /// Runs Algorithm 1, mutating `replicas` in place, and returns its
@@ -113,15 +210,17 @@ pub(crate) fn algorithm1<A: Algebra>(
     };
     let forward = Replica::transfer_forward_in;
     let backward = Replica::transfer_backward_in;
+    let mut t = Transfers::default();
 
     // Iteration 1: complete forward slack transfer to a fixpoint.
+    t.open();
     loop {
-        let view = ev.evaluate(alg, replicas);
-        if view.all_positive(alg) {
+        let view = ev.evaluate(alg, replicas, &t.moved);
+        if view.terms.all_positive(alg) {
             stats.converged_early = true;
             return Ok(stats);
         }
-        if !transfer_cycle(alg, replicas, &view.replica_in, complete, forward)? {
+        if !t.cycle(alg, replicas, view.replica_in(), complete, forward)? {
             break;
         }
         stats.forward_cycles += 1;
@@ -132,13 +231,14 @@ pub(crate) fn algorithm1<A: Algebra>(
     }
 
     // Iteration 2: complete backward slack transfer to a fixpoint.
+    t.open();
     loop {
-        let view = ev.evaluate(alg, replicas);
-        if view.all_positive(alg) {
+        let view = ev.evaluate(alg, replicas, &t.moved);
+        if view.terms.all_positive(alg) {
             stats.converged_early = true;
             return Ok(stats);
         }
-        if !transfer_cycle(alg, replicas, &view.replica_out, complete, backward)? {
+        if !t.cycle(alg, replicas, view.replica_out(), complete, backward)? {
             break;
         }
         stats.backward_cycles += 1;
@@ -151,9 +251,10 @@ pub(crate) fn algorithm1<A: Algebra>(
     // Iteration 3: partial forward transfer, once per complete backward
     // cycle made — returns time to paths that are fast enough so they
     // finish with strictly positive slack.
+    t.open();
     for _ in 0..stats.backward_cycles {
-        let view = ev.evaluate(alg, replicas);
-        let any = transfer_cycle(alg, replicas, &view.replica_in, partial, forward)?;
+        let view = ev.evaluate(alg, replicas, &t.moved);
+        let any = t.cycle(alg, replicas, view.replica_in(), partial, forward)?;
         stats.partial_forward_cycles += 1;
         if !any {
             break;
@@ -162,9 +263,10 @@ pub(crate) fn algorithm1<A: Algebra>(
 
     // Iteration 4: partial backward transfer, once per complete forward
     // cycle made.
+    t.open();
     for _ in 0..stats.forward_cycles {
-        let view = ev.evaluate(alg, replicas);
-        let any = transfer_cycle(alg, replicas, &view.replica_out, partial, backward)?;
+        let view = ev.evaluate(alg, replicas, &t.moved);
+        let any = t.cycle(alg, replicas, view.replica_out(), partial, backward)?;
         stats.partial_backward_cycles += 1;
         if !any {
             break;
@@ -172,7 +274,7 @@ pub(crate) fn algorithm1<A: Algebra>(
     }
 
     // Final step: find all node slacks.
-    ev.evaluate(alg, replicas);
+    ev.evaluate(alg, replicas, &t.moved);
     Ok(stats)
 }
 
@@ -191,14 +293,17 @@ pub(crate) fn algorithm2(
     // Snatching moves a too-slow terminal (negative, finite slack) by
     // up to its deficit, whether or not the other side can spare it.
     let snatch = |_: &mut Numeric, s: Time| Ok((s < Time::ZERO && s.is_finite()).then_some(-s));
+    // Algorithm 1 ended on an evaluation, so no move is pending.
+    let mut t = Transfers::default();
 
     // Iteration 1: snatch time backward until no time is snatched, then
     // record ready times at all cell inputs: a replica whose *input*
     // terminal is too slow moves its closure later.
+    t.open();
     loop {
-        let view = ev.evaluate(&mut Numeric, replicas);
+        let view = ev.evaluate(&mut Numeric, replicas, &t.moved);
         let backward = Replica::transfer_backward_in;
-        let Ok(any) = transfer_cycle(&mut Numeric, replicas, &view.replica_in, snatch, backward);
+        let Ok(any) = t.cycle(&mut Numeric, replicas, view.replica_in(), snatch, backward);
         stats.backward_snatch_cycles += 1;
         if !any {
             break;
@@ -215,10 +320,11 @@ pub(crate) fn algorithm2(
     // Iteration 2: snatch time forward until no time is snatched, then
     // record required times at all cell outputs: a replica whose
     // *output* terminal is too slow moves its assertion earlier.
+    t.open();
     loop {
-        let view = ev.evaluate(&mut Numeric, replicas);
+        let view = ev.evaluate(&mut Numeric, replicas, &t.moved);
         let forward = Replica::transfer_forward_in;
-        let Ok(any) = transfer_cycle(&mut Numeric, replicas, &view.replica_out, snatch, forward);
+        let Ok(any) = t.cycle(&mut Numeric, replicas, view.replica_out(), snatch, forward);
         stats.forward_snatch_cycles += 1;
         if !any {
             break;

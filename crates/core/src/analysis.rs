@@ -24,13 +24,13 @@ use hb_sta::paths::{critical_path, Path};
 use hb_sta::{Algebra, ClusterId, ClusterShard, Numeric, ShardedGraph, SyncInst, TimingGraph};
 use hb_units::{RiseFall, Sense, Time, Transition};
 
-use crate::algorithms::Evaluate;
+use crate::algorithms::{Evaluate, Evaluation};
 use crate::engine::{pos_assert, pos_close, Cycles, Engine, ItemTables, SlackCache};
 use crate::error::AnalyzeError;
 use crate::mindelay::{check_min_delays, MinDelayViolation};
 use crate::report::{ConstraintTables, TerminalKind, TimingConstraints};
 use crate::spec::{AnalysisOptions, EdgeSpec, EngineKind, LatchModel, Spec};
-use crate::sync::{offsets, Replica, ReplicaTiming};
+use crate::sync::{Replica, ReplicaTiming};
 
 /// A boundary timing point: a primary input (source) or primary output
 /// (sink) with its reference edge and offset.
@@ -1067,7 +1067,12 @@ impl<'e> Evaluator<'e> {
 }
 
 impl Evaluate<Numeric> for Evaluator<'_> {
-    fn evaluate(&mut self, _: &mut Numeric, replicas: &[Replica]) -> &Terminals {
+    fn evaluate(
+        &mut self,
+        _: &mut Numeric,
+        replicas: &[Replica],
+        moved: &[u32],
+    ) -> Evaluation<'_, Time> {
         match self.prep.options.engine {
             EngineKind::Reference => {
                 let graph = self.graph.as_ref().expect("built when the analysis opened");
@@ -1075,17 +1080,21 @@ impl Evaluate<Numeric> for Evaluator<'_> {
                 // evaluation starts: free them before building its own.
                 self.dense = None;
                 let view = self.prep.compute_slacks_reference(graph, replicas);
-                &self.dense.insert(view).terms
+                // It evaluates from scratch, so it names no refolds: every
+                // cycle visits every replica.
+                Evaluation {
+                    terms: &self.dense.insert(view).terms,
+                    refolded: None,
+                }
             }
             EngineKind::Sharded => {
                 // Every participating `(cluster, pass)` pair whose seeds
                 // moved is swept over its compact shard — in parallel
                 // when `AnalysisOptions::threads` allows, and skipped
                 // entirely when `cache` still holds it.
-                let offs = offsets(&mut Numeric, replicas);
                 let threads = self.prep.options.effective_threads();
-                (self.prep.engine).evaluate(offs, &mut self.cycles, self.cache, threads);
-                &self.cycles.terms
+                (self.prep.engine).evaluate(replicas, moved, &mut self.cycles, self.cache, threads);
+                self.cycles.evaluation()
             }
         }
     }

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use hb_cells::Library;
 use hb_clock::ClockSet;
-use hb_netlist::{Design, ModuleId};
+use hb_netlist::{Design, ModuleId, NetId};
 use hb_sta::Numeric;
 use hb_units::Time;
 
@@ -277,23 +277,29 @@ impl<'a> Analyzer<'a> {
             })
             .collect();
 
-        // Slow endpoints, worst first.
-        let mut endpoints: Vec<(Time, usize, bool)> = Vec::new(); // (slack, index, is_replica)
+        // The slow endpoints traced, worst first: replica inputs before
+        // primary outputs, each in index order, among equal slacks. Only
+        // the traced ones are sorted.
+        let mut endpoints: Vec<(Time, bool, usize)> = Vec::new(); // (slack, is_output, index)
         for (k, s) in view.terms.replica_in.iter().enumerate() {
             if *s <= Time::ZERO {
-                endpoints.push((*s, k, true));
+                endpoints.push((*s, false, k));
             }
         }
         for (k, s) in view.terms.po_slack.iter().enumerate() {
             if *s <= Time::ZERO {
-                endpoints.push((*s, k, false));
+                endpoints.push((*s, true, k));
             }
         }
-        endpoints.sort_by_key(|&(s, _, _)| s);
+        if endpoints.len() > MAX_SLOW_PATHS {
+            endpoints.select_nth_unstable(MAX_SLOW_PATHS);
+            endpoints.truncate(MAX_SLOW_PATHS);
+        }
+        endpoints.sort_unstable();
 
         let mut slow_paths = Vec::new();
-        for &(slack, k, is_replica) in endpoints.iter().take(MAX_SLOW_PATHS) {
-            let (net, pass, endpoint) = if is_replica {
+        for &(slack, is_output, k) in &endpoints {
+            let (net, pass, endpoint) = if !is_output {
                 let r = &replicas[k];
                 (
                     r.data_net,
@@ -322,13 +328,9 @@ impl<'a> Analyzer<'a> {
         }
 
         let net_slacks = view.net_slacks(prep);
-        let slow_nets = module
-            .nets()
-            .filter(|(id, _)| {
-                let s = net_slacks[id.as_raw() as usize];
-                s <= Time::ZERO && s.is_finite()
-            })
-            .map(|(id, _)| id)
+        let slow_nets = (net_slacks.iter().enumerate())
+            .filter(|&(_, &s)| s <= Time::ZERO && s.is_finite())
+            .map(|(i, _)| NetId::from_raw(i as u32))
             .collect();
 
         TimingReport {

@@ -12,9 +12,13 @@
 //!   pass-dependent seed positions resolved at build time and only the
 //!   replica *offsets* left dynamic;
 //! * an evaluation starts from the previous one of the same analysis
-//!   ([`Cycles`]): an item none of whose seed replicas moved is carried
-//!   over untouched, and only the terminals that changed items feed are
-//!   recomputed;
+//!   ([`Cycles`]). It receives the *moved-replica list* — the replicas
+//!   the transfer cycle since then moved — and recomputes only their
+//!   offsets; an item none of whose seed replicas' offsets changed is
+//!   carried over untouched; only the terminals fed by a per-seed value
+//!   that changed, and the replica inputs whose closure offset moved,
+//!   are refolded, and those terminals go back to the algorithm as the
+//!   *refold list*, whose replicas are the next cycle's candidates;
 //! * the remaining items are looked up in a [`SlackCache`] keyed by
 //!   each item's static fingerprint and dynamic seed signature, and the
 //!   misses are swept by a work-stealing pool on [`std::thread::scope`]
@@ -49,8 +53,9 @@ use hb_obs::{Counter, Histogram};
 use hb_sta::{Algebra, Numeric, ShardedGraph};
 use hb_units::{RiseFall, Time};
 
+use crate::algorithms::Evaluation;
 use crate::analysis::{Boundary, Terminals};
-use crate::sync::Replica;
+use crate::sync::{offsets, Replica};
 
 /// A seed whose position depends on a replica's movable offset:
 /// the seed value is `base + offset(replicas[k])`.
@@ -321,7 +326,8 @@ pub(crate) fn pos_close(timeline: &Timeline, start: Time, edge: EdgeId) -> Time 
 
 /// The incremental state of one analysis call: the replica offsets,
 /// the cache version serving each item, the per-seed values and the
-/// terminal slacks of its previous evaluation.
+/// terminal slacks of its previous evaluation, and the terminals that
+/// evaluation refolded.
 ///
 /// It is owned by the analysis call, never by a [`SlackCache`]: its
 /// contents are positional (item and terminal indices of one
@@ -336,6 +342,11 @@ pub(crate) struct Cycles<V = Time> {
     seeds: Vec<V>,
     /// Terminal slacks of the previous evaluation.
     pub terms: Terminals<V>,
+    /// The terminals (report order, ascending) the previous evaluation
+    /// refolded.
+    refolded: Vec<u32>,
+    /// One item's per-seed values, derived before they are settled.
+    derived: Vec<V>,
 }
 
 impl<V: Copy> Cycles<V> {
@@ -346,6 +357,17 @@ impl<V: Copy> Cycles<V> {
             held: vec![0; engine.items.len()],
             seeds: vec![A::INF; engine.seed_item.len()],
             terms: Terminals::unset(engine.replicas, engine.pis, engine.pos, A::INF),
+            refolded: Vec::new(),
+            derived: Vec::new(),
+        }
+    }
+
+    /// The previous evaluation as the algorithms read it: its terminal
+    /// slacks and the terminals it refolded.
+    pub fn evaluation(&self) -> Evaluation<'_, V> {
+        Evaluation {
+            terms: &self.terms,
+            refolded: Some(&self.refolded),
         }
     }
 }
@@ -567,7 +589,41 @@ impl Engine {
         }
     }
 
-    /// Caches a swept item as its newest version and records its
+    /// Writes item `i`'s new per-seed values `new` over its old ones
+    /// in `cycles`, queueing for a refold each terminal that a changed
+    /// value feeds.
+    fn settle<V: Copy + PartialEq>(&self, i: usize, new: &[V], cycles: &mut Cycles<V>) {
+        let item = &self.items[i];
+        let at = item.seeds_at as usize;
+        let old = &mut cycles.seeds[at..at + new.len()];
+        let terminals = item.terminals(self.replicas as u32, self.pis as u32);
+        for ((slot, &value), t) in old.iter_mut().zip(new).zip(terminals) {
+            if *slot != value {
+                *slot = value;
+                cycles.refolded.push(t);
+            }
+        }
+    }
+
+    /// Derives item `i`'s per-seed values from `tables` and settles
+    /// them in `cycles`.
+    fn settle_tables<A: Algebra>(
+        &self,
+        alg: &mut A,
+        i: usize,
+        tables: &ItemTables<A::Val>,
+        cycles: &mut Cycles<A::Val>,
+    ) {
+        let item = &self.items[i];
+        let mut derived = std::mem::take(&mut cycles.derived);
+        derived.clear();
+        derived.resize(item.seed_count(), A::INF);
+        Self::seed_values(alg, item, tables, &mut derived);
+        self.settle(i, &derived, cycles);
+        cycles.derived = derived;
+    }
+
+    /// Caches a swept item as its newest version and settles its
     /// per-seed values in `cycles`.
     fn store<A: Algebra>(
         &self,
@@ -578,14 +634,8 @@ impl Engine {
         cycles: &mut Cycles<A::Val>,
         cache: &mut SlackCache<A::Val>,
     ) {
+        self.settle_tables(alg, i, &tables, cycles);
         let item = &self.items[i];
-        let at = item.seeds_at as usize;
-        Self::seed_values(
-            alg,
-            item,
-            &tables,
-            &mut cycles.seeds[at..at + item.seed_count()],
-        );
         let per_seed = |t: &ItemTables<A::Val>| {
             let mut out = vec![A::INF; item.seed_count()];
             Self::seed_values(alg, item, t, &mut out);
@@ -594,40 +644,55 @@ impl Engine {
         cycles.held[i] = cache.insert(item, sig, Arc::new(tables), per_seed);
     }
 
-    /// Evaluates every item at the replica offsets `offs`, starting from
+    /// Evaluates every item at the offsets of `replicas`, starting from
     /// the previous evaluation in `cycles` (a fresh [`Cycles`] evaluates
-    /// everything):
+    /// everything). `moved` lists the replicas the transfer cycle since
+    /// then moved:
     ///
-    /// * an item none of whose seed replicas moved is carried over — no
-    ///   signature, no cache probe;
+    /// * only their offsets are recomputed (the first evaluation
+    ///   computes every replica's);
+    /// * an item none of whose seed replicas' offsets changed is carried
+    ///   over — no signature, no cache probe;
     /// * every other item is served from `cache` when a version with its
     ///   fingerprint and seed signature exists, and swept otherwise: in
     ///   item order as met, or, with `batch`, all at once;
-    /// * only the terminals the changed items feed are recomputed, each
-    ///   folding its feeding values in item order.
+    /// * only the terminals fed by a per-seed value that changed, and
+    ///   the replica inputs whose closure offset changed, are refolded
+    ///   (every terminal a changed item feeds, on the first evaluation),
+    ///   each folding its feeding values in item order. They are
+    ///   recorded, in report order, as the evaluation's refold list.
     ///
     /// Every item counts as scheduled, every unswept one as reused.
     pub fn evaluate_with<A: Algebra>(
         &self,
         alg: &mut A,
-        offs: Vec<(A::Val, A::Val)>,
+        replicas: &[Replica<A::Val>],
+        moved: &[u32],
         cycles: &mut Cycles<A::Val>,
         cache: &mut SlackCache<A::Val>,
         batch: Option<BatchSweep<'_, A::Val>>,
     ) {
         let n = self.items.len();
-        let dirty: Vec<usize> = if cycles.offs.is_empty() {
+        let first = cycles.offs.is_empty();
+        cycles.refolded.clear();
+        let dirty: Vec<usize> = if first {
+            cycles.offs = offsets(alg, replicas);
             (0..n).collect()
         } else {
             // The items a replica seeds are those feeding its output
             // terminal (assertion) and its input terminal (closure).
             let mut dirty = Vec::new();
-            for (k, (now, was)) in offs.iter().zip(&cycles.offs).enumerate() {
+            for &k in moved {
+                let (k, r) = (k as usize, &replicas[k as usize]);
+                let now = (r.output_assert_offset_in(alg), r.input_close_offset_in(alg));
+                let was = std::mem::replace(&mut cycles.offs[k], now);
                 if now.0 != was.0 {
                     dirty.extend(self.fed_by(self.replicas + k));
                 }
                 if now.1 != was.1 {
                     dirty.extend(self.fed_by(k));
+                    // Its input slack reads the closure offset itself.
+                    cycles.refolded.push(k as u32);
                 }
             }
             dirty.sort_unstable();
@@ -639,26 +704,24 @@ impl Engine {
         let mut swept = 0;
         for &i in &dirty {
             let item = &self.items[i];
-            let sig = item.signature(alg, &offs);
+            let sig = item.signature(alg, &cycles.offs);
             if let Some(v) = cache.find(item, &sig) {
-                let at = item.seeds_at as usize;
-                let out = &mut cycles.seeds[at..at + item.seed_count()];
                 match cache.held(item, v) {
-                    Held::Seeds(seeds) => out.copy_from_slice(seeds),
-                    Held::Tables(tables) => Self::seed_values(alg, item, tables, out),
+                    Held::Seeds(seeds) => self.settle(i, seeds, cycles),
+                    Held::Tables(tables) => self.settle_tables(alg, i, tables, cycles),
                 }
                 cycles.held[i] = v;
             } else if batch.is_some() {
                 todo.push((i, sig));
             } else {
-                let tables = self.compute_item(alg, item, &offs);
+                let tables = self.compute_item(alg, item, &cycles.offs);
                 self.store(alg, i, sig, tables, cycles, cache);
                 swept += 1;
             }
         }
         if let Some(batch) = batch {
             let misses: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
-            for ((i, sig), tables) in todo.into_iter().zip(batch(&offs, &misses)) {
+            for ((i, sig), tables) in todo.into_iter().zip(batch(&cycles.offs, &misses)) {
                 self.store(alg, i, sig, tables, cycles, cache);
                 swept += 1;
             }
@@ -666,20 +729,20 @@ impl Engine {
         cache.scheduled += n as u64;
         cache.reused += (n - swept) as u64;
 
-        // The terminals the changed items feed, recomputed in report
-        // order from the per-seed values.
-        let (n, n_pi) = (self.replicas as u32, self.pis as u32);
-        let mut terms: Vec<u32> = Vec::new();
-        for &i in &dirty {
-            terms.extend(self.items[i].terminals(n, n_pi));
+        if first {
+            // Nothing was folded yet: every terminal the items feed is.
+            cycles.refolded.clear();
+            let (n, n_pi) = (self.replicas as u32, self.pis as u32);
+            for item in &self.items {
+                cycles.refolded.extend(item.terminals(n, n_pi));
+            }
         }
-        terms.sort_unstable();
-        terms.dedup();
-        for t in terms {
-            let slack = self.terminal(alg, t as usize, &offs, &cycles.seeds);
+        cycles.refolded.sort_unstable();
+        cycles.refolded.dedup();
+        for &t in &cycles.refolded {
+            let slack = self.terminal(alg, t as usize, &cycles.offs, &cycles.seeds);
             *cycles.terms.slot_mut(t as usize) = slack;
         }
-        cycles.offs = offs;
     }
 
     /// The items feeding terminal `t` (report order).
@@ -766,7 +829,8 @@ impl Engine {
     /// is bit-identical at any thread count.
     pub fn evaluate(
         &self,
-        offs: Vec<(Time, Time)>,
+        replicas: &[Replica],
+        moved: &[u32],
         cycles: &mut Cycles,
         cache: &mut SlackCache,
         threads: usize,
@@ -781,7 +845,7 @@ impl Engine {
         let _eval_span = obs.evaluate.span();
         let before = cache.stats();
         let sweep = |offs: &[(Time, Time)], todo: &[usize]| self.sweep_numeric(offs, todo, threads);
-        self.evaluate_with(&mut Numeric, offs, cycles, cache, Some(&sweep));
+        self.evaluate_with(&mut Numeric, replicas, moved, cycles, cache, Some(&sweep));
         Self::count(cache.stats().since(before));
     }
 
@@ -874,8 +938,8 @@ impl Engine {
 }
 
 /// A version record's fixed share of [`SlackCache::approx_bytes`]: the
-/// record itself, its map slot and the allocation headers of its
-/// values.
+/// record itself and the allocation headers of its values. The item
+/// map's slots are charged apart, by the map's capacity.
 const VERSION_RECORD_BYTES: usize = 64;
 
 /// One sweep of an item that the cache keeps.
@@ -1015,14 +1079,17 @@ impl<V> SlackCache<V> {
         self.items.is_empty()
     }
 
-    /// A deterministic estimate of the memoised content in bytes: per
-    /// version, a fixed record size plus its signature and stored
+    /// A deterministic estimate of the memoised content in bytes: the
+    /// item map's slots (its capacity times an entry's size), and per
+    /// version a fixed record size plus its signature and stored
     /// per-seed values, plus its full tables when it kept them.
     pub fn approx_bytes(&self) -> usize {
-        (self.items.values())
+        let slots = self.items.capacity() * std::mem::size_of::<((u32, u32), Versions<V>)>();
+        let versions: usize = (self.items.values())
             .flat_map(|e| e.older.iter().chain([&e.newest]))
             .map(Version::approx_bytes)
-            .sum()
+            .sum();
+        slots + versions
     }
 
     /// The reuse counters, for reporting.
@@ -1229,23 +1296,33 @@ mod tests {
         let (small, big) = (item(0, 2), item(1, 2));
         cache.insert(&small, sig(&[1, 1]), tables(3), per_seed);
         cache.insert(&big, sig(&[1, 1]), tables(300), per_seed);
+        // The map's slots: two entries fit its smallest table.
+        let slots = cache.items.capacity() * 88;
+        assert!(slots >= 2 * 88);
         let newest = |nodes: usize| VERSION_RECORD_BYTES + 2 * 8 + 2 * nodes * 16;
-        assert_eq!(cache.approx_bytes(), newest(3) + newest(300));
+        assert_eq!(cache.approx_bytes(), slots + newest(3) + newest(300));
 
         // A new sweep of `big` supersedes the first, which drops its
         // tables and keeps its signature and its per-seed values.
         cache.insert(&big, sig(&[1, 2]), tables(300), per_seed);
         let older = VERSION_RECORD_BYTES + 2 * 8 + 2 * 8;
-        assert_eq!(cache.approx_bytes(), newest(3) + newest(300) + older);
+        assert_eq!(
+            cache.approx_bytes(),
+            slots + newest(3) + newest(300) + older
+        );
         assert_eq!(cache.len(), 2);
 
         // Every version was used by this analysis, so finishing keeps
-        // them; an analysis that uses none drops them all.
+        // them; an analysis that uses none drops them all, and only the
+        // map's slots stay.
         cache.finish();
-        assert_eq!(cache.approx_bytes(), newest(3) + newest(300) + older);
+        assert_eq!(
+            cache.approx_bytes(),
+            slots + newest(3) + newest(300) + older
+        );
         cache.begin();
         cache.finish();
-        assert_eq!(cache.approx_bytes(), 0);
+        assert_eq!(cache.approx_bytes(), slots);
         assert!(cache.is_empty());
     }
 

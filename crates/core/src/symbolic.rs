@@ -45,11 +45,11 @@ use hb_obs::{Counter, Histogram};
 use hb_sta::Algebra;
 use hb_units::Time;
 
-use crate::algorithms::{algorithm1, Evaluate};
-use crate::analysis::{Prepared, Terminals};
+use crate::algorithms::{algorithm1, Evaluate, Evaluation};
+use crate::analysis::Prepared;
 use crate::engine::{Cycles, SlackCache};
 use crate::report::{NameIndex, TerminalKind};
-use crate::sync::{offsets, Replica};
+use crate::sync::Replica;
 
 /// Work budget for the main top-down carve, in item-evaluations (one
 /// unit = one `(cluster, pass)` item visited by one symbolic slack
@@ -395,14 +395,18 @@ struct RegionEval<'e> {
 }
 
 impl Evaluate<Ctx<'_>> for RegionEval<'_> {
-    fn evaluate(&mut self, ctx: &mut Ctx<'_>, reps: &[Replica<Sym>]) -> &Terminals<Sym> {
+    fn evaluate(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        reps: &[Replica<Sym>],
+        moved: &[u32],
+    ) -> Evaluation<'_, Sym> {
         let engine = &self.prep.engine;
         *self.work += engine.items.len() as u64 + 1;
-        let offs = offsets(ctx, reps);
         // Every decision may shrink the span, so items are swept one at
         // a time, in item order.
-        engine.evaluate_with(ctx, offs, &mut self.cycles, &mut self.memo, None);
-        &self.cycles.terms
+        engine.evaluate_with(ctx, reps, moved, &mut self.cycles, &mut self.memo, None);
+        self.cycles.evaluation()
     }
 }
 

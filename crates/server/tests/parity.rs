@@ -38,6 +38,18 @@ fn assert_identical_slacks(
     what: &str,
 ) {
     assert_eq!(warm.ok(), cold.ok(), "{what}: verdict differs");
+    // A stale terminal in an intermediate cycle shows as another cycle
+    // count even where the final slacks agree.
+    assert_eq!(
+        warm.algorithm1_stats(),
+        cold.algorithm1_stats(),
+        "{what}: Algorithm 1 cycles differ"
+    );
+    assert_eq!(
+        warm.algorithm2_stats(),
+        cold.algorithm2_stats(),
+        "{what}: Algorithm 2 cycles differ"
+    );
     assert_eq!(
         warm.worst_slack(),
         cold.worst_slack(),

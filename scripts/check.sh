@@ -476,6 +476,9 @@ awk -v base="$BASE" -v fresh="$FRESH" 'BEGIN {
 
 echo "== full generator property matrix"
 HB_GEN_FULL=1 cargo test -q -p hb-bench --test gen_properties
+# The what-if matrix: symbolic against cold numeric runs on 10k-cell
+# designs of every family at three seeds.
+HB_GEN_FULL=1 cargo test -q -p hb-bench --test whatif_parity
 
 echo "== server qps regression gate"
 # A quick benchmark run must stay within 20% of the committed

@@ -39,6 +39,20 @@ fn run(w: &Workload, lib: &hb_cells::Library, options: AnalysisOptions) -> Timin
 
 fn assert_identical(w: &Workload, a: &TimingReport, b: &TimingReport, what: &str) {
     assert_eq!(a.ok(), b.ok(), "{}: ok() differs ({what})", w.name);
+    // A stale terminal in an intermediate cycle shows as another cycle
+    // count even where the final slacks agree.
+    assert_eq!(
+        a.algorithm1_stats(),
+        b.algorithm1_stats(),
+        "{}: Algorithm 1 cycles differ ({what})",
+        w.name
+    );
+    assert_eq!(
+        a.algorithm2_stats(),
+        b.algorithm2_stats(),
+        "{}: Algorithm 2 cycles differ ({what})",
+        w.name
+    );
     assert_eq!(
         a.worst_slack(),
         b.worst_slack(),
